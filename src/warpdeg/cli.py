@@ -33,7 +33,7 @@ from .codes import (
     serialize,
 )
 from .diagram import OrientedDiagram, from_gauss, to_gauss
-from .errors import WarpingError
+from .errors import DataError, WarpingError
 from .oracle import ORACLE_CAP, min_changes_to_monotone, random_codes
 from .table import load_table, verify_paper
 from .warping import profile, summary
@@ -51,12 +51,25 @@ def _record(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _read_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _read_input(value: str) -> str:
     """The argument itself, or the contents of the file it names."""
     path = Path(value)
-    if path.is_file():
-        return path.read_text(encoding="utf-8")
-    return value
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. a name too long for the file system: a code
+        return value
+    return _read_file(path) if is_file else value
 
 
 def _parse_code(text: str, notation: str) -> GaussCode:
@@ -92,7 +105,7 @@ def _analysis_record(diagram: OrientedDiagram) -> dict:
         "e": s.warping_sum,
         "spn": s.span,
         "monotone": s.d_forward == 0,
-        "profile": list(profile(diagram).degrees),
+        "profile": list(s.profile),
         "polynomial": list(s.polynomial),
     }
 
@@ -106,7 +119,7 @@ def _print_analysis(diagram: OrientedDiagram, args) -> None:
         _emit(f"crossings: {s.crossings}")
     _emit(_summary_line(s))
     if not args.quiet:
-        _emit("profile: " + " ".join(str(x) for x in profile(diagram).degrees))
+        _emit("profile: " + " ".join(str(x) for x in s.profile))
         _emit("polynomial: " + _poly_text(s.polynomial))
         _emit(f"monotone: {'yes' if s.d_forward == 0 else 'no'}")
 
@@ -201,7 +214,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    lines = Path(args.file).read_text(encoding="utf-8").splitlines()
+    lines = _read_file(Path(args.file)).splitlines()
     failures = 0
     for number, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -352,9 +365,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except WarpingError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except NotImplementedError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CodeSyntaxError, StructureError
@@ -65,8 +67,10 @@ class GaussToken(NamedTuple):
     sign: int  # PLUS, MINUS or UNSIGNED
 
     def render(self) -> str:
-        mark = {PLUS: "+", MINUS: "-", UNSIGNED: ""}[self.sign]
-        return f"{'O' if self.over else 'U'}{self.label}{mark}"
+        return f"{'O' if self.over else 'U'}{self.label}{_MARK[self.sign]}"
+
+
+_MARK = {PLUS: "+", MINUS: "-", UNSIGNED: ""}
 
 
 @dataclass(frozen=True)
@@ -128,36 +132,53 @@ def _build_gauss(raw: Sequence[tuple[int, bool, int]]) -> GaussCode:
 
     Normalization renumbers labels 1..c by first appearance and spreads
     each crossing's sign onto both visits.  The anchor (which visit is
-    first) is preserved.
+    first) is preserved.  One pass over ``raw`` gathers everything; a
+    fault names the first faulty label in first-appearance order,
+    checking its visit count, then its roles, then its signs.
     """
-    visits: dict[int, list[tuple[bool, int]]] = {}
-    for label, over, sign in raw:
-        visits.setdefault(label, []).append((over, sign))
-    for label, pair in visits.items():
-        if len(pair) != 2:
-            raise StructureError(
-                f"crossing {label} appears {len(pair)} time(s), expected 2"
-            )
-        if pair[0][0] == pair[1][0]:
-            way = "over" if pair[0][0] else "under"
-            raise StructureError(f"crossing {label} is {way} at both visits")
-        signs = {s for _, s in pair if s != UNSIGNED}
-        if len(signs) > 1:
-            raise StructureError(f"crossing {label} has contradictory signs")
+    index: dict[int, int] = {}
+    # per crossing number k (slot 0 unused): visit count, roles at the
+    # first two visits, sign, and whether two signs contradict
+    count, first, second, sign, clash = [0], [False], [True], [UNSIGNED], [False]
+    numbers: list[int] = []
+    overs: list[bool] = []
+    for label, over, s in raw:
+        k = index.get(label)
+        if k is None:
+            k = index[label] = len(count)
+            count.append(1)
+            first.append(over)
+            second.append(over)
+            sign.append(s)
+            clash.append(False)
+        else:
+            count[k] += 1
+            if count[k] == 2:
+                second[k] = over
+            if s != UNSIGNED and s != sign[k]:
+                if sign[k] == UNSIGNED:
+                    sign[k] = s
+                else:
+                    clash[k] = True
+        numbers.append(k)
+        overs.append(over)
 
-    crossing_sign = {
-        label: next((s for _, s in pair if s != UNSIGNED), UNSIGNED)
-        for label, pair in visits.items()
-    }
-    relabel: dict[int, int] = {}
-    for label, _, _ in raw:
-        if label not in relabel:
-            relabel[label] = len(relabel) + 1
-    tokens = tuple(
-        GaussToken(relabel[label], over, crossing_sign[label])
-        for label, over, _ in raw
-    )
-    return GaussCode(tokens)
+    if count.count(2) != len(index) or any(map(eq, first, second)) or any(clash):
+        for label, k in index.items():
+            if count[k] != 2:
+                raise StructureError(
+                    f"crossing {label} appears {count[k]} time(s), expected 2"
+                )
+            if first[k] == second[k]:
+                way = "over" if first[k] else "under"
+                raise StructureError(f"crossing {label} is {way} at both visits")
+            if clash[k]:
+                raise StructureError(f"crossing {label} has contradictory signs")
+    # tuple.__new__ skips GaussToken's Python-level constructor
+    return GaussCode(tuple(map(
+        tuple.__new__, repeat(GaussToken),
+        zip(numbers, overs, map(sign.__getitem__, numbers)),
+    )))
 
 
 def parse_gauss(text: str) -> GaussCode:
@@ -187,34 +208,72 @@ def parse_gauss(text: str) -> GaussCode:
     return _build_gauss(raw)
 
 
-def _anchored_key(tokens: Sequence[GaussToken], shift: int) -> tuple:
-    """Comparison key of the rotation starting at ``shift``, relabelled."""
+_SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
+
+
+def _least_rotation(tokens: Sequence[GaussToken]) -> int:
+    """Start of the least rotation under first-appearance relabelling.
+
+    Rotation ``s`` relabelled from its own anchor reads, at offset ``i``,
+    the token ``(over, label, sign)`` at position ``p = s + i``.  Where two
+    rotations agree on offsets ``0..i-1`` they share their relabelling, so
+    their labels at offset ``i`` compare by where each crossing was first
+    visited: a crossing met ``back`` steps earlier (``back <= i``) got a
+    smaller number the larger ``back`` is, and a crossing met for the
+    first time gets the next number, larger than all of them.  Rotations
+    are therefore compared offset by offset on a symbol built from the
+    role, ``back`` and the sign rank, and a candidate is dropped as soon
+    as its symbol exceeds the least one.  Candidates that survive all 2c
+    offsets are equal, and the first of them is returned.  Random codes
+    drop to one candidate within a few offsets; only codes with rotational
+    symmetry keep several candidates to the end.
+    """
     n = len(tokens)
-    relabel: dict[int, int] = {}
-    key = []
-    for i in range(n):
-        tok = tokens[(shift + i) % n]
-        if tok.label not in relabel:
-            relabel[tok.label] = len(relabel) + 1
-        # token order: O before U, then label, then sign (+ before - before none)
-        key.append((0 if tok.over else 1, relabel[tok.label],
-                    {PLUS: 0, MINUS: 1, UNSIGNED: 2}[tok.sign]))
-    return tuple(key)
+    partner: dict[int, int] = {}
+    back = [0] * n
+    base = [0] * n
+    for p, tok in enumerate(tokens):
+        q = partner.pop(tok.label, None)
+        if q is None:
+            partner[tok.label] = p
+        else:
+            back[p] = p - q
+            back[q] = n - (p - q)
+        # symbol = (role * (n + 1) + label part) * 3 + sign rank, where the
+        # label part is n - back for a crossing met earlier and n for a new one
+        base[p] = (0 if tok.over else 3 * (n + 1)) + _SIGN_RANK[tok.sign]
+    back += back
+    base += base
+    new = 3 * n
+    least = min(base[:n])
+    candidates = [s for s in range(n) if base[s] == least]
+    for i in range(1, n):
+        if len(candidates) == 1:
+            break
+        symbols = [
+            base[s + i] + (3 * (n - back[s + i]) if back[s + i] <= i else new)
+            for s in candidates
+        ]
+        least = min(symbols)
+        candidates = [s for s, v in zip(candidates, symbols) if v == least]
+    return candidates[0]
 
 
 def canonical(code: GaussCode) -> GaussCode:
     """The canonical representative among rotations and relabellings.
 
     Every rotation is relabelled by first appearance from its own anchor
-    and the lexicographically least token sequence wins, which makes the
-    form idempotent and invariant under rotation of the input.
+    and the lexicographically least token sequence wins, comparing O
+    before U, then label, then sign (+ before - before none).  This makes
+    the form idempotent and invariant under rotation of the input.
     """
-    n = len(code.tokens)
-    if n == 0:
+    tokens = code.tokens
+    if not tokens:
         return code
-    best = min(range(n), key=lambda s: _anchored_key(code.tokens, s))
-    rotated = code.tokens[best:] + code.tokens[:best]
-    return _build_gauss([(t.label, t.over, t.sign) for t in rotated])
+    # A code whose labels do not pair up still yields some rotation,
+    # which _build_gauss then rejects.
+    best = _least_rotation(tokens)
+    return _build_gauss(tokens[best:] + tokens[:best])
 
 
 # ---------------------------------------------------------------------------

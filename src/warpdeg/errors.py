@@ -63,4 +63,5 @@ class InternalInconsistency(WarpingError):
 
 
 class DataError(WarpingError):
-    """A bundled or user-supplied data file is malformed or inconsistent."""
+    """A bundled or user-supplied data file is unreadable, malformed or
+    inconsistent."""

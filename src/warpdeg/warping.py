@@ -19,9 +19,11 @@ Derived quantities, all orientation-sensitive unless stated otherwise:
 Since a visit's partner has the opposite strand role, walking the whole
 circle balances out: ``d_a(D) + d_a(-D) = c`` at every shared base point,
 which gives the identities ``e(D) = c - spn(D)`` and
-``d(-D) = c - max(profile)``.  ``summary`` recomputes the reverse degree
-by an independent traversal and checks both identities, raising
-InternalInconsistency if the engine ever disagrees with itself.
+``d(-D) = c - max(profile)``.  ``summary`` builds the forward profile
+once and takes the minimum, the maximum and the polynomial from it.  It
+still recomputes the reverse degree by an independent traversal and
+checks both identities, raising InternalInconsistency if the engine ever
+disagrees with itself.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ class WarpingSummary:
     warping_sum: int
     span: int
     polynomial: tuple[int, ...]  # coefficient k = #{a : d_a = k}
+    profile: tuple[int, ...]  # the forward profile's degrees
 
 
 def profile(diagram: OrientedDiagram) -> WarpingProfile:
@@ -102,31 +105,36 @@ def is_monotone(diagram: OrientedDiagram) -> bool:
     return warping_degree(diagram) == 0
 
 
-def warping_polynomial(diagram: OrientedDiagram) -> tuple[int, ...]:
-    """Dense coefficients of the warping polynomial, degree 0..c."""
-    prof = profile(diagram)
-    coeffs = [0] * (diagram.crossings + 1)
-    for d in prof.degrees:
+def _polynomial(degrees: tuple[int, ...], crossings: int) -> tuple[int, ...]:
+    coeffs = [0] * (crossings + 1)
+    for d in degrees:
         coeffs[d] += 1
     return tuple(coeffs)
+
+
+def warping_polynomial(diagram: OrientedDiagram) -> tuple[int, ...]:
+    """Dense coefficients of the warping polynomial, degree 0..c."""
+    return _polynomial(profile(diagram).degrees, diagram.crossings)
 
 
 def summary(diagram: OrientedDiagram) -> WarpingSummary:
     """Compute d(D), d(-D), e(D), spn(D) and the warping polynomial.
 
-    The reverse degree comes from a fresh traversal of the reversed
-    diagram, then both closed-form identities are verified against the
-    forward profile.
+    The forward profile is built once and read for the minimum, the
+    maximum and the polynomial.  The reverse degree comes from a fresh
+    traversal of the reversed diagram, then both closed-form identities
+    are verified against the forward profile.
     """
     c = diagram.crossings
-    prof = profile(diagram)
-    d_fwd = prof.minimum
+    degrees = profile(diagram).degrees
+    d_fwd = min(degrees)
+    top = max(degrees)
     d_rev = profile(reverse(diagram)).minimum
     e = d_fwd + d_rev
-    spn = prof.maximum - prof.minimum
-    if c > 0 and d_rev != c - prof.maximum:
+    spn = top - d_fwd
+    if c > 0 and d_rev != c - top:
         raise InternalInconsistency(
-            f"reverse degree {d_rev} != c - max(profile) = {c - prof.maximum}"
+            f"reverse degree {d_rev} != c - max(profile) = {c - top}"
         )
     if c > 0 and spn != c - e:
         raise InternalInconsistency(f"span {spn} != c - e = {c - e}")
@@ -136,5 +144,6 @@ def summary(diagram: OrientedDiagram) -> WarpingSummary:
         d_reverse=d_rev,
         warping_sum=e,
         span=spn,
-        polynomial=warping_polynomial(diagram),
+        polynomial=_polynomial(degrees, c),
+        profile=degrees,
     )

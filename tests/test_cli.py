@@ -13,6 +13,7 @@ from warpdeg.cli import main
 from warpdeg.codes import gauss_to_dt, parse_gauss, serialize
 from warpdeg.diagram import to_gauss
 from warpdeg.families import twist_minimal
+from warpdeg.warping import summary
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
@@ -77,6 +78,26 @@ def test_analyze_rejects_garbage_with_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_analyze_treats_an_overlong_argument_as_a_code(capsys):
+    diagram = twist_minimal(60)
+    text = serialize(to_gauss(diagram))
+    assert len(text.encode()) > 255  # longer than any file name may be
+    code, out, err = run(capsys, "analyze", text, "--quiet")
+    assert (code, err) == (0, "")
+    s = summary(diagram)
+    assert out == f"d(D)={s.d_forward} d(-D)={s.d_reverse} e={s.warping_sum} spn={s.span}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "batch"])
+def test_non_utf8_files_are_input_errors(capsys, tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(TREFOIL.encode() + b" # caf\xe9\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path} is not UTF-8 text "
+                   "(invalid continuation byte at byte 24)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +181,13 @@ def test_batch_reports_good_and_bad_lines(capsys, tmp_path):
     assert [r["line"] for r in records] == [2, 4, 5]
     assert "error" in records[1]
     assert records[2]["e"] == 3
+
+
+def test_batch_of_a_missing_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "absent.txt"
+    code, out, err = run(capsys, "batch", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: No such file or directory\n"
 
 
 def test_batch_of_clean_lines_exits_zero(capsys, tmp_path):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 import pytest
+from hypothesis import given, strategies as st
 
 from warpdeg.codes import (
     DTCode,
@@ -22,7 +26,9 @@ from warpdeg.codes import (
     pd_to_gauss,
     serialize,
 )
+from warpdeg.diagram import to_gauss
 from warpdeg.errors import CodeSyntaxError, StructureError
+from warpdeg.families import ozawa_twist, twist_minimal
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -59,6 +65,8 @@ def test_gauss_sign_given_once_spreads_to_both_visits():
     assert code.tokens[0].sign == PLUS
     assert code.tokens[3].sign == PLUS  # the other visit of crossing 1
     assert code.tokens[1].sign == UNSIGNED
+    later = parse_gauss("O1U2O3U1-O2U3")  # given at the second visit only
+    assert later.tokens[0].sign == later.tokens[3].sign == MINUS
 
 
 def test_gauss_empty_input_is_the_zero_crossing_diagram():
@@ -106,6 +114,23 @@ def test_gauss_single_kink_is_valid():
     assert code.crossings == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    # faults are reported for the first faulty label in first-appearance
+    # order; on one label the count comes first, then roles, then signs
+    ("O5O5U5O7O7", "crossing 5 appears 3 time(s), expected 2"),
+    ("O7O7O5", "crossing 7 is over at both visits"),
+    ("U3+U3-", "crossing 3 is under at both visits"),
+    ("O2+U2-O4", "crossing 2 has contradictory signs"),
+    ("O4O2+U2-", "crossing 4 appears 1 time(s), expected 2"),
+    ("O2+U2-O2+", "crossing 2 appears 3 time(s), expected 2"),
+    ("O1+U1O2-U2+U9U9", "crossing 2 has contradictory signs"),
+])
+def test_gauss_reports_the_first_fault(text, message):
+    with pytest.raises(StructureError) as info:
+        parse_gauss(text)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
@@ -132,6 +157,96 @@ def test_serialize_then_parse_is_canonical():
 def test_canonical_prefers_over_visits_first():
     # any rotation starting at an O token beats one starting at U
     assert serialize(parse_gauss("U1O2U3O1U2O3")).startswith("O")
+
+
+def _anchored_key(tokens, shift: int) -> tuple:
+    """Comparison key of the rotation starting at ``shift``, relabelled."""
+    n = len(tokens)
+    relabel: dict[int, int] = {}
+    key = []
+    for i in range(n):
+        tok = tokens[(shift + i) % n]
+        if tok.label not in relabel:
+            relabel[tok.label] = len(relabel) + 1
+        # token order: O before U, then label, then sign (+ before - before none)
+        key.append((0 if tok.over else 1, relabel[tok.label],
+                    {PLUS: 0, MINUS: 1, UNSIGNED: 2}[tok.sign]))
+    return tuple(key)
+
+
+def reference_canonical(code: GaussCode) -> GaussCode:
+    """The least rotation found by building every relabelled key: Θ(c²)."""
+    n = len(code.tokens)
+    if n == 0:
+        return code
+    best = min(range(n), key=lambda s: _anchored_key(code.tokens, s))
+    rotated = code.tokens[best:] + code.tokens[:best]
+    return parse_gauss("".join(t.render() for t in rotated))
+
+
+@st.composite
+def codes(draw, signs):
+    c = draw(st.integers(min_value=0, max_value=10))
+    slots = draw(st.permutations(range(2 * c)))
+    visits: list = [None] * (2 * c)
+    for label in range(1, c + 1):
+        over = draw(st.booleans())
+        sign = draw(st.sampled_from(signs))
+        visits[slots[2 * label - 2]] = GaussToken(label, over, sign)
+        visits[slots[2 * label - 1]] = GaussToken(label, not over, sign)
+    return parse_gauss("".join(t.render() for t in visits))
+
+
+@given(st.one_of(codes((PLUS, MINUS)), codes((UNSIGNED,)),
+                 codes((PLUS, MINUS, UNSIGNED))))
+def test_canonical_is_the_least_relabelled_rotation(code):
+    assert canonical(code) == reference_canonical(code)
+
+
+def _rotations(code: GaussCode) -> list[GaussCode]:
+    tokens = code.tokens
+    return [
+        parse_gauss("".join(t.render() for t in tokens[s:] + tokens[:s]))
+        for s in range(len(tokens))
+    ]
+
+
+def _torus_code(c: int) -> GaussCode:
+    """The (2, c) torus diagram: visits 1..c twice, alternating O and U."""
+    return parse_gauss("".join(
+        f"{'O' if i % 2 == 0 else 'U'}{i % c + 1}+" for i in range(2 * c)
+    ))
+
+
+@pytest.mark.parametrize("code", [
+    *(pytest.param(to_gauss(twist_minimal(n)), id=f"twist{n}")
+      for n in range(1, 12)),
+    *(pytest.param(to_gauss(ozawa_twist(n)), id=f"ozawa{n}")
+      for n in range(2, 7)),
+    pytest.param(_torus_code(31), id="torus31"),
+])
+def test_canonical_of_every_rotation_matches_the_reference(code):
+    want = reference_canonical(code)
+    for rotated in _rotations(code):
+        assert canonical(rotated) == want
+
+
+def _table_gauss_codes() -> list[str]:
+    text = resources.files("warpdeg").joinpath("data/knots.tbl").read_text(
+        encoding="utf-8")
+    records = [json.loads(line) for line in text.splitlines()
+               if line.strip() and not line.startswith("#")]
+    return [code for record in records[1:]
+            for code in record["minimal"] + record.get("extra", [])]
+
+
+def test_the_table_holds_46_gauss_codes():
+    assert len(_table_gauss_codes()) == 46
+
+
+@pytest.mark.parametrize("text", _table_gauss_codes())
+def test_table_codes_are_canonical_fixed_points(text):
+    assert serialize(parse_gauss(text)) == text
 
 
 # ---------------------------------------------------------------------------

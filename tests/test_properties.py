@@ -30,7 +30,7 @@ from warpdeg.diagram import (
     to_gauss,
 )
 from warpdeg.oracle import min_changes_to_monotone, profile_bruteforce
-from warpdeg.warping import profile, summary
+from warpdeg.warping import profile, summary, warping_polynomial
 
 
 @st.composite
@@ -115,6 +115,15 @@ def test_reverse_complements_the_profile_against_the_flipped_base(code):
     pr = profile(reverse(d)).degrees
     n = len(p)
     assert all(pr[i] == d.crossings - p[(n - i) % n] for i in range(n))
+
+
+@given(gauss_codes(max_crossings=10))
+def test_summary_reads_one_profile(code):
+    d = from_gauss(code)
+    s = summary(d)
+    assert s.profile == profile(d).degrees
+    assert s.polynomial == warping_polynomial(d)
+    assert (s.d_forward, s.span) == (min(s.profile), max(s.profile) - min(s.profile))
 
 
 @given(gauss_codes(max_crossings=5))

@@ -159,6 +159,16 @@ def test_polynomial_coefficients_sum_to_the_base_count():
         assert sum(warping_polynomial(d)) == max(2 * d.crossings, 1)
 
 
+@pytest.mark.parametrize("text", [
+    "", "O1U1", TREFOIL, FIGURE8, SEVEN_SIX_A, EIGHT_TWELVE_B,
+])
+def test_summary_carries_the_profile_and_its_polynomial(text):
+    d = diagram(text)
+    s = summary(d)
+    assert s.profile == profile(d).degrees
+    assert s.polynomial == warping_polynomial(d)
+
+
 def test_profile_is_a_value_object():
     assert WarpingProfile((1, 2, 1, 2)).minimum == 1
     assert WarpingProfile((1, 2, 1, 2)).maximum == 2
