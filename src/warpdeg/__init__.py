@@ -43,6 +43,7 @@ from .errors import (
     InternalInconsistency,
     InvalidParam,
     NotAKnot,
+    NotClassical,
     StructureError,
     UnknownCrossing,
     UnknownSigns,

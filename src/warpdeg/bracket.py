@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import OrientedDiagram
-from .errors import CapExceeded, InternalInconsistency, UnknownSigns
+from .errors import CapExceeded, NotClassical, UnknownSigns
 
 __all__ = ["BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "determinant"]
 
@@ -156,8 +156,8 @@ def determinant(diagram: OrientedDiagram, cap: int = BRACKET_CAP) -> int:
     """|V(-1)|, the knot determinant, from the normalized bracket.
 
     Evaluates the bracket at a primitive 8th root of unity exactly, in
-    Z[x]/(x^4 + 1).  The result of a valid knot diagram is an integer;
-    anything else means the input was not a classical knot diagram.
+    Z[x]/(x^4 + 1).  The result of a classical knot diagram is an
+    integer; anything else raises NotClassical.
     """
     poly = kauffman_bracket(diagram, cap=cap)
     vec = [0, 0, 0, 0]
@@ -168,7 +168,6 @@ def determinant(diagram: OrientedDiagram, cap: int = BRACKET_CAP) -> int:
         else:
             vec[r - 4] -= k
     if vec[1] or vec[2] or vec[3]:
-        raise InternalInconsistency(
-            f"bracket at the 8th root of unity is not an integer: {vec}"
-        )
+        raise NotClassical("not a classical knot diagram: its bracket at "
+                           f"the 8th root of unity is not an integer: {vec}")
     return abs(vec[0])

@@ -10,11 +10,16 @@ Exit codes: 0 success, 1 failed checks (verify failures, oracle
 disagreement, failed batch lines), 2 usage or input errors.  With
 ``--output records`` every result is one JSON line with sorted keys, so
 identical invocations produce byte-identical output.
+
+The cyclic garbage collector is paused only while a command runs, then
+restored: warpdeg's values form no reference cycles, and on a large batch
+its passes took about a quarter of the run and freed nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -362,11 +367,16 @@ def main(argv: list[str] | None = None) -> int:
         _check_args(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except WarpingError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import eq
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CodeSyntaxError, StructureError
 
@@ -110,7 +110,10 @@ class PDCode:
 # lexing helpers
 # ---------------------------------------------------------------------------
 
-_GAUSS_WORD = re.compile(r"[OoUu]\d+[+-]?")
+_GAUSS_TOKEN = re.compile(r"([OoUu])(\d+)([+-]?)")
+_SEPARATORS = re.compile(r"[\s,]*")
+_WORD = re.compile(r"[^\s,]*")
+_SIGN_OF = {mark: sign for sign, mark in _MARK.items()}
 _INT_WORD = re.compile(r"[+-]?\d+\Z")
 
 
@@ -127,7 +130,7 @@ def _split_words(text: str) -> list[str]:
 # Gauss codes
 # ---------------------------------------------------------------------------
 
-def _build_gauss(raw: Sequence[tuple[int, bool, int]]) -> GaussCode:
+def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
     """Validate raw (label, over, sign) visits and normalize them.
 
     Normalization renumbers labels 1..c by first appearance and spreads
@@ -181,31 +184,38 @@ def _build_gauss(raw: Sequence[tuple[int, bool, int]]) -> GaussCode:
     )))
 
 
+def _gauss_visits(body: str) -> Iterator[tuple[int, bool, int]]:
+    """The (label, over, sign) visits of comment-free Gauss text, lazily."""
+    pos = 0
+    for match in _GAUSS_TOKEN.finditer(body):
+        start = match.start()
+        if start != pos and _SEPARATORS.match(body, pos).end() != start:
+            break
+        role, label, mark = match.groups()
+        yield int(label), role in "Oo", _SIGN_OF[mark]
+        pos = match.end()
+    pos = _SEPARATORS.match(body, pos).end()
+    if pos < len(body):
+        word = _WORD.match(body, pos).group()
+        raise CodeSyntaxError(f"bad Gauss token at {word!r}")
+
+
 def parse_gauss(text: str) -> GaussCode:
     """Parse Gauss notation.  Raises CodeSyntaxError / StructureError.
 
     Empty input is the zero-crossing diagram.
     """
-    words = _split_words(text)
-    raw: list[tuple[int, bool, int]] = []
-    for word in words:
-        # words may pack several tokens: O1+U2+O3+...
-        pos = 0
-        while pos < len(word):
-            match = _GAUSS_WORD.match(word, pos)
-            if match is None:
-                raise CodeSyntaxError(f"bad Gauss token at {word[pos:]!r}")
-            tok = match.group(0)
-            over = tok[0] in "Oo"
-            if tok[-1] in "+-":
-                sign = PLUS if tok[-1] == "+" else MINUS
-                label = int(tok[1:-1])
-            else:
-                sign = UNSIGNED
-                label = int(tok[1:])
-            raw.append((label, over, sign))
-            pos = match.end()
-    return _build_gauss(raw)
+    return _build_gauss(_gauss_visits(_strip_comments(text)))
+
+
+def _relabel(tokens: Sequence[GaussToken]) -> tuple[GaussToken, ...]:
+    """Renumber labels 1..c by first appearance; nothing is validated."""
+    number: dict[int, int] = {}
+    return tuple([
+        tuple.__new__(GaussToken,
+                      (number.setdefault(label, len(number) + 1), over, sign))
+        for label, over, sign in tokens
+    ])
 
 
 _SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
@@ -270,10 +280,8 @@ def canonical(code: GaussCode) -> GaussCode:
     tokens = code.tokens
     if not tokens:
         return code
-    # A code whose labels do not pair up still yields some rotation,
-    # which _build_gauss then rejects.
     best = _least_rotation(tokens)
-    return _build_gauss(tokens[best:] + tokens[:best])
+    return GaussCode(_relabel(tokens[best:] + tokens[:best]))
 
 
 # ---------------------------------------------------------------------------

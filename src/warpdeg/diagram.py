@@ -8,14 +8,17 @@ point ``a`` sits on the edge just before position ``a``, so there are
 
 The operations here are pure: each returns a new diagram.  Labels are kept
 normalized (1..c by first appearance) so that structural equality of
-values means equality of anchored diagrams.
+values means equality of anchored diagrams.  Moves take valid diagrams to
+valid ones, so they relabel or keep every label in place and never
+re-validate; only codes built from outside data (Gauss, DT and PD text,
+random codes) are validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import GaussCode, GaussToken, UNSIGNED, _build_gauss
+from .codes import GaussCode, GaussToken, UNSIGNED, _relabel
 from .errors import UnknownCrossing
 
 __all__ = [
@@ -49,10 +52,6 @@ class OrientedDiagram:
         return all(tok.sign != UNSIGNED for tok in self.occurrences)
 
 
-def _rebuild(visits: list[tuple[int, bool, int]]) -> OrientedDiagram:
-    return OrientedDiagram(_build_gauss(visits).tokens)
-
-
 def from_gauss(code: GaussCode) -> OrientedDiagram:
     """Adopt a Gauss code as a diagram (codes are already normalized)."""
     return OrientedDiagram(code.tokens)
@@ -69,14 +68,13 @@ def reverse(diagram: OrientedDiagram) -> OrientedDiagram:
     before position 0 is the same physical edge as before, so profiles of
     ``diagram`` and ``reverse(diagram)`` line up as a -> (2c - a) mod 2c.
     """
-    visits = [(t.label, t.over, t.sign) for t in reversed(diagram.occurrences)]
-    return _rebuild(visits)
+    return OrientedDiagram(_relabel(diagram.occurrences[::-1]))
 
 
 def mirror(diagram: OrientedDiagram) -> OrientedDiagram:
     """Swap over and under at every crossing and negate the signs."""
-    visits = [(t.label, not t.over, -t.sign) for t in diagram.occurrences]
-    return _rebuild(visits)
+    return OrientedDiagram(tuple(GaussToken(t.label, not t.over, -t.sign)
+                                 for t in diagram.occurrences))
 
 
 def rotate(diagram: OrientedDiagram, k: int) -> OrientedDiagram:
@@ -85,8 +83,9 @@ def rotate(diagram: OrientedDiagram, k: int) -> OrientedDiagram:
     if n == 0:
         return diagram
     k %= n
-    shifted = diagram.occurrences[k:] + diagram.occurrences[:k]
-    return _rebuild([(t.label, t.over, t.sign) for t in shifted])
+    return OrientedDiagram(
+        _relabel(diagram.occurrences[k:] + diagram.occurrences[:k])
+    )
 
 
 def change_crossing(diagram: OrientedDiagram, label: int) -> OrientedDiagram:
@@ -99,9 +98,7 @@ def change_crossing(diagram: OrientedDiagram, label: int) -> OrientedDiagram:
         raise UnknownCrossing(
             f"crossing {label} not in 1..{diagram.crossings}"
         )
-    visits = [
-        (t.label, (not t.over) if t.label == label else t.over,
-         -t.sign if t.label == label else t.sign)
+    return OrientedDiagram(tuple(
+        GaussToken(t.label, not t.over, -t.sign) if t.label == label else t
         for t in diagram.occurrences
-    ]
-    return _rebuild(visits)
+    ))

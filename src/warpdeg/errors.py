@@ -11,6 +11,7 @@ __all__ = [
     "WarpingError",
     "CodeSyntaxError",
     "StructureError",
+    "NotClassical",
     "UnknownCrossing",
     "InvalidParam",
     "NotAKnot",
@@ -32,6 +33,10 @@ class CodeSyntaxError(WarpingError):
 
 class StructureError(WarpingError):
     """Tokens are well formed but do not assemble into a valid code."""
+
+
+class NotClassical(StructureError):
+    """A valid code that is not a classical (planar) knot diagram."""
 
 
 class UnknownCrossing(WarpingError):

@@ -12,7 +12,7 @@ from warpdeg.bracket import (
 )
 from warpdeg.codes import parse_dt, parse_gauss, dt_to_gauss
 from warpdeg.diagram import from_gauss, mirror, reverse, rotate
-from warpdeg.errors import CapExceeded, UnknownSigns
+from warpdeg.errors import CapExceeded, NotClassical, StructureError, UnknownSigns
 from warpdeg.families import twist_minimal
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -82,6 +82,13 @@ def test_small_determinants():
     assert determinant(diagram(TREFOIL)) == 3
     assert determinant(diagram(FIGURE8)) == 5
     assert determinant(diagram(GRANNY)) == 9
+
+
+def test_determinant_of_a_virtual_code_is_not_classical():
+    # the virtual trefoil: a valid signed Gauss code with no planar diagram
+    with pytest.raises(NotClassical, match="not a classical knot diagram"):
+        determinant(diagram("O1+O2+U1+U2+"))
+    assert issubclass(NotClassical, StructureError)
 
 
 def test_bracket_needs_every_sign():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from warpdeg import cli
 from warpdeg.cli import main
 from warpdeg.codes import gauss_to_dt, parse_gauss, serialize
 from warpdeg.diagram import to_gauss
@@ -196,6 +198,68 @@ def test_batch_of_clean_lines_exits_zero(capsys, tmp_path):
     code, out, _ = run(capsys, "batch", str(path))
     assert code == 0
     assert out.splitlines()[-1] == "batch: 0 failed line(s)"
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+# ---------------------------------------------------------------------------
+
+def _lines_file(tmp_path: Path, text: str) -> str:
+    path = tmp_path / "codes.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("analyze", TREFOIL), 0),
+    (("batch", "{file}"), 1),
+    (("analyze", "Q1"), 2),
+])
+def test_main_pauses_the_collector_only_while_a_command_runs(
+        capsys, tmp_path, monkeypatch, argv, status):
+    file = _lines_file(tmp_path, f"{TREFOIL}\nO1+U2+\n")
+    during = []
+
+    def watched(command):
+        def watched_command(args):
+            during.append(gc.isenabled())
+            return command(args)
+        return watched_command
+
+    for name in ("_cmd_analyze", "_cmd_batch"):
+        monkeypatch.setattr(cli, name, watched(getattr(cli, name)))
+    assert gc.isenabled()
+    assert run(capsys, *(a.format(file=file) for a in argv))[0] == status
+    assert gc.isenabled()
+    assert during == [False]
+
+
+def test_main_leaves_a_paused_collector_paused(capsys):
+    gc.disable()
+    try:
+        assert run(capsys, "analyze", TREFOIL)[0] == 0
+        assert run(capsys, "analyze", "Q1")[0] == 2
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _garbage_after_batch(capsys, tmp_path: Path, copies: int) -> int:
+    mixed = f"{TREFOIL}\nQ1\n4 6 2\nO1 O1\n{FIGURE8}\n4 6 3\nO1+U2+\n"
+    file = _lines_file(tmp_path, mixed * copies)
+    gc.disable()
+    try:
+        gc.collect()
+        assert run(capsys, "batch", file, "--output", "records")[0] == 1
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_batch_leaves_no_cyclic_garbage_that_grows_with_the_input(
+        capsys, tmp_path):
+    assert (_garbage_after_batch(capsys, tmp_path, 10)
+            == _garbage_after_batch(capsys, tmp_path, 40))
 
 
 # ---------------------------------------------------------------------------

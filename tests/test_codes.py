@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
 
 from warpdeg.codes import (
+    _build_gauss,
+    _split_words,
     DTCode,
     GaussCode,
     GaussToken,
@@ -129,6 +132,77 @@ def test_gauss_reports_the_first_fault(text, message):
     with pytest.raises(StructureError) as info:
         parse_gauss(text)
     assert str(info.value) == message
+
+
+_GAUSS_WORD = re.compile(r"[OoUu]\d+[+-]?")
+
+
+def reference_parse_gauss(text: str) -> GaussCode:
+    """Gauss parsing word by word, one regex match per token."""
+    raw = []
+    for word in _split_words(text):
+        # words may pack several tokens: O1+U2+O3+...
+        pos = 0
+        while pos < len(word):
+            match = _GAUSS_WORD.match(word, pos)
+            if match is None:
+                raise CodeSyntaxError(f"bad Gauss token at {word[pos:]!r}")
+            tok = match.group(0)
+            over = tok[0] in "Oo"
+            if tok[-1] in "+-":
+                sign = PLUS if tok[-1] == "+" else MINUS
+                label = int(tok[1:-1])
+            else:
+                sign = UNSIGNED
+                label = int(tok[1:])
+            raw.append((label, over, sign))
+            pos = match.end()
+    return _build_gauss(raw)
+
+
+def _outcome(parse, text: str):
+    """The parsed tokens, or the type and message of the error raised."""
+    try:
+        return parse(text).tokens
+    except (CodeSyntaxError, StructureError) as exc:
+        return type(exc), str(exc)
+
+
+_gauss_tokens = st.builds(
+    "{}{}{}".format,
+    st.sampled_from("OoUu"),
+    st.sampled_from(["1", "2", "3", "12", "٣", "१", "0"]),
+    st.sampled_from(["", "+", "-"]),
+)
+_gauss_noise = st.sampled_from([
+    " ", ",", "\t", "\n", "\r\n", "\r", "\u00a0", "  ,\n",
+    "# note\n", "#O1 x\n", "#",
+    "+", "-", "x", "Q", "é", "²", "٣", "7", "O", "U",
+])
+
+
+@given(st.lists(st.one_of(_gauss_tokens, _gauss_noise), max_size=12).map("".join))
+def test_gauss_parse_matches_the_per_word_reference(text):
+    assert _outcome(parse_gauss, text) == _outcome(reference_parse_gauss, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("O1 2", "bad Gauss token at '2'"),
+    ("O1+-U2", "bad Gauss token at '-U2'"),
+    ("O1U1 x", "bad Gauss token at 'x'"),
+    ("O1U1 xO2,U2", "bad Gauss token at 'xO2'"),
+    ("O1,,U1", None),
+    ("O1U1 ,", None),
+    (" O1U1,\n", None),
+    ("O1U1,\t # tail", None),
+])
+def test_gauss_syntax_errors_name_the_rest_of_the_word(text, message):
+    outcome = _outcome(parse_gauss, text)
+    assert outcome == _outcome(reference_parse_gauss, text)
+    if message is None:
+        assert outcome == parse_gauss("O1U1").tokens
+    else:
+        assert outcome == (CodeSyntaxError, message)
 
 
 # ---------------------------------------------------------------------------

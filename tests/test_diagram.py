@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from warpdeg.codes import UNSIGNED, parse_gauss
+from warpdeg import codes, oracle
+from warpdeg.codes import (
+    UNSIGNED,
+    GaussToken,
+    _build_gauss,
+    _least_rotation,
+    canonical,
+    dt_to_gauss,
+    parse_dt,
+    parse_gauss,
+    parse_pd,
+    pd_to_gauss,
+)
 from warpdeg.diagram import (
     OrientedDiagram,
     change_crossing,
@@ -16,6 +28,8 @@ from warpdeg.diagram import (
 )
 from warpdeg.errors import UnknownCrossing
 from warpdeg.bracket import kauffman_bracket
+from warpdeg.families import twist_minimal
+from warpdeg.oracle import random_codes
 from warpdeg.warping import profile
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -143,3 +157,66 @@ def test_changing_any_trefoil_crossing_yields_the_trivial_knot():
         ch = change_crossing(d, label)
         assert kauffman_bracket(ch).as_dict() == {0: 1}
         assert profile(ch).minimum == 0
+
+
+# ---------------------------------------------------------------------------
+# moves relabel without re-validating
+# ---------------------------------------------------------------------------
+
+def _validated(visits) -> OrientedDiagram:
+    """A move's result sent through full validation and normalization."""
+    return OrientedDiagram(_build_gauss(
+        [(t.label, t.over, t.sign) for t in visits]
+    ).tokens)
+
+
+def _assert_moves_match_the_validating_path(d: OrientedDiagram) -> None:
+    occ = d.occurrences
+    assert reverse(d) == _validated(occ[::-1])
+    assert mirror(d) == _validated(
+        GaussToken(t.label, not t.over, -t.sign) for t in occ
+    )
+    for k in range(len(occ)):
+        assert rotate(d, k) == _validated(occ[k:] + occ[:k])
+    for label in range(1, d.crossings + 1):
+        assert change_crossing(d, label) == _validated(
+            GaussToken(t.label, not t.over, -t.sign) if t.label == label else t
+            for t in occ
+        )
+    best = _least_rotation(occ) if occ else 0
+    want = _build_gauss(occ[best:] + occ[:best])
+    assert canonical(to_gauss(d)) == want
+    assert all(type(t) is GaussToken for t in reverse(d).occurrences)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_moves_on_random_codes_match_the_validating_path(seed):
+    for code in random_codes(300, 12, seed):
+        _assert_moves_match_the_validating_path(from_gauss(code))
+
+
+def test_moves_on_table_and_twist_diagrams_match_the_validating_path(table):
+    diagrams = [d for entry in table
+                for d in entry.minimal_diagrams + entry.extra_diagrams]
+    diagrams += [twist_minimal(n) for n in range(1, 9)]
+    for d in diagrams:
+        _assert_moves_match_the_validating_path(d)
+
+
+def test_only_codes_from_outside_data_are_validated(monkeypatch):
+    calls = []
+
+    def spy(raw):
+        calls.append(1)
+        return _build_gauss(raw)
+
+    monkeypatch.setattr(codes, "_build_gauss", spy)
+    monkeypatch.setattr(oracle, "_build_gauss", spy)
+    d = from_gauss(parse_gauss(FIGURE8))
+    dt_to_gauss(parse_dt("4 6 2"))
+    pd_to_gauss(parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"))
+    random_codes(2, 5, 0)
+    assert len(calls) == 5
+    for moved in (d, reverse(d), mirror(d), rotate(d, 3), change_crossing(d, 2)):
+        canonical(to_gauss(moved))
+    assert len(calls) == 5
