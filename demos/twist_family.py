@@ -27,7 +27,8 @@ def main() -> None:
     print(f"{'':>2} {'':>5} | {'c':>3} {'(d, d_rev)':>10} {'e':>3} | "
           f"{'c':>3} {'(d, d_rev)':>10} {'e':>3}")
     names = {1: "3_1", 2: "4_1", 3: "5_2", 4: "6_1", 5: "7_2", 6: "8_1"}
-    for n in range(1, 9):
+    rows = range(1, 9)
+    for n in rows:
         small = summary(twist_minimal(n))
         wide = summary(ozawa_twist(n))
         name = names.get(n, "-")
@@ -38,8 +39,8 @@ def main() -> None:
               f"{wide.warping_sum:>3}")
     print()
     print("same knot both columns (bracket fingerprints agree):",
-          all(kauffman_bracket(twist_minimal(n)) ==
-              kauffman_bracket(ozawa_twist(n)) for n in range(1, 7)))
+          all(kauffman_bracket(twist_minimal(n), cap=n + 2) ==
+              kauffman_bracket(ozawa_twist(n), cap=2 * n + 1) for n in rows))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Kauffman bracket state sum over a signed Gauss sequence.
+"""Kauffman bracket of a signed Gauss sequence, by crossing contraction.
 
 The bracket needs no planar embedding beyond what a signed Gauss code
 carries.  Cut the curve at every visit: 2c arcs remain.  A smoothing of a
@@ -12,18 +12,26 @@ crossing reconnects the four arc ends that meet there in one of two ways:
 Which of the two is the A-smoothing is decided by the crossing sign:
 rotating the overpass counterclockwise onto the underpass sweeps the
 A-regions, and chasing that rule through both chiralities shows the
-A-smoothing is the oriented one exactly at positive crossings.  Summing
-``A^(#A - #B) * delta^(loops - 1)`` over all ``2^c`` states with
-``delta = -A^2 - A^(-2)`` gives the bracket, and multiplying by
+A-smoothing is the oriented one exactly at positive crossings.  The
+bracket is the sum of ``A^(#A - #B) * delta^(loops - 1)`` over all
+``2^c`` states with ``delta = -A^2 - A^(-2)``, and multiplying by
 ``(-A^3)^(-writhe)`` makes it invariant under all Reidemeister moves.
 
-Exponential in c, guarded by a hard cap.  Requires every crossing sign.
+The sum is not enumerated.  Crossings are smoothed one at a time, in a
+greedy order that keeps the open arc ends (the frontier) few, and states
+that join the open ends alike are merged into one Laurent polynomial
+(Bar-Natan, "Fast Khovanov homology computations", 2007).  The cost is
+exponential in the frontier width, not in c; two-bridge and twist
+diagrams have constant width.  Planarity is not assumed, so virtual codes
+get the state sum's value too.  ``BRACKET_CAP`` stays the default guard:
+a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .codes import GaussToken
 from .diagram import OrientedDiagram
 from .errors import CapExceeded, NotClassical, UnknownSigns
 
@@ -32,13 +40,7 @@ __all__ = ["BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "determinant"
 BRACKET_CAP = 14
 
 Laurent = dict[int, int]  # exponent of A -> integer coefficient
-
-
-def _laurent_add(p: Laurent, q: Laurent) -> Laurent:
-    out = dict(p)
-    for e, k in q.items():
-        out[e] = out.get(e, 0) + k
-    return {e: k for e, k in out.items() if k != 0}
+DELTA: Laurent = {2: -1, -2: -1}  # the value of a closed loop
 
 
 def _laurent_mul(p: Laurent, q: Laurent) -> Laurent:
@@ -84,20 +86,47 @@ class BracketPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class _ArcUnion:
-    """Union-find over the 2c arcs; loops = components after pairing ends."""
+def _contraction_order(
+    occ: tuple[GaussToken, ...], crossings: list[tuple[int, int]]
+) -> list[int]:
+    """Greedy order: next, the crossing most joined to those already done."""
+    n = len(occ)
+    neighbours = [[occ[(v + d) % n].label - 1 for v in pq for d in (-1, 1)]
+                  for pq in crossings]
+    done = [False] * len(crossings)
+    order = []
+    for _ in crossings:
+        nxt = max((i for i, d in enumerate(done) if not d),
+                  key=lambda i: sum(done[j] for j in neighbours[i]))
+        done[nxt] = True
+        order.append(nxt)
+    return order
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+def _join(mate: dict[int, int], a: int, b: int) -> int:
+    """Join open ends a and b; 1 if that closes a loop, else 0.
 
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
+    An end missing from ``mate`` is matched to its arc's other end, end ^ 1.
+    """
+    pa = mate.pop(a, a ^ 1)
+    if pa == b:
+        mate.pop(b, None)
+        return 1
+    pb = mate.pop(b, b ^ 1)
+    mate[pa], mate[pb] = pb, pa
+    return 0
+
+
+def _divide_by_delta(p: Laurent) -> Laurent:
+    """Exact quotient p / delta, as -A^2 * p / (1 + A^4)."""
+    rest = dict(p)
+    out: Laurent = {}
+    for e in range(min(rest), max(rest) - 3):
+        k = rest.get(e, 0)
+        if k:
+            out[e + 2] = -k
+            rest[e + 4] = rest.get(e + 4, 0) - k
+    return out
 
 
 def kauffman_bracket(
@@ -118,38 +147,37 @@ def kauffman_bracket(
     for pos, tok in enumerate(occ):
         positions.setdefault(tok.label, []).append(pos)
     crossings = [tuple(positions[label]) for label in range(1, c + 1)]
-    signs = [diagram.sign_of(label) for label in range(1, c + 1)]
+    signs = [occ[p].sign for p, _ in crossings]
     writhe = sum(signs)
 
-    # delta^k, precomputed once
-    delta: Laurent = {2: -1, -2: -1}
-    delta_pow: list[Laurent] = [{0: 1}]
-    for _ in range(c):
-        delta_pow.append(_laurent_mul(delta_pow[-1], delta))
+    # Arc i runs from visit i to visit i + 1: end 2i is its tail, 2i + 1
+    # its head.  A state maps each open end to the end it is joined to.
+    states: dict[tuple, Laurent] = {(): {0: 1}}
+    for idx in _contraction_order(occ, crossings):
+        p, q = crossings[idx]
+        in_p, in_q = 2 * ((p - 1) % n) + 1, 2 * ((q - 1) % n) + 1
+        oriented = ((in_p, 2 * q), (in_q, 2 * p))
+        disoriented = ((in_p, in_q), (2 * p, 2 * q))
+        # A (shift +1) is the oriented smoothing exactly at positive crossings
+        smoothings = ((signs[idx], oriented), (-signs[idx], disoriented))
+        merged: dict[tuple, Laurent] = {}
+        for state, poly in states.items():
+            for shift, joins in smoothings:
+                mate = dict(state)
+                term = {e + shift: k for e, k in poly.items()}
+                for a, b in joins:
+                    if _join(mate, a, b):
+                        term = _laurent_mul(term, DELTA)
+                acc = merged.setdefault(tuple(sorted(mate.items())), {})
+                for e, k in term.items():
+                    acc[e] = acc.get(e, 0) + k
+        states = merged
 
-    total: Laurent = {}
-    for state in range(1 << c):
-        arcs = _ArcUnion(n)
-        exponent = 0
-        for idx, (p, q) in enumerate(crossings):
-            pick_a = not (state >> idx) & 1
-            exponent += 1 if pick_a else -1
-            # oriented smoothing for A at positive crossings, B at negative
-            oriented = pick_a == (signs[idx] > 0)
-            if oriented:
-                arcs.union((p - 1) % n, q)
-                arcs.union((q - 1) % n, p)
-            else:
-                arcs.union((p - 1) % n, (q - 1) % n)
-                arcs.union(p, q)
-        loops = len({arcs.find(i) for i in range(n)})
-        total = _laurent_add(
-            total,
-            {e + exponent: k for e, k in delta_pow[loops - 1].items()},
-        )
-
+    (total,) = states.values()  # delta * <D>: all loops counted, not loops - 1
     norm = {-3 * writhe: 1 if writhe % 2 == 0 else -1}
-    return BracketPolynomial.from_dict(_laurent_mul(total, norm))
+    return BracketPolynomial.from_dict(
+        _laurent_mul(_divide_by_delta(total), norm)
+    )
 
 
 def determinant(diagram: OrientedDiagram, cap: int = BRACKET_CAP) -> int:

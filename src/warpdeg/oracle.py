@@ -7,7 +7,8 @@ slicker route, using a method with no shared code:
   instead of using the incremental step rule.
 * ``min_changes_to_monotone`` searches subsets of crossings to change,
   smallest first, until a monotone diagram appears.  Its answer must
-  equal the warping degree.
+  equal the warping degree.  Each base point's walk stops at its first
+  underpass-first visit and shares no step rule with the engine.
 * ``random_codes`` produces seeded abstract Gauss codes (uniform pairing
   of visit slots, random strand roles and signs) to feed both checks.
 
@@ -66,23 +67,23 @@ def profile_bruteforce(diagram: OrientedDiagram) -> WarpingProfile:
 
 
 def _is_monotone_after(occ: tuple[GaussToken, ...], flipped: frozenset[int]) -> bool:
-    """Does some base point see only overpasses first, after the flips?"""
+    """Does some base point see only overpasses first, after the flips?
+
+    Each base point gets its own full walk, which stops at the first
+    first-visit underpass: nothing after it can make that base monotone.
+    """
     n = len(occ)
     if n == 0:
         return True
-    best = n + 1
     for base in range(n):
         seen: set[int] = set()
-        count = 0
         for step in range(n):
             tok = occ[(base + step) % n]
             if tok.label not in seen:
                 seen.add(tok.label)
-                under = tok.over if tok.label in flipped else not tok.over
-                if under:
-                    count += 1
-        best = min(best, count)
-        if best == 0:
+                if tok.over == (tok.label in flipped):  # an underpass
+                    break
+        else:
             return True
     return False
 

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from warpdeg.bracket import (
     BRACKET_CAP,
     BracketPolynomial,
+    Laurent,
+    _laurent_mul,
     determinant,
     kauffman_bracket,
 )
 from warpdeg.codes import parse_dt, parse_gauss, dt_to_gauss
-from warpdeg.diagram import from_gauss, mirror, reverse, rotate
+from warpdeg.diagram import OrientedDiagram, from_gauss, mirror, reverse, rotate
 from warpdeg.errors import CapExceeded, NotClassical, StructureError, UnknownSigns
-from warpdeg.families import twist_minimal
+from warpdeg.families import ozawa_twist, twist_minimal
+from warpdeg.oracle import random_codes
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
@@ -119,3 +124,120 @@ def test_polynomial_product():
     b = BracketPolynomial.from_dict({0: 1, -2: -1})
     assert (a * b).as_dict() == {-2: -1, 2: 1}
 
+
+# ---------------------------------------------------------------------------
+# the 2^c state sum as the reference for the contraction
+# ---------------------------------------------------------------------------
+
+def _laurent_add(p: Laurent, q: Laurent) -> Laurent:
+    out = dict(p)
+    for e, k in q.items():
+        out[e] = out.get(e, 0) + k
+    return {e: k for e, k in out.items() if k != 0}
+
+
+class _ArcUnion:
+    """Union-find over the 2c arcs; loops = components after pairing ends."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        self.parent[self.find(x)] = self.find(y)
+
+
+def reference_state_sum(diagram: OrientedDiagram) -> BracketPolynomial:
+    """The writhe-normalized bracket summed over all 2^c states."""
+    c = diagram.crossings
+    if c == 0:
+        return BracketPolynomial.from_dict({0: 1})
+
+    occ = diagram.occurrences
+    n = 2 * c
+    positions: dict[int, list[int]] = {}
+    for pos, tok in enumerate(occ):
+        positions.setdefault(tok.label, []).append(pos)
+    crossings = [tuple(positions[label]) for label in range(1, c + 1)]
+    signs = [diagram.sign_of(label) for label in range(1, c + 1)]
+    writhe = sum(signs)
+
+    # delta^k, precomputed once
+    delta: Laurent = {2: -1, -2: -1}
+    delta_pow: list[Laurent] = [{0: 1}]
+    for _ in range(c):
+        delta_pow.append(_laurent_mul(delta_pow[-1], delta))
+
+    total: Laurent = {}
+    for state in range(1 << c):
+        arcs = _ArcUnion(n)
+        exponent = 0
+        for idx, (p, q) in enumerate(crossings):
+            pick_a = not (state >> idx) & 1
+            exponent += 1 if pick_a else -1
+            # oriented smoothing for A at positive crossings, B at negative
+            oriented = pick_a == (signs[idx] > 0)
+            if oriented:
+                arcs.union((p - 1) % n, q)
+                arcs.union((q - 1) % n, p)
+            else:
+                arcs.union((p - 1) % n, (q - 1) % n)
+                arcs.union(p, q)
+        loops = len({arcs.find(i) for i in range(n)})
+        total = _laurent_add(
+            total,
+            {e + exponent: k for e, k in delta_pow[loops - 1].items()},
+        )
+
+    norm = {-3 * writhe: 1 if writhe % 2 == 0 else -1}
+    return BracketPolynomial.from_dict(_laurent_mul(total, norm))
+
+
+def _assert_matches_the_state_sum(d: OrientedDiagram) -> None:
+    assert kauffman_bracket(d, cap=d.crossings) == reference_state_sum(d)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_contraction_matches_the_state_sum_on_random_codes(seed):
+    # random codes are mostly virtual: no planar diagram is assumed
+    for code in random_codes(300, 10, seed):
+        _assert_matches_the_state_sum(from_gauss(code))
+
+
+def test_contraction_matches_the_state_sum_on_table_diagrams(table):
+    for entry in table:
+        for d in entry.minimal_diagrams + entry.extra_diagrams:
+            _assert_matches_the_state_sum(d)
+
+
+def test_contraction_matches_the_state_sum_on_the_twist_families():
+    diagrams = [twist_minimal(n) for n in range(1, 13)]
+    diagrams += [ozawa_twist(n) for n in range(1, 7)]
+    for d in diagrams:
+        for variant in (d, mirror(d), reverse(d)):
+            _assert_matches_the_state_sum(variant)
+
+
+@pytest.mark.parametrize("text", [
+    "O1+U1+", "O1-U1-", "O1+U1+O2-U2-", "O1+O2+U2+U1+",
+])
+def test_contraction_matches_the_state_sum_on_kinks(text):
+    # an arc that starts and ends at the same crossing
+    _assert_matches_the_state_sum(diagram(text))
+
+
+def test_large_twist_families_stay_fast():
+    # constant frontier width: the cost does not grow as 2^c
+    start = time.perf_counter()
+    for n in range(1, 41):
+        assert determinant(twist_minimal(n), cap=n + 2) == 2 * n + 1
+    for n in range(1, 21):
+        assert determinant(ozawa_twist(n), cap=2 * n + 1) == 2 * n + 1
+        assert kauffman_bracket(twist_minimal(n), cap=n + 2) == \
+            kauffman_bracket(ozawa_twist(n), cap=2 * n + 1)
+    assert time.perf_counter() - start < 2.0

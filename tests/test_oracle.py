@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from warpdeg.codes import parse_gauss, serialize
-from warpdeg.diagram import from_gauss
+from warpdeg.codes import GaussToken, parse_gauss, serialize
+from warpdeg.diagram import OrientedDiagram, from_gauss
 from warpdeg.errors import BudgetExceeded, CapExceeded, InvalidParam
+from warpdeg.families import ozawa_twist, twist_minimal
 from warpdeg.oracle import (
     ORACLE_CAP,
     OracleResult,
@@ -89,6 +92,69 @@ def test_crossing_cap_is_enforced():
     with pytest.raises(CapExceeded):
         min_changes_to_monotone(diagram(text))
     assert min_changes_to_monotone(diagram(text), cap=c).changes == 0
+
+
+# ---------------------------------------------------------------------------
+# the full-count walk as the reference for the short-circuiting one
+# ---------------------------------------------------------------------------
+
+def _is_monotone_after(occ: tuple[GaussToken, ...], flipped: frozenset[int]) -> bool:
+    """Does some base point see only overpasses first, after the flips?"""
+    n = len(occ)
+    if n == 0:
+        return True
+    best = n + 1
+    for base in range(n):
+        seen: set[int] = set()
+        count = 0
+        for step in range(n):
+            tok = occ[(base + step) % n]
+            if tok.label not in seen:
+                seen.add(tok.label)
+                under = tok.over if tok.label in flipped else not tok.over
+                if under:
+                    count += 1
+        best = min(best, count)
+        if best == 0:
+            return True
+    return False
+
+
+def reference_search(diagram: OrientedDiagram) -> OracleResult:
+    """The subset search, each subset tested by counting every walk."""
+    c = diagram.crossings
+    searched = 0
+    for size in range(c + 1):
+        for subset in combinations(range(1, c + 1), size):
+            searched += 1
+            if _is_monotone_after(diagram.occurrences, frozenset(subset)):
+                return OracleResult(size, subset, searched)
+    raise AssertionError("some set of crossing changes always makes it monotone")
+
+
+def _assert_matches_the_reference(d: OrientedDiagram) -> None:
+    result = min_changes_to_monotone(d)
+    assert result == reference_search(d)
+    assert min_changes_to_monotone(d, budget=result.changes) == result
+    for budget in range(result.changes):  # the reference finds nothing smaller
+        with pytest.raises(BudgetExceeded):
+            min_changes_to_monotone(d, budget=budget)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_search_matches_the_reference_on_random_codes(seed):
+    for code in random_codes(200, 10, seed):
+        _assert_matches_the_reference(from_gauss(code))
+
+
+def test_search_matches_the_reference_on_bundled_diagrams(table):
+    diagrams = [d for entry in table
+                for d in entry.minimal_diagrams + entry.extra_diagrams]
+    diagrams += [twist_minimal(n) for n in range(1, 9)]
+    diagrams += [ozawa_twist(n) for n in range(1, 5)]
+    for d in diagrams:
+        if d.crossings <= 10:
+            _assert_matches_the_reference(d)
 
 
 # ---------------------------------------------------------------------------
