@@ -33,7 +33,6 @@ from .diagram import (
     mirror,
     reverse,
     rotate,
-    to_gauss,
 )
 from .errors import (
     BudgetExceeded,

@@ -141,7 +141,7 @@ def kauffman_bracket(
     if not diagram.has_all_signs():
         raise UnknownSigns("the bracket needs a sign at every crossing")
 
-    occ = diagram.occurrences
+    occ = diagram.tokens
     n = 2 * c
     positions: dict[int, list[int]] = {}
     for pos, tok in enumerate(occ):

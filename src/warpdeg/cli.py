@@ -37,7 +37,7 @@ from .codes import (
     pd_to_gauss,
     serialize,
 )
-from .diagram import OrientedDiagram, from_gauss, to_gauss
+from .diagram import OrientedDiagram, from_gauss
 from .errors import DataError, WarpingError
 from .oracle import ORACLE_CAP, min_changes_to_monotone, random_codes
 from .table import load_table, verify_paper
@@ -103,7 +103,7 @@ def _poly_text(coeffs: tuple[int, ...]) -> str:
 def _analysis_record(diagram: OrientedDiagram) -> dict:
     s = summary(diagram)
     return {
-        "canonical": serialize(to_gauss(diagram)),
+        "canonical": serialize(diagram),
         "crossings": s.crossings,
         "d": s.d_forward,
         "d_rev": s.d_reverse,
@@ -199,22 +199,14 @@ def _oracle_random(args, cap: int) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "twist":
-        diagram = families.twist_minimal(args.n)
-    elif args.family == "rational":
-        diagram = families.rational_pq(args.p, args.q)
+    pd = families.family_pd(args.family, args)
+    if args.format == "pd":
+        code = pd
+    elif args.format == "dt":
+        code = gauss_to_dt(pd_to_gauss(pd))
     else:
-        diagram = families.ozawa_twist(args.n)
-    notation = "gauss" if args.format == "auto" else args.format
-    gauss = to_gauss(diagram)
-    if notation == "gauss":
-        code = serialize(gauss)
-    elif notation == "dt":
-        code = serialize(gauss_to_dt(gauss))
-    else:
-        pd = families.family_pd(args.family, args)
-        code = serialize(pd)
-    _emit(code)
+        code = pd_to_gauss(pd)
+    _emit(serialize(code))
     return 0
 
 
@@ -244,14 +236,9 @@ def _cmd_batch(args) -> int:
     return 1 if failures else 0
 
 
-def _table_path(args) -> str | None:
-    if args.table is not None:
-        return args.table
-    return os.environ.get(_ENV_TABLE)
-
-
 def _cmd_verify(args) -> int:
-    report = verify_paper(load_table(_table_path(args)))
+    path = args.table if args.table is not None else os.environ.get(_ENV_TABLE)
+    report = verify_paper(load_table(path))
     if args.output == "records":
         for row in report.records():
             _emit(_record(row))

@@ -33,7 +33,7 @@ from itertools import repeat
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CodeSyntaxError, StructureError
+from .errors import CodeSyntaxError, StructureError, UnknownCrossing
 
 __all__ = [
     "PLUS",
@@ -75,13 +75,25 @@ _MARK = {PLUS: "+", MINUS: "-", UNSIGNED: ""}
 
 @dataclass(frozen=True)
 class GaussCode:
-    """Normalized Gauss code; ``tokens`` is the anchored visit sequence."""
+    """Normalized Gauss code; ``tokens`` is the anchored visit sequence.
+
+    The code is also the oriented diagram it describes (see ``diagram``).
+    """
 
     tokens: tuple[GaussToken, ...]
 
     @property
     def crossings(self) -> int:
         return len(self.tokens) // 2
+
+    def sign_of(self, label: int) -> int:
+        for tok in self.tokens:
+            if tok.label == label:
+                return tok.sign
+        raise UnknownCrossing(f"no crossing labelled {label}")
+
+    def has_all_signs(self) -> bool:
+        return all(tok.sign != UNSIGNED for tok in self.tokens)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Oriented knot diagrams and the symmetry operations used on them.
 
-An OrientedDiagram is an anchored, oriented Gauss sequence: position 0 is
-where traversal starts and the tuple order is the direction of travel.
-Base points for warping computations live on the edges of the curve; base
-point ``a`` sits on the edge just before position ``a``, so there are
-``2c`` of them (one for the zero-crossing diagram).
+A diagram is a ``GaussCode``: an anchored, oriented Gauss sequence whose
+position 0 is where traversal starts and whose tuple order is the
+direction of travel.  ``OrientedDiagram`` names the same type where a
+signature means the diagram rather than the notation.  Base points for
+warping computations live on the edges of the curve; base point ``a``
+sits on the edge just before position ``a``, so there are ``2c`` of them
+(one for the zero-crossing diagram).
 
 The operations here are pure: each returns a new diagram.  Labels are kept
 normalized (1..c by first appearance) so that structural equality of
@@ -16,49 +18,24 @@ random codes) are validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .codes import GaussCode, GaussToken, UNSIGNED, _relabel
+from .codes import GaussCode, GaussToken, _relabel
 from .errors import UnknownCrossing
 
 __all__ = [
     "OrientedDiagram",
     "from_gauss",
-    "to_gauss",
     "reverse",
     "mirror",
     "rotate",
     "change_crossing",
 ]
 
-
-@dataclass(frozen=True)
-class OrientedDiagram:
-    """Anchored oriented diagram; ``occurrences`` is the visit sequence."""
-
-    occurrences: tuple[GaussToken, ...]
-
-    @property
-    def crossings(self) -> int:
-        return len(self.occurrences) // 2
-
-    def sign_of(self, label: int) -> int:
-        for tok in self.occurrences:
-            if tok.label == label:
-                return tok.sign
-        raise UnknownCrossing(f"no crossing labelled {label}")
-
-    def has_all_signs(self) -> bool:
-        return all(tok.sign != UNSIGNED for tok in self.occurrences)
+OrientedDiagram = GaussCode
 
 
 def from_gauss(code: GaussCode) -> OrientedDiagram:
-    """Adopt a Gauss code as a diagram (codes are already normalized)."""
-    return OrientedDiagram(code.tokens)
-
-
-def to_gauss(diagram: OrientedDiagram) -> GaussCode:
-    return GaussCode(diagram.occurrences)
+    """Adopt a Gauss code as a diagram: the code itself, already normalized."""
+    return code
 
 
 def reverse(diagram: OrientedDiagram) -> OrientedDiagram:
@@ -68,24 +45,22 @@ def reverse(diagram: OrientedDiagram) -> OrientedDiagram:
     before position 0 is the same physical edge as before, so profiles of
     ``diagram`` and ``reverse(diagram)`` line up as a -> (2c - a) mod 2c.
     """
-    return OrientedDiagram(_relabel(diagram.occurrences[::-1]))
+    return GaussCode(_relabel(diagram.tokens[::-1]))
 
 
 def mirror(diagram: OrientedDiagram) -> OrientedDiagram:
     """Swap over and under at every crossing and negate the signs."""
-    return OrientedDiagram(tuple(GaussToken(t.label, not t.over, -t.sign)
-                                 for t in diagram.occurrences))
+    return GaussCode(tuple(GaussToken(t.label, not t.over, -t.sign)
+                           for t in diagram.tokens))
 
 
 def rotate(diagram: OrientedDiagram, k: int) -> OrientedDiagram:
     """Move the anchor forward by ``k`` edges (any integer)."""
-    n = len(diagram.occurrences)
+    n = len(diagram.tokens)
     if n == 0:
         return diagram
     k %= n
-    return OrientedDiagram(
-        _relabel(diagram.occurrences[k:] + diagram.occurrences[:k])
-    )
+    return GaussCode(_relabel(diagram.tokens[k:] + diagram.tokens[:k]))
 
 
 def change_crossing(diagram: OrientedDiagram, label: int) -> OrientedDiagram:
@@ -98,7 +73,7 @@ def change_crossing(diagram: OrientedDiagram, label: int) -> OrientedDiagram:
         raise UnknownCrossing(
             f"crossing {label} not in 1..{diagram.crossings}"
         )
-    return OrientedDiagram(tuple(
+    return GaussCode(tuple(
         GaussToken(t.label, not t.over, -t.sign) if t.label == label else t
-        for t in diagram.occurrences
+        for t in diagram.tokens
     ))

@@ -32,11 +32,12 @@ from .errors import InternalInconsistency, InvalidParam, NotAKnot
 
 __all__ = ["twist_minimal", "rational_pq", "ozawa_twist", "family_pd"]
 
-# Chirality of new crossings, per twist direction.  True means the SW-NE
-# diagonal is the overpass.  The pair is chosen so that every rational
-# diagram built here comes out alternating.
-_RIGHT_OVER02 = True
-_BOTTOM_OVER02 = True
+# Where a twist hooks its new crossing on: per tangle corner, the slot
+# that takes the corner's strand and the slot that becomes the corner.
+# Every new crossing has the SW-NE diagonal over, which makes every
+# rational diagram built here alternating.
+_RIGHT = (("ne", 3, 2), ("se", 0, 1))
+_BOTTOM = (("sw", 3, 0), ("se", 2, 1))
 
 Port = tuple[int, int]  # (crossing id, slot)
 
@@ -80,9 +81,7 @@ class _PortGraph:
             out = (here[0], (here[1] + 2) % 4)
             edge_at[out] = edge % (2 * c) + 1
             here = self.links[out]
-        if here != start:
-            raise NotAKnot("closure has more than one component")
-        if len(entered) != 2 * c:
+        if here != start or len(entered) != 2 * c:
             raise NotAKnot("closure has more than one component")
 
         quads = []
@@ -118,19 +117,12 @@ class _Tangle:
         else:
             self.graph.connect(value, port)
 
-    def twist_right(self) -> None:
-        cid = self.graph.new_crossing(_RIGHT_OVER02)
-        self._consume("ne", (cid, 3))
-        self._consume("se", (cid, 0))
-        self.corners["ne"] = ("port", (cid, 2))
-        self.corners["se"] = ("port", (cid, 1))
-
-    def twist_bottom(self) -> None:
-        cid = self.graph.new_crossing(_BOTTOM_OVER02)
-        self._consume("sw", (cid, 3))
-        self._consume("se", (cid, 2))
-        self.corners["sw"] = ("port", (cid, 0))
-        self.corners["se"] = ("port", (cid, 1))
+    def twist(self, hooks: tuple[tuple[str, int, int], ...]) -> None:
+        cid = self.graph.new_crossing(True)
+        for corner, slot, _ in hooks:
+            self._consume(corner, (cid, slot))
+        for corner, _, slot in hooks:
+            self.corners[corner] = ("port", (cid, slot))
 
     def close_numerator(self) -> PDCode:
         for a, b in (("nw", "ne"), ("sw", "se")):
@@ -157,11 +149,20 @@ def _continued_fraction_pd(entries: list[int]) -> PDCode:
     for i, a in enumerate(entries):
         bottoms = (k - i) % 2 == 0  # i counts from 0; last entry is rights
         for _ in range(a):
-            if bottoms:
-                tangle.twist_bottom()
-            else:
-                tangle.twist_right()
+            tangle.twist(_BOTTOM if bottoms else _RIGHT)
     return tangle.close_numerator()
+
+
+def _rational_pd(p: int, q: int) -> PDCode:
+    if p < 1 or q < 1:
+        raise InvalidParam(f"twist counts must be >= 1, got ({p}, {q})")
+    return _continued_fraction_pd([p, q])
+
+
+def _twist_pd(n: int) -> PDCode:
+    if n < 1:
+        raise InvalidParam(f"twist parameter must be >= 1, got {n}")
+    return _continued_fraction_pd([2, n])
 
 
 def rational_pq(p: int, q: int) -> OrientedDiagram:
@@ -171,16 +172,12 @@ def rational_pq(p: int, q: int) -> OrientedDiagram:
     Raises NotAKnot when the closure has two components, which happens
     exactly when pq is odd (the fraction numerator pq+1 is even).
     """
-    if p < 1 or q < 1:
-        raise InvalidParam(f"twist counts must be >= 1, got ({p}, {q})")
-    return from_gauss(pd_to_gauss(_continued_fraction_pd([p, q])))
+    return from_gauss(pd_to_gauss(_rational_pd(p, q)))
 
 
 def twist_minimal(n: int) -> OrientedDiagram:
     """Minimal (n+2)-crossing twist knot diagram: a clasp plus n twists."""
-    if n < 1:
-        raise InvalidParam(f"twist parameter must be >= 1, got {n}")
-    return rational_pq(2, n)
+    return from_gauss(pd_to_gauss(_twist_pd(n)))
 
 
 def _ozawa_pd(n: int) -> PDCode:
@@ -195,6 +192,8 @@ def _ozawa_pd(n: int) -> PDCode:
     enters station s from the west, and the return arc's m-th visit
     arrives on edge c+m.
     """
+    if n < 1:
+        raise InvalidParam(f"twist parameter must be >= 1, got {n}")
     c = 2 * n + 1
     order = [m if m % 2 else c + 1 - m for m in range(1, c + 1)]
     visit = {s: m for m, s in enumerate(order, 1)}
@@ -226,25 +225,15 @@ def ozawa_twist(n: int) -> OrientedDiagram:
     arc meets only the clasp as a first-visit underpass, in both
     directions, so d(D) = d(-D) = 1 and e(D) = 2.
     """
-    if n < 1:
-        raise InvalidParam(f"twist parameter must be >= 1, got {n}")
     return from_gauss(pd_to_gauss(_ozawa_pd(n)))
 
 
 def family_pd(family: str, params) -> PDCode:
-    """PD code of a family diagram; used for PD-notation output."""
+    """PD code of a family diagram, the one source of its Gauss code."""
     if family == "twist":
-        if params.n < 1:
-            raise InvalidParam(f"twist parameter must be >= 1, got {params.n}")
-        return _continued_fraction_pd([2, params.n])
+        return _twist_pd(params.n)
     if family == "rational":
-        if params.p < 1 or params.q < 1:
-            raise InvalidParam(
-                f"twist counts must be >= 1, got ({params.p}, {params.q})"
-            )
-        return _continued_fraction_pd([params.p, params.q])
+        return _rational_pd(params.p, params.q)
     if family == "ozawa":
-        if params.n < 1:
-            raise InvalidParam(f"twist parameter must be >= 1, got {params.n}")
         return _ozawa_pd(params.n)
     raise InvalidParam(f"no planar construction for family {family!r}")

@@ -48,7 +48,7 @@ class OracleResult:
 
 def profile_bruteforce(diagram: OrientedDiagram) -> WarpingProfile:
     """Warping degrees by 2c independent full walks of the curve."""
-    occ = diagram.occurrences
+    occ = diagram.tokens
     n = len(occ)
     if n == 0:
         return WarpingProfile((0,))
@@ -108,7 +108,7 @@ def min_changes_to_monotone(
     limit = c if budget is None else budget
     if limit < 0:
         raise InvalidParam(f"budget must be nonnegative, got {limit}")
-    occ = diagram.occurrences
+    occ = diagram.tokens
     searched = 0
     for size in range(min(limit, c) + 1):
         for subset in combinations(range(1, c + 1), size):

@@ -77,7 +77,7 @@ class WarpingSummary:
 
 def profile(diagram: OrientedDiagram) -> WarpingProfile:
     """Warping degrees at all 2c base points (``(0,)`` when c = 0)."""
-    occ = diagram.occurrences
+    occ = diagram.tokens
     n = len(occ)
     if n == 0:
         return WarpingProfile((0,))

@@ -25,7 +25,7 @@ def _bundled_diagrams(table, max_crossings=None):
 
 
 def _alternating(diagram) -> bool:
-    occ = diagram.occurrences
+    occ = diagram.tokens
     return bool(occ) and all(
         occ[i].over != occ[(i + 1) % len(occ)].over for i in range(len(occ))
     )

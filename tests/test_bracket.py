@@ -158,7 +158,7 @@ def reference_state_sum(diagram: OrientedDiagram) -> BracketPolynomial:
     if c == 0:
         return BracketPolynomial.from_dict({0: 1})
 
-    occ = diagram.occurrences
+    occ = diagram.tokens
     n = 2 * c
     positions: dict[int, list[int]] = {}
     for pos, tok in enumerate(occ):

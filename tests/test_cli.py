@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import shutil
 import subprocess
@@ -13,7 +14,6 @@ import pytest
 from warpdeg import cli
 from warpdeg.cli import main
 from warpdeg.codes import gauss_to_dt, parse_gauss, serialize
-from warpdeg.diagram import to_gauss
 from warpdeg.families import twist_minimal
 from warpdeg.warping import summary
 
@@ -84,7 +84,7 @@ def test_analyze_rejects_garbage_with_exit_2(capsys):
 
 def test_analyze_treats_an_overlong_argument_as_a_code(capsys):
     diagram = twist_minimal(60)
-    text = serialize(to_gauss(diagram))
+    text = serialize(diagram)
     assert len(text.encode()) > 255  # longer than any file name may be
     code, out, err = run(capsys, "analyze", text, "--quiet")
     assert (code, err) == (0, "")
@@ -135,7 +135,7 @@ def test_oracle_needs_a_code_or_a_random_count(capsys):
 def test_generate_twist_matches_the_library(capsys):
     code, out, _ = run(capsys, "generate", "twist", "--n", "3")
     assert code == 0
-    assert out.strip() == serialize(to_gauss(twist_minimal(3)))
+    assert out.strip() == serialize(twist_minimal(3))
 
 
 def test_generate_supports_all_notations(capsys):
@@ -155,6 +155,20 @@ def test_generated_ozawa_has_sum_two(capsys):
     code, out, _ = run(capsys, "analyze", gauss, "--quiet")
     assert code == 0
     assert "e=2" in out
+
+
+@pytest.mark.parametrize("notation", ("gauss", "dt", "pd"))
+@pytest.mark.parametrize("argv", (
+    ("twist", "--n", "0"),
+    ("ozawa", "--n", "0"),
+    ("rational", "--p", "0", "--q", "2"),
+    ("rational", "--p", "1", "--q", "1"),  # a two-component closure
+), ids=" ".join)
+def test_generate_rejects_bad_parameters_in_every_notation(capsys, argv,
+                                                          notation):
+    code, out, err = run(capsys, "generate", *argv, "--format", notation)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_generate_requires_family_parameters(capsys):
@@ -278,6 +292,23 @@ def test_verify_quiet_prints_one_line(capsys):
     assert out.splitlines() == ["ALL CHECKS PASSED (335 checks)"]
 
 
+# A reordered or reworded row changes the digest; a deliberate change to
+# the bundled table updates it.
+VERIFY_RECORDS_SHA256 = (
+    "303938a00b56c8c287827468c2f3e34447b4096ca2e69a70db8bd86fc6839321"
+)
+
+
+def test_verify_output_on_the_bundled_table_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--output", "records")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        VERIFY_RECORDS_SHA256
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines()[-1] == "ALL CHECKS PASSED (335 checks)"
+
+
 def test_verify_records_mode_lists_every_check(capsys):
     code, out, _ = run(capsys, "verify", "--output", "records")
     assert code == 0
@@ -319,6 +350,24 @@ def test_verify_table_flag_beats_the_environment(capsys, tmp_path,
                        str(default_table_path()), "--quiet")
     assert code == 0
     assert out.splitlines() == ["ALL CHECKS PASSED (335 checks)"]
+
+
+@pytest.mark.parametrize("field", (
+    {"crossings": "3"}, {"twist": "1"}, {"expected": [1]},
+    {"expected": {"e": "2"}}, {"minimal": [3]},
+), ids=json.dumps)
+def test_verify_of_a_wrongly_typed_table_is_an_input_error(capsys, tmp_path,
+                                                          field):
+    record = {"name": "3_1", "crossings": 3, "prime": True,
+              "alternating": True, "minimal": [TREFOIL],
+              "minimal_complete": True, **field}
+    path = tmp_path / "typed.tbl"
+    path.write_text('{"format": "knots-table", "version": 1}\n'
+                    + json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: table entry '3_1': ")
 
 
 def test_verify_missing_table_is_a_usage_error(capsys, tmp_path):

@@ -29,7 +29,6 @@ from warpdeg.codes import (
     pd_to_gauss,
     serialize,
 )
-from warpdeg.diagram import to_gauss
 from warpdeg.errors import CodeSyntaxError, StructureError
 from warpdeg.families import ozawa_twist, twist_minimal
 
@@ -293,9 +292,9 @@ def _torus_code(c: int) -> GaussCode:
 
 
 @pytest.mark.parametrize("code", [
-    *(pytest.param(to_gauss(twist_minimal(n)), id=f"twist{n}")
+    *(pytest.param(twist_minimal(n), id=f"twist{n}")
       for n in range(1, 12)),
-    *(pytest.param(to_gauss(ozawa_twist(n)), id=f"ozawa{n}")
+    *(pytest.param(ozawa_twist(n), id=f"ozawa{n}")
       for n in range(2, 7)),
     pytest.param(_torus_code(31), id="torus31"),
 ])

@@ -7,6 +7,7 @@ import pytest
 from warpdeg import codes, oracle
 from warpdeg.codes import (
     UNSIGNED,
+    GaussCode,
     GaussToken,
     _build_gauss,
     _least_rotation,
@@ -24,7 +25,6 @@ from warpdeg.diagram import (
     mirror,
     reverse,
     rotate,
-    to_gauss,
 )
 from warpdeg.errors import UnknownCrossing
 from warpdeg.bracket import kauffman_bracket
@@ -40,10 +40,10 @@ def diagram(text: str) -> OrientedDiagram:
     return from_gauss(parse_gauss(text))
 
 
-def test_round_trip_through_gauss_preserves_the_anchor():
-    d = diagram("U1O2U3O1U2O3")
-    assert from_gauss(to_gauss(d)) == d
-    assert to_gauss(d).tokens == d.occurrences
+def test_a_diagram_is_its_gauss_code():
+    code = parse_gauss("U1O2U3O1U2O3")
+    assert OrientedDiagram is GaussCode
+    assert from_gauss(code) is code
 
 
 def test_sign_lookup():
@@ -78,17 +78,17 @@ def test_mirror_is_an_involution():
 
 def test_mirror_swaps_strands_and_negates_signs():
     d = mirror(diagram(TREFOIL))
-    assert [t.over for t in d.occurrences] == [False, True] * 3
-    assert all(t.sign == -1 for t in d.occurrences)
+    assert [t.over for t in d.tokens] == [False, True] * 3
+    assert all(t.sign == -1 for t in d.tokens)
 
 
 def test_rotate_moves_the_anchor_forward():
     d = diagram(TREFOIL)
     r = rotate(d, 2)
     # position 0 of the rotation is old position 2, relabelled
-    assert [t.over for t in r.occurrences] == \
-        [t.over for t in d.occurrences[2:] + d.occurrences[:2]]
-    assert rotate(r, len(d.occurrences) - 2) == d
+    assert [t.over for t in r.tokens] == \
+        [t.over for t in d.tokens[2:] + d.tokens[:2]]
+    assert rotate(r, len(d.tokens) - 2) == d
 
 
 def test_rotate_accepts_any_integer():
@@ -129,7 +129,7 @@ def test_rotate_rotates_the_profile():
 def test_change_crossing_swaps_roles_and_negates_the_sign():
     d = diagram(TREFOIL)
     ch = change_crossing(d, 2)
-    assert [t.over for t in ch.occurrences if t.label == 2] == [True, False]
+    assert [t.over for t in ch.tokens if t.label == 2] == [True, False]
     assert ch.sign_of(2) == -1
     assert ch.sign_of(1) == 1
 
@@ -171,7 +171,7 @@ def _validated(visits) -> OrientedDiagram:
 
 
 def _assert_moves_match_the_validating_path(d: OrientedDiagram) -> None:
-    occ = d.occurrences
+    occ = d.tokens
     assert reverse(d) == _validated(occ[::-1])
     assert mirror(d) == _validated(
         GaussToken(t.label, not t.over, -t.sign) for t in occ
@@ -185,8 +185,8 @@ def _assert_moves_match_the_validating_path(d: OrientedDiagram) -> None:
         )
     best = _least_rotation(occ) if occ else 0
     want = _build_gauss(occ[best:] + occ[:best])
-    assert canonical(to_gauss(d)) == want
-    assert all(type(t) is GaussToken for t in reverse(d).occurrences)
+    assert canonical(d) == want
+    assert all(type(t) is GaussToken for t in reverse(d).tokens)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -218,5 +218,5 @@ def test_only_codes_from_outside_data_are_validated(monkeypatch):
     random_codes(2, 5, 0)
     assert len(calls) == 5
     for moved in (d, reverse(d), mirror(d), rotate(d, 3), change_crossing(d, 2)):
-        canonical(to_gauss(moved))
+        canonical(moved)
     assert len(calls) == 5

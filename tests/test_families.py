@@ -9,7 +9,7 @@ import pytest
 
 from warpdeg.bracket import determinant, kauffman_bracket
 from warpdeg.codes import pd_to_gauss, serialize
-from warpdeg.diagram import from_gauss, to_gauss
+from warpdeg.diagram import from_gauss
 from warpdeg.errors import InvalidParam, NotAKnot
 from warpdeg.families import family_pd, ozawa_twist, rational_pq, twist_minimal
 from warpdeg.warping import summary
@@ -112,7 +112,7 @@ def test_family_pd_matches_the_gauss_builders():
     )
     for family, params, built in cases:
         via_pd = from_gauss(pd_to_gauss(family_pd(family, params)))
-        assert serialize(to_gauss(via_pd)) == serialize(to_gauss(built))
+        assert serialize(via_pd) == serialize(built)
 
 
 def test_family_pd_rejects_unknown_families_and_bad_parameters():

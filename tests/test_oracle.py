@@ -127,7 +127,7 @@ def reference_search(diagram: OrientedDiagram) -> OracleResult:
     for size in range(c + 1):
         for subset in combinations(range(1, c + 1), size):
             searched += 1
-            if _is_monotone_after(diagram.occurrences, frozenset(subset)):
+            if _is_monotone_after(diagram.tokens, frozenset(subset)):
                 return OracleResult(size, subset, searched)
     raise AssertionError("some set of crossing changes always makes it monotone")
 

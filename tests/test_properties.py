@@ -27,7 +27,6 @@ from warpdeg.diagram import (
     mirror,
     reverse,
     rotate,
-    to_gauss,
 )
 from warpdeg.oracle import min_changes_to_monotone, profile_bruteforce
 from warpdeg.warping import profile, summary, warping_polynomial
@@ -146,7 +145,7 @@ def test_canonical_form_is_rotation_invariant_and_idempotent(code):
     assert serialize(canonical(code)) == want
     d = from_gauss(code)
     for k in range(len(code.tokens)):
-        assert serialize(to_gauss(rotate(d, k))) == want
+        assert serialize(rotate(d, k)) == want
 
 
 @given(gauss_codes(max_crossings=5, signed=True))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,90 @@ def test_reaching_the_bound_without_prime_alternating_is_flagged(tmp_path):
         {("expected-e", "granny"), ("e-only-if", "granny")}
 
 
+FIGURE8_EXTRA = "O1+O2-U3-O4-O5+U1+U4-O3-U2-U5+"  # 4_1's sum-2 diagram
+EIGHT_TWENTY = "O1+O2-U3-O4-O5-U6-U2-O3-U4-U7+O8+U1+O6-U5-O7+U8+"
+
+# (check, entry, mutation of its record, every (check, scope) that fails)
+TABLE_FAULTS = [
+    ("expected-e", "3_1", lambda o: o["expected"].update(e=3),
+     {("expected-e", "3_1")}),
+    ("expected-md", "3_1", lambda o: o["expected"].update(md=2),
+     {("expected-md", "3_1")}),
+    ("e-prime-alternating", "8_19", lambda o: o.update(alternating=True),
+     {("e-prime-alternating", "8_19")}),
+    ("e-only-if", "3_1", lambda o: o.update(prime=False),
+     {("e-only-if", "3_1")}),
+    ("e-classification", "4_1",
+     lambda o: o.update(minimal=["O1+U2+O3+U1+O2+U3+U4+O4+"]),
+     {("e-classification", "4_1"), ("e-prime-alternating", "4_1"),
+      ("expected-e", "4_1"), ("twist-formula", "4_1")}),
+    ("md-from-e", "7_4", lambda o: o["expected"].update(e=5),
+     {("md-from-e", "7_4"), ("expected-e", "7_4")}),
+    ("five-crossing-values", "5_1",
+     lambda o: o.update(minimal=[FIGURE8_EXTRA]),
+     {("five-crossing-values", "5_1"), ("e-classification", "5_1"),
+      ("e-hat-window", "5_1"), ("e-prime-alternating", "5_1"),
+      ("expected-e", "5_1"), ("expected-md", "5_1"), ("md-from-e", "5_1"),
+      ("ordering", "5_1")}),
+    ("orientation-splits", "7_6", lambda o: o["minimal"].pop(0),
+     {("orientation-splits", "7_6")}),
+    ("nonalternating-four", "8_21", lambda o: o.update(minimal=[EIGHT_TWENTY]),
+     {("nonalternating-four", "8_21"), ("expected-e", "8_21")}),
+    ("twist-formula", "5_2", lambda o: o["minimal"].append(o["minimal"][0]),
+     {("twist-formula", "5_2")}),
+    ("e-hat-window", "3_1", lambda o: o["expected"].update(e_hat=3),
+     {("e-hat-window", "3_1")}),
+    ("e-hat-twist", "5_2", lambda o: o.pop("extra"),
+     {("e-hat-twist", "5_2")}),
+    ("e-hat-six-three", "6_3", lambda o: o.update(extra=o["minimal"]),
+     {("e-hat-six-three", "6_3")}),
+    ("ordering", "7_4", lambda o: o["expected"].update(unknotting=4),
+     {("ordering", "7_4")}),
+]
+
+# e(D) <= c(D) - 1 and span 1 on alternating diagrams hold for every
+# diagram, so no table fails these two; a faulty engine does.
+ENGINE_FAULTS = [
+    ("e-upper-bound", "8_20", {"warping_sum": 8}),
+    ("alternating-span", "3_1", {"span": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, mutate, failing", TABLE_FAULTS,
+    ids=[case[0] for case in TABLE_FAULTS],
+)
+def test_each_check_fails_on_a_mutated_table(tmp_path, check, name, mutate,
+                                             failing):
+    report = verify_paper(load_table(mutated_copy(tmp_path, name, mutate)))
+    assert {(row.check, row.scope) for row in report.failures} == failing
+
+
+@pytest.mark.parametrize(
+    "check, name, fault", ENGINE_FAULTS, ids=[case[0] for case in ENGINE_FAULTS],
+)
+def test_theorem_checks_fail_on_a_faulty_engine(monkeypatch, table, check,
+                                                name, fault):
+    from dataclasses import replace
+
+    from warpdeg import table as table_module
+
+    honest = table_module.summary
+    target = table[name].minimal_diagrams[0]
+    monkeypatch.setattr(
+        table_module, "summary",
+        lambda d: replace(honest(d), **fault) if d == target else honest(d),
+    )
+    report = verify_paper(table)
+    assert {(row.check, row.scope) for row in report.failures} == {(check, name)}
+
+
+def test_every_check_has_a_failing_case(table):
+    checks = {row.check for row in verify_paper(table).rows}
+    covered = {case[0] for case in TABLE_FAULTS + ENGINE_FAULTS}
+    assert covered == checks - {"entry-valid"}
+
+
 def test_broken_entries_opt_out_instead_of_crashing_the_run(table):
     # validation rejects such records at load time; feed one straight in
     from dataclasses import replace
@@ -215,3 +300,41 @@ def test_loader_rejects_duplicates_and_invalid_entries(tmp_path):
         ))
     with pytest.raises(DataError, match="cannot read table"):
         load_table(tmp_path / "absent.tbl")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 3),
+    ("crossings", "3"),
+    ("crossings", True),
+    ("crossings", 3.0),
+    ("prime", 1),
+    ("alternating", "yes"),
+    ("minimal_complete", None),
+    ("minimal", [3]),
+    ("minimal", "O1+U2+O3+U1+O2+U3+"),
+    ("extra", [None]),
+    ("twist", "1"),
+    ("twist", True),
+    ("expected", [1]),
+    ("expected", None),
+    ("expected", {"e": "2"}),
+    ("expected", {"md": 1.0}),
+])
+def test_loader_rejects_wrongly_typed_fields(tmp_path, field, value):
+    obj = json.loads(TREFOIL_RECORD)
+    obj[field] = value
+    want = f"table entry {obj['name']!r}: {field} must be "
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_table(write_table(tmp_path, HEADER, json.dumps(obj)))
+
+
+def test_loader_rejects_records_that_are_not_objects(tmp_path):
+    with pytest.raises(DataError, match="not an object"):
+        load_table(write_table(tmp_path, HEADER, "[1]"))
+
+
+def test_loader_rejects_a_table_that_is_not_utf8(tmp_path):
+    path = tmp_path / "binary.tbl"
+    path.write_bytes(b"\xff\xfe" + HEADER.encode())
+    with pytest.raises(DataError, match="cannot read table"):
+        load_table(path)

@@ -35,11 +35,10 @@ import sys
 from pathlib import Path
 
 from warpdeg.bracket import BracketPolynomial, determinant, kauffman_bracket
-from warpdeg.codes import parse_gauss, serialize
-from warpdeg.diagram import OrientedDiagram, from_gauss, to_gauss
+from warpdeg.codes import parse_gauss, pd_to_gauss, serialize
+from warpdeg.diagram import OrientedDiagram, from_gauss
 from warpdeg.families import _continued_fraction_pd, ozawa_twist
-from warpdeg.codes import pd_to_gauss
-from warpdeg.table import _is_alternating_diagram, load_table, verify_paper
+from warpdeg.table import is_alternating_diagram, load_table, verify_paper
 from warpdeg.warping import summary
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "warpdeg" / "data" / "knots.tbl"
@@ -261,8 +260,7 @@ def composite_polys(
 
 def is_reduced(diagram: OrientedDiagram) -> bool:
     """No nugatory crossings: every chord interleaves another chord."""
-    occ = diagram.occurrences
-    n = len(occ)
+    occ = diagram.tokens
     pos: dict[int, list[int]] = {}
     for i, tok in enumerate(occ):
         pos.setdefault(tok.label, []).append(i)
@@ -291,7 +289,7 @@ def certify_identity(
     the named knot plus the excluded list, and the bracket rules the
     excluded ones out.
     """
-    if _is_alternating_diagram(diagram) != alternating:
+    if is_alternating_diagram(diagram) != alternating:
         fail(f"{name}: alternation pattern is not {alternating}")
     if alternating and not is_reduced(diagram):
         fail(f"{name}: alternating diagram is not reduced")
@@ -313,10 +311,6 @@ def same_knot(
         fail(f"{name}: bracket differs from the entry's primary diagram")
 
 
-def gauss_str(diagram: OrientedDiagram) -> str:
-    return serialize(to_gauss(diagram))
-
-
 # --------------------------------------------------------------------------
 # build
 # --------------------------------------------------------------------------
@@ -334,7 +328,7 @@ def build_entries() -> list[dict]:
         if diagram.crossings != sum(entries):
             fail(f"{name}: twist vector {entries} lost a crossing")
         fp[name] = certify_identity(name, diagram, det, [], fp, True)
-        codes[name] = [gauss_str(diagram)]
+        codes[name] = [serialize(diagram)]
         if twist is not None:
             twist_of[name] = twist
 
@@ -368,17 +362,13 @@ def build_entries() -> list[dict]:
     codes["granny"] = list(GRANNY_CODES)
 
     # flype partners: certified like the primaries, then bracket-matched
-    partner = from_gauss(parse_gauss(SEVEN_SIX_B))
-    poly = certify_identity("7_6-partner", partner, 19, [], fp, True)
-    same_knot("7_6-partner", poly, fp["7_6"])
-    codes["7_6"].append(SEVEN_SIX_B)
-
-    partner = from_gauss(parse_gauss(EIGHT_TWELVE_B))
-    poly = certify_identity(
-        "8_12-partner", partner, 29, [("8_13",)], fp, True
-    )
-    same_knot("8_12-partner", poly, fp["8_12"])
-    codes["8_12"].append(EIGHT_TWELVE_B)
+    for name, code, det, excluded in (("7_6", SEVEN_SIX_B, 19, []),
+                                      ("8_12", EIGHT_TWELVE_B, 29, [("8_13",)])):
+        partner = from_gauss(parse_gauss(code))
+        poly = certify_identity(f"{name}-partner", partner, det, excluded,
+                                fp, True)
+        same_knot(f"{name}-partner", poly, fp[name])
+        codes[name].append(code)
 
     # non-minimal presentations driving the reduced-sum upper bounds
     for name, n in OZAWA_EXTRAS.items():
@@ -387,7 +377,7 @@ def build_entries() -> list[dict]:
             fail(f"{name}: sum-2 presentation has the wrong warping sum")
         if kauffman_bracket(diagram) != fp[name]:
             fail(f"{name}: sum-2 presentation is a different knot")
-        extras[name] = [gauss_str(diagram)]
+        extras[name] = [serialize(diagram)]
 
     diagram = from_gauss(parse_gauss(SIX_THREE_EXTRA))
     if summary(diagram).warping_sum != 4:
