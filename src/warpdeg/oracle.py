@@ -7,8 +7,11 @@ slicker route, using a method with no shared code:
   instead of using the incremental step rule.
 * ``min_changes_to_monotone`` searches subsets of crossings to change,
   smallest first, until a monotone diagram appears.  Its answer must
-  equal the warping degree.  Each base point's walk stops at its first
-  underpass-first visit and shares no step rule with the engine.
+  equal the warping degree.  Which visit of a crossing comes first from
+  a base point does not depend on which crossings are changed, so each
+  base point is walked once per diagram, recording the crossings it
+  meets first as overpasses; every subset is then tested against each
+  base point's record.  The walks share no step rule with the engine.
 * ``random_codes`` produces seeded abstract Gauss codes (uniform pairing
   of visit slots, random strand roles and signs) to feed both checks.
 
@@ -66,26 +69,27 @@ def profile_bruteforce(diagram: OrientedDiagram) -> WarpingProfile:
     return WarpingProfile(tuple(degrees))
 
 
-def _is_monotone_after(occ: tuple[GaussToken, ...], flipped: frozenset[int]) -> bool:
-    """Does some base point see only overpasses first, after the flips?
+def _first_overpasses(occ: tuple[GaussToken, ...]) -> list[int]:
+    """Per base point, the crossings whose first visit is an overpass.
 
-    Each base point gets its own full walk, which stops at the first
-    first-visit underpass: nothing after it can make that base monotone.
+    Each set is an int bitmask, crossing k being bit k.  Every base point
+    gets its own full walk with its own ``seen`` record.  A crossingless
+    diagram has one base point, which meets nothing.
     """
     n = len(occ)
     if n == 0:
-        return True
+        return [0]
+    masks = []
     for base in range(n):
         seen: set[int] = set()
-        for step in range(n):
-            tok = occ[(base + step) % n]
+        overs = 0
+        for tok in occ[base:] + occ[:base]:
             if tok.label not in seen:
                 seen.add(tok.label)
-                if tok.over == (tok.label in flipped):  # an underpass
-                    break
-        else:
-            return True
-    return False
+                if tok.over:
+                    overs |= 1 << tok.label
+        masks.append(overs)
+    return masks
 
 
 def min_changes_to_monotone(
@@ -97,26 +101,34 @@ def min_changes_to_monotone(
 
     Subsets are tried in order of size, within a size in lexicographic
     order of the sorted label tuple, so the witness is deterministic.
-    A budget below the true answer raises BudgetExceeded; with the
-    default budget (all crossings) the search always succeeds, since
-    changing every underpass-first crossing from any base point is
-    enough.
+    Each base point is walked once, up front; changing the crossings in
+    a subset S makes base point b monotone exactly when S flips every
+    crossing b meets first as an underpass and no other, that is when
+    b's overpass mask XOR S holds every crossing.  A budget below the
+    true answer raises BudgetExceeded; with the default budget (all
+    crossings) the search always succeeds, since changing every
+    underpass-first crossing from any base point is enough.
     """
+    if cap < 0:
+        raise InvalidParam(f"cap must be nonnegative, got {cap}")
     c = diagram.crossings
     if c > cap:
         raise CapExceeded(f"subset search is exponential; {c} crossings > cap {cap}")
     limit = c if budget is None else budget
     if limit < 0:
         raise InvalidParam(f"budget must be nonnegative, got {limit}")
-    occ = diagram.tokens
+    overs = _first_overpasses(diagram.tokens)
+    every = (1 << (c + 1)) - 2  # bits 1..c
+    bits = [1 << k for k in range(1, c + 1)]
     searched = 0
     for size in range(min(limit, c) + 1):
-        for subset in combinations(range(1, c + 1), size):
+        for subset in combinations(bits, size):
             searched += 1
-            if _is_monotone_after(occ, frozenset(subset)):
-                return OracleResult(
-                    changes=size, witness=subset, nodes_searched=searched
-                )
+            flipped = sum(subset)
+            for mask in overs:
+                if mask ^ flipped == every:
+                    witness = tuple(k for k in range(1, c + 1) if flipped >> k & 1)
+                    return OracleResult(size, witness, searched)
     raise BudgetExceeded(
         f"no monotone diagram within {limit} crossing change(s)"
     )

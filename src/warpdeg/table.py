@@ -258,7 +258,10 @@ def load_table(path: str | Path | None = None) -> KnotTable:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{location}: bad record line: {exc}") from exc
-        entry = _entry_from_json(obj)
+        try:
+            entry = _entry_from_json(obj)
+        except DataError as exc:
+            raise DataError(f"{location}: {exc}") from exc
         problems = validate_entry(entry)
         if problems:
             raise DataError(f"{location}: {entry.name}: " + "; ".join(problems))

@@ -128,6 +128,14 @@ def test_oracle_needs_a_code_or_a_random_count(capsys):
     assert run(capsys, "oracle")[0] == 2
 
 
+@pytest.mark.parametrize("source", [(FIGURE8,), ("--random", "3")],
+                         ids=["code", "random"])
+def test_oracle_rejects_a_negative_cap(capsys, source):
+    code, out, err = run(capsys, "oracle", *source, "--oracle-cap", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: cap must be nonnegative, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -367,7 +375,26 @@ def test_verify_of_a_wrongly_typed_table_is_an_input_error(capsys, tmp_path,
     code, out, err = run(capsys, "verify", "--table", str(path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: table entry '3_1': ")
+    assert err.startswith(f"error: {path}: table entry '3_1': ")
+
+
+@pytest.mark.parametrize("record, message", [
+    ("[1]", "malformed table record: not an object"),
+    ('{"name": "3_1"}', "malformed table record: no 'crossings'"),
+    (json.dumps({"name": "3_1", "crossings": 3, "prime": True,
+                 "alternating": True, "minimal": ["O1+U2+"],
+                 "minimal_complete": True}),
+     "3_1: bad diagram code 'O1+U2+'"),
+], ids=["not-an-object", "missing-field", "bad-code"])
+def test_verify_names_the_table_file_in_record_errors(capsys, tmp_path,
+                                                      record, message):
+    path = tmp_path / "bad.tbl"
+    path.write_text('{"format": "knots-table", "version": 1}\n' + record
+                    + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: {message}")
 
 
 def test_verify_missing_table_is_a_usage_error(capsys, tmp_path):

@@ -85,6 +85,12 @@ def test_negative_budget_is_rejected():
         min_changes_to_monotone(diagram(TREFOIL), budget=-1)
 
 
+@pytest.mark.parametrize("text", [TREFOIL, ""])
+def test_negative_cap_is_rejected(text):
+    with pytest.raises(InvalidParam, match="^cap must be nonnegative, got -1$"):
+        min_changes_to_monotone(diagram(text), cap=-1)
+
+
 def test_crossing_cap_is_enforced():
     c = ORACLE_CAP + 1
     text = "".join(f"O{i}" for i in range(1, c + 1)) + \
@@ -95,8 +101,14 @@ def test_crossing_cap_is_enforced():
 
 
 # ---------------------------------------------------------------------------
-# the full-count walk as the reference for the short-circuiting one
+# the full-count walk per subset as the reference for the per-diagram walks
 # ---------------------------------------------------------------------------
+
+# A 16-crossing code with d(D) = 5, drawn like the benchmark's c = 16
+# oracle probe: the search tests 3,758 subsets.
+PROBE16 = ("U1+O2+O3-O4-U5+O6+O7-U8-U3-U9+U10-U11+U12-U7-O13+O12-O9+U14-"
+           "U2+U6+O8-O15-O10-U16+U13+U4-O1+U15-O11+O16+O14-O5+")
+
 
 def _is_monotone_after(occ: tuple[GaussToken, ...], flipped: frozenset[int]) -> bool:
     """Does some base point see only overpasses first, after the flips?"""
@@ -141,20 +153,26 @@ def _assert_matches_the_reference(d: OrientedDiagram) -> None:
             min_changes_to_monotone(d, budget=budget)
 
 
-@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("seed", [5, 6, 7])
 def test_search_matches_the_reference_on_random_codes(seed):
-    for code in random_codes(200, 10, seed):
+    for code in random_codes(300, 12, seed):
         _assert_matches_the_reference(from_gauss(code))
 
 
 def test_search_matches_the_reference_on_bundled_diagrams(table):
     diagrams = [d for entry in table
                 for d in entry.minimal_diagrams + entry.extra_diagrams]
-    diagrams += [twist_minimal(n) for n in range(1, 9)]
-    diagrams += [ozawa_twist(n) for n in range(1, 5)]
+    diagrams += [twist_minimal(n) for n in range(1, 13)]
+    diagrams += [ozawa_twist(n) for n in range(1, 7)]
     for d in diagrams:
-        if d.crossings <= 10:
-            _assert_matches_the_reference(d)
+        _assert_matches_the_reference(d)
+
+
+@pytest.mark.parametrize("text", [PROBE16, ""], ids=["c16", "empty"])
+def test_search_matches_the_reference_at_the_extremes(text):
+    d = diagram(text)
+    _assert_matches_the_reference(d)
+    assert min_changes_to_monotone(d).nodes_searched == (3758 if text else 1)
 
 
 # ---------------------------------------------------------------------------

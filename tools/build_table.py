@@ -428,16 +428,21 @@ def build_entries() -> list[dict]:
     return records
 
 
-def main() -> int:
-    records = build_entries()
+def render_table(records: list[dict]) -> str:
+    """The text of ``knots.tbl``: comment lines, header, one record a line."""
     lines = [
         "# knot table: prime knots through 8 crossings plus the granny knot",
         "# regenerate with: python3 tools/build_table.py",
         json.dumps({"format": "knots-table", "version": 1}),
     ]
     lines += [json.dumps(record) for record in records]
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    records = build_entries()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    OUT.write_text(render_table(records), encoding="utf-8")
     print(f"wrote {len(records)} entries to {OUT}")
 
     report = verify_paper(load_table(OUT))
