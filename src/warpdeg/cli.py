@@ -6,9 +6,11 @@ Subcommands: ``analyze`` (all warping quantities of one diagram),
 theorem suite over the bundled table) and ``convert`` (notation
 transcoding).
 
-Exit codes: 0 success, 1 failed checks (verify failures, oracle
-disagreement, failed batch lines), 2 usage or input errors.  With
-``--output records`` every result is one JSON line with sorted keys, so
+Each subcommand accepts only the options it reads; any other option is
+a usage error.  Exit codes: 0 success, 1 failed checks (verify failures,
+oracle disagreement, failed batch lines), 2 usage or input errors.
+``analyze``, ``oracle``, ``batch`` and ``verify`` take ``--output
+records``: every result is then one JSON line with sorted keys, so
 identical invocations produce byte-identical output.
 
 The cyclic garbage collector is paused only while a command runs, then
@@ -63,8 +65,9 @@ def _read_file(path: Path) -> str:
         raise DataError(
             f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read {path}: {reason}") from None
 
 
 def _read_input(value: str) -> str:
@@ -77,15 +80,13 @@ def _read_input(value: str) -> str:
     return _read_file(path) if is_file else value
 
 
-def _parse_code(text: str, notation: str) -> GaussCode:
-    kind = detect_notation(text) if notation == "auto" else notation
+def _parse_code(text: str, notation: str | None) -> GaussCode:
+    kind = detect_notation(text) if notation in (None, "auto") else notation
     if kind == "gauss":
         return parse_gauss(text)
     if kind == "dt":
         return dt_to_gauss(parse_dt(text))
-    if kind == "pd":
-        return pd_to_gauss(parse_pd(text))
-    raise ValueError(f"unknown notation {kind!r}")
+    return pd_to_gauss(parse_pd(text))
 
 
 def _summary_line(s) -> str:
@@ -140,11 +141,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cap = args.oracle_cap if args.oracle_cap is not None else ORACLE_CAP
     if args.random is not None:
-        return _oracle_random(args, cap)
+        return _oracle_random(args)
     diagram = from_gauss(_parse_code(_read_input(args.code), args.format))
-    result = min_changes_to_monotone(diagram, budget=args.budget, cap=cap)
+    result = min_changes_to_monotone(diagram, budget=args.budget,
+                                     cap=args.oracle_cap)
     degree = profile(diagram).minimum
     agree = result.changes == degree
     if args.output == "records":
@@ -167,12 +168,13 @@ def _cmd_oracle(args) -> int:
     return 0 if agree else 1
 
 
-def _oracle_random(args, cap: int) -> int:
-    codes = random_codes(args.random, args.max_crossings, args.seed)
+def _oracle_random(args) -> int:
+    max_crossings = 8 if args.max_crossings is None else args.max_crossings
+    codes = random_codes(args.random, max_crossings, args.seed or 0)
     disagreements = 0
     for index, code in enumerate(codes):
         diagram = from_gauss(code)
-        result = min_changes_to_monotone(diagram, cap=cap)
+        result = min_changes_to_monotone(diagram, cap=args.oracle_cap)
         degree = profile(diagram).minimum
         agree = result.changes == degree
         disagreements += not agree
@@ -199,7 +201,7 @@ def _oracle_random(args, cap: int) -> int:
 
 
 def _cmd_generate(args) -> int:
-    pd = families.family_pd(args.family, args)
+    pd = args.build(*(getattr(args, name) for name in args.params))
     if args.format == "pd":
         code = pd
     elif args.format == "dt":
@@ -237,8 +239,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    path = args.table if args.table is not None else os.environ.get(_ENV_TABLE)
-    report = verify_paper(load_table(path))
+    report = verify_paper(load_table(args.table))
     if args.output == "records":
         for row in report.records():
             _emit(_record(row))
@@ -268,23 +269,15 @@ def _cmd_convert(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("gauss", "dt", "pd", "auto"), default="auto",
-        help="input notation (output notation for generate); default auto",
-    )
-    common.add_argument(
-        "--output", choices=("text", "records"), default="text",
-        help="text for humans, records for line-delimited JSON",
-    )
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized modes")
-    common.add_argument("--oracle-cap", type=int, default=None,
-                        help=f"crossing cap for subset search (default {ORACLE_CAP})")
-    common.add_argument("--table", default=None,
-                        help=f"table file (overrides ${_ENV_TABLE})")
-    common.add_argument("--quiet", action="store_true",
-                        help="essential output only")
+    # --format defaults to None, read as auto, so _check_args sees it given.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--format", choices=("gauss", "dt", "pd", "auto"),
+                        default=None, help="input notation; default auto")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--output", choices=("text", "records"),
+                         default="text", help="text, or JSON lines")
+    outputs.add_argument("--quiet", action="store_true",
+                         help="essential output only")
 
     parser = argparse.ArgumentParser(
         prog="warpdeg",
@@ -292,42 +285,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[inputs, outputs],
                        help="warping quantities of one diagram")
     p.add_argument("code", help="diagram code or path to a file holding one")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[inputs, outputs],
                        help="brute-force check of the warping degree")
-    p.add_argument("code", nargs="?", default=None,
-                   help="diagram code or file; omit with --random")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("code", nargs="?", default=None,
+                      help="diagram code or file holding one")
+    mode.add_argument("--random", type=int, default=None, metavar="COUNT",
+                      help="check COUNT seeded random codes instead")
     p.add_argument("--budget", type=int, default=None,
                    help="largest change-set size to try")
-    p.add_argument("--random", type=int, default=None, metavar="COUNT",
-                   help="check COUNT seeded random codes instead")
-    p.add_argument("--max-crossings", type=int, default=8,
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
+                   help=f"crossing cap for subset search (default {ORACLE_CAP})")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for --random (default 0)")
+    p.add_argument("--max-crossings", type=int, default=None,
                    help="crossing bound for --random (default 8)")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="emit a family diagram")
-    p.add_argument("family", choices=("twist", "rational", "ozawa"))
-    p.add_argument("--n", type=int, default=None,
-                   help="half-twist count (twist and ozawa families)")
-    p.add_argument("--p", type=int, default=None, help="first twist region")
-    p.add_argument("--q", type=int, default=None, help="second twist region")
-    p.set_defaults(func=_cmd_generate)
+    p = sub.add_parser("generate", help="emit a family diagram")
+    kinds = p.add_subparsers(dest="family", required=True)
+    for family, build, params in (("twist", families.twist_pd, "n"),
+                                  ("rational", families.rational_pd, "pq"),
+                                  ("ozawa", families.ozawa_pd, "n")):
+        k = kinds.add_parser(family)
+        for name in params:
+            k.add_argument(f"--{name}", type=int, required=True,
+                           help="half-twist count")
+        k.add_argument("--format", choices=("gauss", "dt", "pd"),
+                       default="gauss", help="output notation; default gauss")
+        k.set_defaults(func=_cmd_generate, build=build, params=params)
 
-    p = sub.add_parser("batch", parents=[common],
+    p = sub.add_parser("batch", parents=[inputs, outputs],
                        help="analyze every code in a file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[outputs],
                        help="run the theorem suite over the knot table")
+    p.add_argument("--table", default=os.environ.get(_ENV_TABLE),
+                   help=f"table file (overrides ${_ENV_TABLE})")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("convert", parents=[common],
+    p = sub.add_parser("convert", parents=[inputs],
                        help="transcode between notations")
     p.add_argument("code", help="diagram code or path to a file holding one")
     p.add_argument("--to", choices=("gauss", "dt", "pd"), required=True,
@@ -338,13 +342,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "generate":
-        if args.family in ("twist", "ozawa") and args.n is None:
-            parser.error(f"{args.family} needs --n")
-        if args.family == "rational" and (args.p is None or args.q is None):
-            parser.error("rational needs --p and --q")
-    if args.command == "oracle" and args.random is None and args.code is None:
-        parser.error("oracle needs a code argument or --random")
+    """Each oracle mode reads only its own options; the other's are errors."""
+    if args.command == "oracle":
+        random = args.random is not None
+        for dest in ("budget", "format") if random else ("seed", "max_crossings"):
+            if getattr(args, dest) is not None:
+                rule = "does not apply with" if random else "needs"
+                parser.error(f"oracle: --{dest.replace('_', '-')} {rule} --random")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -247,8 +247,10 @@ def _least_rotation(tokens: Sequence[GaussToken]) -> int:
     role, ``back`` and the sign rank, and a candidate is dropped as soon
     as its symbol exceeds the least one.  Candidates that survive all 2c
     offsets are equal, and the first of them is returned.  Random codes
-    drop to one candidate within a few offsets; only codes with rotational
-    symmetry keep several candidates to the end.
+    drop to one candidate within a few offsets.  A long periodic run, such
+    as a twist region, keeps every rotation that starts inside it alive
+    until the run ends, so twist-family diagrams cost O(c²), like codes
+    with rotational symmetry.
     """
     n = len(tokens)
     partner: dict[int, int] = {}

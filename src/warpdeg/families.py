@@ -30,7 +30,8 @@ from .codes import PDCode, pd_to_gauss
 from .diagram import OrientedDiagram, from_gauss
 from .errors import InternalInconsistency, InvalidParam, NotAKnot
 
-__all__ = ["twist_minimal", "rational_pq", "ozawa_twist", "family_pd"]
+__all__ = ["twist_minimal", "rational_pq", "ozawa_twist",
+           "twist_pd", "rational_pd", "ozawa_pd"]
 
 # Where a twist hooks its new crossing on: per tangle corner, the slot
 # that takes the corner's strand and the slot that becomes the corner.
@@ -153,13 +154,15 @@ def _continued_fraction_pd(entries: list[int]) -> PDCode:
     return tangle.close_numerator()
 
 
-def _rational_pd(p: int, q: int) -> PDCode:
+def rational_pd(p: int, q: int) -> PDCode:
+    """PD code of ``rational_pq(p, q)``, the one source of its Gauss code."""
     if p < 1 or q < 1:
         raise InvalidParam(f"twist counts must be >= 1, got ({p}, {q})")
     return _continued_fraction_pd([p, q])
 
 
-def _twist_pd(n: int) -> PDCode:
+def twist_pd(n: int) -> PDCode:
+    """PD code of ``twist_minimal(n)``, the one source of its Gauss code."""
     if n < 1:
         raise InvalidParam(f"twist parameter must be >= 1, got {n}")
     return _continued_fraction_pd([2, n])
@@ -172,15 +175,15 @@ def rational_pq(p: int, q: int) -> OrientedDiagram:
     Raises NotAKnot when the closure has two components, which happens
     exactly when pq is odd (the fraction numerator pq+1 is even).
     """
-    return from_gauss(pd_to_gauss(_rational_pd(p, q)))
+    return from_gauss(pd_to_gauss(rational_pd(p, q)))
 
 
 def twist_minimal(n: int) -> OrientedDiagram:
     """Minimal (n+2)-crossing twist knot diagram: a clasp plus n twists."""
-    return from_gauss(pd_to_gauss(_twist_pd(n)))
+    return from_gauss(pd_to_gauss(twist_pd(n)))
 
 
-def _ozawa_pd(n: int) -> PDCode:
+def ozawa_pd(n: int) -> PDCode:
     """PD code of the (2n+1)-crossing both-ways-almost-descending diagram.
 
     Layout: a horizontal arc passes over stations 1..2n+1 from west to
@@ -225,15 +228,4 @@ def ozawa_twist(n: int) -> OrientedDiagram:
     arc meets only the clasp as a first-visit underpass, in both
     directions, so d(D) = d(-D) = 1 and e(D) = 2.
     """
-    return from_gauss(pd_to_gauss(_ozawa_pd(n)))
-
-
-def family_pd(family: str, params) -> PDCode:
-    """PD code of a family diagram, the one source of its Gauss code."""
-    if family == "twist":
-        return _twist_pd(params.n)
-    if family == "rational":
-        return _rational_pd(params.p, params.q)
-    if family == "ozawa":
-        return _ozawa_pd(params.n)
-    raise InvalidParam(f"no planar construction for family {family!r}")
+    return from_gauss(pd_to_gauss(ozawa_pd(n)))

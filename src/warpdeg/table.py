@@ -231,7 +231,7 @@ def load_table(path: str | Path | None = None) -> KnotTable:
     location = Path(path) if path is not None else default_table_path()
     try:
         text = location.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the name
         raise DataError(f"cannot read table {location}: {exc}") from exc
 
     lines = [

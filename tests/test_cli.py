@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
+import io
 import json
+import shlex
 import shutil
 import subprocess
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warpdeg import cli
 from warpdeg.cli import main
@@ -212,6 +218,16 @@ def test_batch_of_a_missing_file_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "batch", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [("batch", "a\0b"),
+                                  ("verify", "--table", "a\0b")],
+                         ids=["batch", "verify"])
+def test_a_nul_byte_in_a_file_name_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read ") and "null byte" in err
 
 
 def test_batch_of_clean_lines_exits_zero(capsys, tmp_path):
@@ -425,6 +441,136 @@ def test_convert_to_pd_is_not_supported(capsys):
     code, _, err = run(capsys, "convert", TREFOIL, "--to", "pd")
     assert code == 2
     assert "planar embedding" in err
+
+
+# ---------------------------------------------------------------------------
+# options: each subcommand accepts exactly the ones it reads
+# ---------------------------------------------------------------------------
+
+ACCEPTED = {
+    "analyze": {"--format", "--output", "--quiet"},
+    "oracle": {"--format", "--output", "--quiet", "--budget", "--oracle-cap",
+               "--random", "--seed", "--max-crossings"},
+    "generate": {"--n", "--p", "--q", "--format"},
+    "batch": {"--format", "--output", "--quiet"},
+    "verify": {"--output", "--quiet", "--table"},
+    "convert": {"--format", "--to"},
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string the parser or its subparsers accept, but -h."""
+    flags = set().union(*map(_flags, _subparsers(parser).values()))
+    for action in parser._actions:
+        if not isinstance(action, argparse._HelpAction):
+            flags.update(action.option_strings)
+    return flags
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    commands = _subparsers(cli._build_parser())
+    assert {name: _flags(p) for name, p in commands.items()} == ACCEPTED
+    assert sum(map(len, ACCEPTED.values())) == 23
+    kinds = _subparsers(commands["generate"])
+    assert {name: _flags(p) for name, p in kinds.items()} == {
+        "twist": {"--n", "--format"},
+        "rational": {"--p", "--q", "--format"},
+        "ozawa": {"--n", "--format"},
+    }
+
+
+# A valid invocation of each subcommand, and a valid value for each of the
+# six options that used to be shared by all of them.
+BASE = {
+    "analyze": ("analyze", TREFOIL),
+    "oracle": ("oracle", TREFOIL),
+    "generate": ("generate", "twist", "--n", "2"),
+    "batch": ("batch", "{file}"),
+    "verify": ("verify",),
+    "convert": ("convert", TREFOIL, "--to", "dt"),
+}
+SHARED = {"--format": ("dt",), "--output": ("records",), "--seed": ("3",),
+          "--oracle-cap": ("5",), "--table": ("t.tbl",), "--quiet": ()}
+UNREAD = [
+    BASE[command] + (flag, *value)
+    for command in BASE for flag, value in SHARED.items()
+    if flag not in ACCEPTED[command]
+] + [
+    ("oracle", "--random", "3", "--budget", "0"),
+    ("oracle", "--random", "3", "--format", "gauss"),
+    ("oracle", TREFOIL, "--random", "3"),
+    ("oracle", TREFOIL, "--seed", "3"),
+    ("oracle", TREFOIL, "--max-crossings", "6"),
+    ("generate", "twist", "--n", "2", "--p", "3"),
+    ("generate", "ozawa", "--n", "2", "--q", "3"),
+    ("generate", "rational", "--p", "2", "--q", "3", "--n", "2"),
+    ("generate", "twist", "--n", "2", "--format", "auto"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD, ids=" ".join)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys,
+                                                            tmp_path, argv):
+    file = _lines_file(tmp_path, f"{TREFOIL}\n")
+    code, out, err = run(capsys, *(a.format(file=file) for a in argv))
+    assert (code, out) == (2, "")
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("warpdeg ")]
+
+
+def test_the_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(ACCEPTED)
+    for argv in commands:
+        parser = cli._build_parser()
+        cli._check_args(parser, parser.parse_args(argv))
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on any arguments
+# ---------------------------------------------------------------------------
+
+OLD_AND_NEW_FLAGS = sorted(set().union(*ACCEPTED.values(), SHARED, ["-h"]))
+TOKENS = st.one_of(
+    st.sampled_from(OLD_AND_NEW_FLAGS),
+    st.sampled_from(["{file}", "gauss", "dt", "pd", "auto", "text",
+                     "records", "twist", "rational", "ozawa", TREFOIL,
+                     FIGURE8, "4 6 2", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",
+                     "O1+U2+", "O1 U1", "[[1,2", ""]),
+    st.integers(min_value=-3, max_value=20).map(str),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(ACCEPTED)) | st.text(max_size=6),
+       tokens=st.lists(TOKENS, max_size=6), data=st.binary(max_size=40))
+def test_main_keeps_the_cli_contract_on_any_arguments(command, tokens, data):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "input"
+        file.write_bytes(data)
+        argv = [command, *(str(file) if t == "{file}" else t for t in tokens)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert sum("error:" in line
+                   for line in err.getvalue().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

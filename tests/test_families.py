@@ -3,15 +3,13 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from warpdeg.bracket import determinant, kauffman_bracket
-from warpdeg.codes import pd_to_gauss, serialize
-from warpdeg.diagram import from_gauss
+from warpdeg.cli import main
+from warpdeg.codes import parse_pd, pd_to_gauss, serialize
 from warpdeg.errors import InvalidParam, NotAKnot
-from warpdeg.families import family_pd, ozawa_twist, rational_pq, twist_minimal
+from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
 from warpdeg.warping import summary
 
 
@@ -104,23 +102,13 @@ def test_ozawa_rejects_nonpositive_parameters():
 # planar (PD) output
 # ---------------------------------------------------------------------------
 
-def test_family_pd_matches_the_gauss_builders():
+def test_generate_pd_matches_the_gauss_builders(capsys):
     cases = (
-        ("twist", SimpleNamespace(n=4, p=None, q=None), twist_minimal(4)),
-        ("rational", SimpleNamespace(n=None, p=3, q=2), rational_pq(3, 2)),
-        ("ozawa", SimpleNamespace(n=3, p=None, q=None), ozawa_twist(3)),
+        (("twist", "--n", "4"), twist_minimal(4)),
+        (("rational", "--p", "3", "--q", "2"), rational_pq(3, 2)),
+        (("ozawa", "--n", "3"), ozawa_twist(3)),
     )
-    for family, params, built in cases:
-        via_pd = from_gauss(pd_to_gauss(family_pd(family, params)))
+    for argv, built in cases:
+        assert main(["generate", *argv, "--format", "pd"]) == 0
+        via_pd = pd_to_gauss(parse_pd(capsys.readouterr().out))
         assert serialize(via_pd) == serialize(built)
-
-
-def test_family_pd_rejects_unknown_families_and_bad_parameters():
-    with pytest.raises(InvalidParam):
-        family_pd("torus", SimpleNamespace(n=3, p=None, q=None))
-    with pytest.raises(InvalidParam):
-        family_pd("twist", SimpleNamespace(n=0, p=None, q=None))
-    with pytest.raises(InvalidParam):
-        family_pd("rational", SimpleNamespace(n=None, p=2, q=0))
-    with pytest.raises(InvalidParam):
-        family_pd("ozawa", SimpleNamespace(n=-1, p=None, q=None))
