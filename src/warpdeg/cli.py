@@ -8,7 +8,10 @@ transcoding).
 
 Each subcommand accepts only the options it reads; any other option is
 a usage error.  Exit codes: 0 success, 1 failed checks (verify failures,
-oracle disagreement, failed batch lines), 2 usage or input errors.
+oracle disagreement, failed batch lines), 2 usage or input errors.  A
+standard output closed by its reader (``warpdeg verify | head -1``) is an
+error too: the rest of the output is dropped, one ``error:`` line goes to
+stderr, and the exit code is 2, with no traceback.
 ``analyze``, ``oracle``, ``batch`` and ``verify`` take ``--output
 records``: every result is then one JSON line with sorted keys, so
 identical invocations produce byte-identical output.
@@ -269,14 +272,14 @@ def _cmd_convert(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    # --format defaults to None, read as auto, so _check_args sees it given.
+    # --format and --quiet default to None, so _check_args sees them given.
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--format", choices=("gauss", "dt", "pd", "auto"),
                         default=None, help="input notation; default auto")
     outputs = argparse.ArgumentParser(add_help=False)
     outputs.add_argument("--output", choices=("text", "records"),
                          default="text", help="text, or JSON lines")
-    outputs.add_argument("--quiet", action="store_true",
+    outputs.add_argument("--quiet", action="store_true", default=None,
                          help="essential output only")
 
     parser = argparse.ArgumentParser(
@@ -345,7 +348,8 @@ def _check_args(parser: argparse.ArgumentParser, args) -> None:
     """Each oracle mode reads only its own options; the other's are errors."""
     if args.command == "oracle":
         random = args.random is not None
-        for dest in ("budget", "format") if random else ("seed", "max_crossings"):
+        for dest in (("budget", "format", "quiet") if random
+                     else ("seed", "max_crossings")):
             if getattr(args, dest) is not None:
                 rule = "does not apply with" if random else "needs"
                 parser.error(f"oracle: --{dest.replace('_', '-')} {rule} --random")
@@ -361,9 +365,18 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
     except WarpingError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except BrokenPipeError:
+        # the reader went away: later writes, and the flush at exit, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("error: standard output was closed\n")
         return 2
     finally:
         if collecting:

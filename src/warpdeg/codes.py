@@ -234,66 +234,51 @@ _SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
 
 
 def _least_rotation(tokens: Sequence[GaussToken]) -> int:
-    """Start of the least rotation under first-appearance relabelling.
+    """Start of the least rotation of the code's symbol word, in O(c).
 
-    Rotation ``s`` relabelled from its own anchor reads, at offset ``i``,
-    the token ``(over, label, sign)`` at position ``p = s + i``.  Where two
-    rotations agree on offsets ``0..i-1`` they share their relabelling, so
-    their labels at offset ``i`` compare by where each crossing was first
-    visited: a crossing met ``back`` steps earlier (``back <= i``) got a
-    smaller number the larger ``back`` is, and a crossing met for the
-    first time gets the next number, larger than all of them.  Rotations
-    are therefore compared offset by offset on a symbol built from the
-    role, ``back`` and the sign rank, and a candidate is dropped as soon
-    as its symbol exceeds the least one.  Candidates that survive all 2c
-    offsets are equal, and the first of them is returned.  Random codes
-    drop to one candidate within a few offsets.  A long periodic run, such
-    as a twist region, keeps every rotation that starts inside it alive
-    until the run ends, so twist-family diagrams cost O(c²), like codes
-    with rotational symmetry.
+    Position ``p`` has one symbol that does not depend on where a rotation
+    starts: its role (O before U), then the forward distance
+    ``(q - p) mod 2c`` to its partner visit ``q``, then its sign rank
+    (+ before - before none).  The word fixes the code up to relabelling,
+    so every least start gives the same relabelled code.  The scan is the
+    standard two-index one for Booth's problem ("Lexicographically least
+    circular substrings", IPL 1980): ``i`` is the best start so far, and
+    every start below ``j`` other than ``i`` is beaten.
     """
     n = len(tokens)
-    partner: dict[int, int] = {}
-    back = [0] * n
-    base = [0] * n
+    # symbol = (role * n + distance) * 3 + sign rank, with 0 < distance < n
+    word = [(0 if tok.over else 3 * n) + _SIGN_RANK[tok.sign] for tok in tokens]
+    first: dict[int, int] = {}
     for p, tok in enumerate(tokens):
-        q = partner.pop(tok.label, None)
-        if q is None:
-            partner[tok.label] = p
-        else:
-            back[p] = p - q
-            back[q] = n - (p - q)
-        # symbol = (role * (n + 1) + label part) * 3 + sign rank, where the
-        # label part is n - back for a crossing met earlier and n for a new one
-        base[p] = (0 if tok.over else 3 * (n + 1)) + _SIGN_RANK[tok.sign]
-    back += back
-    base += base
-    new = 3 * n
-    least = min(base[:n])
-    candidates = [s for s in range(n) if base[s] == least]
-    for i in range(1, n):
-        if len(candidates) == 1:
+        q = first.setdefault(tok.label, p)
+        if q != p:
+            word[q] += 3 * (p - q)
+            word[p] += 3 * (n - (p - q))
+    word += word
+    i, j = 0, 1
+    while j < n:
+        k = 0
+        while k < n and word[i + k] == word[j + k]:
+            k += 1
+        if k == n:  # the word is periodic and i is a least start
             break
-        symbols = [
-            base[s + i] + (3 * (n - back[s + i]) if back[s + i] <= i else new)
-            for s in candidates
-        ]
-        least = min(symbols)
-        candidates = [s for s, v in zip(candidates, symbols) if v == least]
-    return candidates[0]
+        if word[i + k] > word[j + k]:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+    return i
 
 
 def canonical(code: GaussCode) -> GaussCode:
     """The canonical representative among rotations and relabellings.
 
-    Every rotation is relabelled by first appearance from its own anchor
-    and the lexicographically least token sequence wins, comparing O
-    before U, then label, then sign (+ before - before none).  This makes
-    the form idempotent and invariant under rotation of the input.
+    The code is rotated to the least start of its symbol word (see
+    ``_least_rotation``) and relabelled by first appearance from there, in
+    O(c).  The result starts with an O visit, is idempotent and does not
+    depend on the input's anchor or labels.  Anchors differ from the
+    earlier form, which took the least relabelled token sequence in O(c²).
     """
     tokens = code.tokens
-    if not tokens:
-        return code
     best = _least_rotation(tokens)
     return GaussCode(_relabel(tokens[best:] + tokens[:best]))
 

@@ -7,9 +7,11 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -25,6 +27,7 @@ from warpdeg.warping import summary
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -505,6 +508,7 @@ UNREAD = [
 ] + [
     ("oracle", "--random", "3", "--budget", "0"),
     ("oracle", "--random", "3", "--format", "gauss"),
+    ("oracle", "--random", "3", "--quiet"),
     ("oracle", TREFOIL, "--random", "3"),
     ("oracle", TREFOIL, "--seed", "3"),
     ("oracle", TREFOIL, "--max-crossings", "6"),
@@ -584,6 +588,29 @@ def test_unknown_subcommands_exit_2(capsys):
 def test_records_mode_is_byte_identical_across_runs(capsys):
     argv = ("analyze", FIGURE8, "--output", "records")
     assert run(capsys, *argv) == run(capsys, *argv)
+
+
+def test_a_stdout_closed_by_its_reader_is_exit_2_without_a_traceback():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set on this platform")
+    # a one-page pipe, so the output cannot all fit before it is closed
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "warpdeg.cli", "verify", "--output", "records"],
+        stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end) as stdout:
+        first = stdout.readline()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert json.loads(first)["check"] == "entry-valid"
+    assert proc.wait() == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: standard output was closed"]
 
 
 @pytest.mark.skipif(shutil.which("warpdeg") is None,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from importlib import resources
 
 import pytest
@@ -30,9 +31,12 @@ from warpdeg.codes import (
     serialize,
 )
 from warpdeg.errors import CodeSyntaxError, StructureError
-from warpdeg.families import ozawa_twist, twist_minimal
+from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
+from warpdeg.oracle import random_codes
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
+MIRROR_TREFOIL = "O1-U2-O3-U1-O2-U3-"
+FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 
@@ -232,8 +236,15 @@ def test_canonical_prefers_over_visits_first():
     assert serialize(parse_gauss("U1O2U3O1U2O3")).startswith("O")
 
 
+_SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
+
+
 def _anchored_key(tokens, shift: int) -> tuple:
-    """Comparison key of the rotation starting at ``shift``, relabelled."""
+    """Comparison key of the rotation starting at ``shift``, relabelled.
+
+    The least key over all shifts was the canonical anchor before the
+    symbol word; it is kept as the reference for the classes.
+    """
     n = len(tokens)
     relabel: dict[int, int] = {}
     key = []
@@ -243,16 +254,38 @@ def _anchored_key(tokens, shift: int) -> tuple:
             relabel[tok.label] = len(relabel) + 1
         # token order: O before U, then label, then sign (+ before - before none)
         key.append((0 if tok.over else 1, relabel[tok.label],
-                    {PLUS: 0, MINUS: 1, UNSIGNED: 2}[tok.sign]))
+                    _SIGN_RANK[tok.sign]))
     return tuple(key)
 
 
+def anchored_form(code: GaussCode) -> tuple:
+    """The least relabelled rotation: one value per class of codes."""
+    return min((_anchored_key(code.tokens, s) for s in range(len(code.tokens))),
+               default=())
+
+
+def symbol_word(tokens) -> list[tuple[int, int, int]]:
+    """(role, forward distance to the partner visit, sign rank) per visit."""
+    n = len(tokens)
+    visits: dict[int, list[int]] = {}
+    for p, tok in enumerate(tokens):
+        visits.setdefault(tok.label, []).append(p)
+    word = []
+    for p, tok in enumerate(tokens):
+        first, second = visits[tok.label]
+        partner = second if p == first else first
+        word.append((0 if tok.over else 1, (partner - p) % n,
+                     _SIGN_RANK[tok.sign]))
+    return word
+
+
 def reference_canonical(code: GaussCode) -> GaussCode:
-    """The least rotation found by building every relabelled key: Θ(c²)."""
+    """The least rotation of the symbol word, found by comparing all 2c."""
     n = len(code.tokens)
     if n == 0:
         return code
-    best = min(range(n), key=lambda s: _anchored_key(code.tokens, s))
+    word = symbol_word(code.tokens)
+    best = min(range(n), key=lambda s: word[s:] + word[:s])
     rotated = code.tokens[best:] + code.tokens[:best]
     return parse_gauss("".join(t.render() for t in rotated))
 
@@ -270,10 +303,56 @@ def codes(draw, signs):
     return parse_gauss("".join(t.render() for t in visits))
 
 
-@given(st.one_of(codes((PLUS, MINUS)), codes((UNSIGNED,)),
-                 codes((PLUS, MINUS, UNSIGNED))))
-def test_canonical_is_the_least_relabelled_rotation(code):
+ANY_CODE = st.one_of(codes((PLUS, MINUS)), codes((UNSIGNED,)),
+                     codes((PLUS, MINUS, UNSIGNED)))
+
+
+@given(ANY_CODE)
+def test_canonical_is_the_least_rotation_of_the_symbol_word(code):
     assert canonical(code) == reference_canonical(code)
+
+
+@st.composite
+def code_pairs(draw):
+    """A code and a rotation of it, perhaps with one crossing's roles or
+    sign changed, so that equal and unequal classes are both drawn often."""
+    code = draw(ANY_CODE)
+    tokens = code.tokens
+    shift = draw(st.integers(min_value=0, max_value=max(len(tokens) - 1, 0)))
+    other = tokens[shift:] + tokens[:shift]
+    if other and draw(st.booleans()):
+        label = draw(st.integers(min_value=1, max_value=code.crossings))
+        swap = draw(st.booleans())
+        sign = draw(st.sampled_from((PLUS, MINUS, UNSIGNED)))
+        other = tuple(GaussToken(label, t.over != swap, sign)
+                      if t.label == label else t for t in other)
+    return code, parse_gauss("".join(t.render() for t in other))
+
+
+@given(code_pairs())
+def test_canonical_classes_are_the_anchored_key_classes(pair):
+    a, b = pair
+    assert (canonical(a) == canonical(b)) == (anchored_form(a) == anchored_form(b))
+
+
+def _strip_signs(code: GaussCode, keep) -> GaussCode:
+    return parse_gauss("".join(
+        GaussToken(t.label, t.over, t.sign if keep(t.label) else UNSIGNED).render()
+        for t in code.tokens
+    ))
+
+
+def test_canonical_splits_fixed_codes_into_the_anchored_key_classes():
+    signed = random_codes(1000, 7, 11)
+    pool = signed + [_strip_signs(code, lambda label: False) for code in signed]
+    pool += [_strip_signs(code, lambda label: label % 2) for code in signed]
+    pool += [parse_gauss(text) for text in _table_gauss_codes()]
+    pool += [twist_minimal(n) for n in range(1, 30)]
+    pool += [ozawa_twist(n) for n in range(1, 10)]
+    pairs = {(serialize(code), anchored_form(code)) for code in pool}
+    assert len({new for new, _ in pairs}) == len(pairs)
+    assert len({old for _, old in pairs}) == len(pairs)
+    assert len(pairs) < len(pool)  # the pool does hold equal classes
 
 
 def _rotations(code: GaussCode) -> list[GaussCode]:
@@ -291,17 +370,45 @@ def _torus_code(c: int) -> GaussCode:
     ))
 
 
+def _connected_sum(*texts: str) -> GaussCode:
+    """The Gauss codes one after another, each with its own labels."""
+    tokens: list[GaussToken] = []
+    for text in texts:
+        base = len(tokens) // 2
+        tokens += [t._replace(label=t.label + base)
+                   for t in parse_gauss(text).tokens]
+    return parse_gauss("".join(t.render() for t in tokens))
+
+
 @pytest.mark.parametrize("code", [
     *(pytest.param(twist_minimal(n), id=f"twist{n}")
       for n in range(1, 12)),
     *(pytest.param(ozawa_twist(n), id=f"ozawa{n}")
       for n in range(2, 7)),
     pytest.param(_torus_code(31), id="torus31"),
+    # equal summands make rotations that agree on more than half the word
+    pytest.param(_connected_sum(FIGURE8, FIGURE8, FIGURE8, MIRROR_TREFOIL),
+                 id="3x4_1#3_1"),
+    pytest.param(_connected_sum(*[TREFOIL] * 5, FIGURE8), id="5x3_1#4_1"),
 ])
 def test_canonical_of_every_rotation_matches_the_reference(code):
     want = reference_canonical(code)
+    assert want.tokens[0].over
     for rotated in _rotations(code):
         assert canonical(rotated) == want
+    assert canonical(want) == want
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param(twist_minimal(4000), id="twist4000"),
+    pytest.param(ozawa_twist(2000), id="ozawa2000"),
+    pytest.param(rational_pq(2, 2000), id="rational2-2000"),
+])
+def test_serialize_is_linear_on_long_twist_regions(code):
+    # each took 0.5-1.9 s with a quadratic anchor search; about 20 ms now
+    start = time.perf_counter()
+    serialize(code)
+    assert time.perf_counter() - start < 0.5
 
 
 def _table_gauss_codes() -> list[str]:

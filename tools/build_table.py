@@ -342,7 +342,7 @@ def build_entries() -> list[dict]:
             fp[name] = certify_identity(
                 name, diagram, det, excluded, fp, alternating
             )
-            codes[name] = [code]
+            codes[name] = [serialize(diagram)]
 
     # granny knot: both threadings must be the same-handed trefoil sum
     trefoil_sums = {p * p for p in chiral_set(fp["3_1"])}
@@ -350,16 +350,17 @@ def build_entries() -> list[dict]:
     if mixed in trefoil_sums:
         fail("granny: trefoil bracket cannot separate handedness")
     granny_polys = []
+    codes["granny"] = []
     for code in GRANNY_CODES:
         diagram = from_gauss(parse_gauss(code))
         poly = kauffman_bracket(diagram)
         if determinant(diagram) != 9 or poly not in trefoil_sums:
             fail("granny: presentation is not a same-handed trefoil sum")
         granny_polys.append(poly)
+        codes["granny"].append(serialize(diagram))
     if granny_polys[0] != granny_polys[1]:
         fail("granny: the two presentations differ in handedness")
     fp["granny"] = granny_polys[0]
-    codes["granny"] = list(GRANNY_CODES)
 
     # flype partners: certified like the primaries, then bracket-matched
     for name, code, det, excluded in (("7_6", SEVEN_SIX_B, 19, []),
@@ -368,7 +369,7 @@ def build_entries() -> list[dict]:
         poly = certify_identity(f"{name}-partner", partner, det, excluded,
                                 fp, True)
         same_knot(f"{name}-partner", poly, fp[name])
-        codes[name].append(code)
+        codes[name].append(serialize(partner))
 
     # non-minimal presentations driving the reduced-sum upper bounds
     for name, n in OZAWA_EXTRAS.items():
@@ -385,7 +386,7 @@ def build_entries() -> list[dict]:
     if chiral_set(fp["6_3"]) & chiral_set(fp["7_3"]):
         fail("6_3: bracket cannot separate 6_3 from 7_3")
     same_knot("6_3-extra", kauffman_bracket(diagram), fp["6_3"])
-    extras["6_3"] = [SIX_THREE_EXTRA]
+    extras["6_3"] = [serialize(diagram)]
 
     # trivial knot
     fp["0_1"] = BracketPolynomial.from_dict({0: 1})
