@@ -41,7 +41,7 @@ def tour(name: str, code: str) -> None:
     s = summary(d)
     print(f"--- {name} ({s.crossings} crossings) ---")
     print(f"profile, one value per base point:")
-    print(sparkline(profile(d).degrees))
+    print(sparkline(profile(d)))
     print(f"d(D) = {s.d_forward}   (min of the profile)")
     print(f"d(-D) = {s.d_reverse}   (= c - max: the reverse walk"
           " sees the complementary count)")

@@ -27,7 +27,6 @@ from .codes import (
     serialize,
 )
 from .diagram import (
-    OrientedDiagram,
     change_crossing,
     from_gauss,
     mirror,
@@ -66,7 +65,6 @@ from .table import (
     verify_paper,
 )
 from .warping import (
-    WarpingProfile,
     WarpingSummary,
     is_monotone,
     profile,

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import GaussToken
-from .diagram import OrientedDiagram
+from .codes import GaussCode, GaussToken
 from .errors import CapExceeded, NotClassical, UnknownSigns
 
 __all__ = ["BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "determinant"]
@@ -130,7 +129,7 @@ def _divide_by_delta(p: Laurent) -> Laurent:
 
 
 def kauffman_bracket(
-    diagram: OrientedDiagram, cap: int = BRACKET_CAP
+    diagram: GaussCode, cap: int = BRACKET_CAP
 ) -> BracketPolynomial:
     """The writhe-normalized Kauffman bracket of a fully signed diagram."""
     c = diagram.crossings
@@ -180,7 +179,7 @@ def kauffman_bracket(
     )
 
 
-def determinant(diagram: OrientedDiagram, cap: int = BRACKET_CAP) -> int:
+def determinant(diagram: GaussCode, cap: int = BRACKET_CAP) -> int:
     """|V(-1)|, the knot determinant, from the normalized bracket.
 
     Evaluates the bracket at a primitive 8th root of unity exactly, in

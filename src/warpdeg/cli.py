@@ -42,11 +42,11 @@ from .codes import (
     pd_to_gauss,
     serialize,
 )
-from .diagram import OrientedDiagram, from_gauss
+from .diagram import from_gauss
 from .errors import DataError, WarpingError
 from .oracle import ORACLE_CAP, min_changes_to_monotone, random_codes
 from .table import load_table, verify_paper
-from .warping import profile, summary
+from .warping import summary, warping_degree
 
 __all__ = ["main"]
 
@@ -104,7 +104,7 @@ def _poly_text(coeffs: tuple[int, ...]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _analysis_record(diagram: OrientedDiagram) -> dict:
+def _analysis_record(diagram: GaussCode) -> dict:
     s = summary(diagram)
     return {
         "canonical": serialize(diagram),
@@ -119,7 +119,7 @@ def _analysis_record(diagram: OrientedDiagram) -> dict:
     }
 
 
-def _print_analysis(diagram: OrientedDiagram, args) -> None:
+def _print_analysis(diagram: GaussCode, args) -> None:
     if args.output == "records":
         _emit(_record(_analysis_record(diagram)))
         return
@@ -149,7 +149,7 @@ def _cmd_oracle(args) -> int:
     diagram = from_gauss(_parse_code(_read_input(args.code), args.format))
     result = min_changes_to_monotone(diagram, budget=args.budget,
                                      cap=args.oracle_cap)
-    degree = profile(diagram).minimum
+    degree = warping_degree(diagram)
     agree = result.changes == degree
     if args.output == "records":
         _emit(_record({
@@ -178,7 +178,7 @@ def _oracle_random(args) -> int:
     for index, code in enumerate(codes):
         diagram = from_gauss(code)
         result = min_changes_to_monotone(diagram, cap=args.oracle_cap)
-        degree = profile(diagram).minimum
+        degree = warping_degree(diagram)
         agree = result.changes == degree
         disagreements += not agree
         if args.output == "records":

@@ -1,12 +1,11 @@
 """Oriented knot diagrams and the symmetry operations used on them.
 
-A diagram is a ``GaussCode``: an anchored, oriented Gauss sequence whose
-position 0 is where traversal starts and whose tuple order is the
-direction of travel.  ``OrientedDiagram`` names the same type where a
-signature means the diagram rather than the notation.  Base points for
-warping computations live on the edges of the curve; base point ``a``
-sits on the edge just before position ``a``, so there are ``2c`` of them
-(one for the zero-crossing diagram).
+There is one diagram type, ``GaussCode``: an anchored, oriented Gauss
+sequence whose position 0 is where traversal starts and whose tuple
+order is the direction of travel.  Base points for warping computations
+live on the edges of the curve; base point ``a`` sits on the edge just
+before position ``a``, so there are ``2c`` of them (one for the
+zero-crossing diagram).
 
 The operations here are pure: each returns a new diagram.  Labels are kept
 normalized (1..c by first appearance) so that structural equality of
@@ -21,24 +20,15 @@ from __future__ import annotations
 from .codes import GaussCode, GaussToken, _relabel
 from .errors import UnknownCrossing
 
-__all__ = [
-    "OrientedDiagram",
-    "from_gauss",
-    "reverse",
-    "mirror",
-    "rotate",
-    "change_crossing",
-]
-
-OrientedDiagram = GaussCode
+__all__ = ["from_gauss", "reverse", "mirror", "rotate", "change_crossing"]
 
 
-def from_gauss(code: GaussCode) -> OrientedDiagram:
+def from_gauss(code: GaussCode) -> GaussCode:
     """Adopt a Gauss code as a diagram: the code itself, already normalized."""
     return code
 
 
-def reverse(diagram: OrientedDiagram) -> OrientedDiagram:
+def reverse(diagram: GaussCode) -> GaussCode:
     """The same diagram traversed in the opposite direction.
 
     The visit sequence is reversed and re-anchored at position 0; the edge
@@ -48,13 +38,13 @@ def reverse(diagram: OrientedDiagram) -> OrientedDiagram:
     return GaussCode(_relabel(diagram.tokens[::-1]))
 
 
-def mirror(diagram: OrientedDiagram) -> OrientedDiagram:
+def mirror(diagram: GaussCode) -> GaussCode:
     """Swap over and under at every crossing and negate the signs."""
     return GaussCode(tuple(GaussToken(t.label, not t.over, -t.sign)
                            for t in diagram.tokens))
 
 
-def rotate(diagram: OrientedDiagram, k: int) -> OrientedDiagram:
+def rotate(diagram: GaussCode, k: int) -> GaussCode:
     """Move the anchor forward by ``k`` edges (any integer)."""
     n = len(diagram.tokens)
     if n == 0:
@@ -63,7 +53,7 @@ def rotate(diagram: OrientedDiagram, k: int) -> OrientedDiagram:
     return GaussCode(_relabel(diagram.tokens[k:] + diagram.tokens[:k]))
 
 
-def change_crossing(diagram: OrientedDiagram, label: int) -> OrientedDiagram:
+def change_crossing(diagram: GaussCode, label: int) -> GaussCode:
     """Switch the over/under strands of one crossing.
 
     The strand orientations stay put while the roles swap, so the changed

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import PDCode, pd_to_gauss
-from .diagram import OrientedDiagram, from_gauss
+from .codes import GaussCode, PDCode, pd_to_gauss
+from .diagram import from_gauss
 from .errors import InternalInconsistency, InvalidParam, NotAKnot
 
 __all__ = ["twist_minimal", "rational_pq", "ozawa_twist",
@@ -168,7 +168,7 @@ def twist_pd(n: int) -> PDCode:
     return _continued_fraction_pd([2, n])
 
 
-def rational_pq(p: int, q: int) -> OrientedDiagram:
+def rational_pq(p: int, q: int) -> GaussCode:
     """The standard alternating two-bridge diagram of the fraction (pq+1)/p.
 
     p and q count the half-twists of the two regions; both must be >= 1.
@@ -178,7 +178,7 @@ def rational_pq(p: int, q: int) -> OrientedDiagram:
     return from_gauss(pd_to_gauss(rational_pd(p, q)))
 
 
-def twist_minimal(n: int) -> OrientedDiagram:
+def twist_minimal(n: int) -> GaussCode:
     """Minimal (n+2)-crossing twist knot diagram: a clasp plus n twists."""
     return from_gauss(pd_to_gauss(twist_pd(n)))
 
@@ -218,7 +218,7 @@ def ozawa_pd(n: int) -> PDCode:
     return PDCode(tuple(sorted(quads)))
 
 
-def ozawa_twist(n: int) -> OrientedDiagram:
+def ozawa_twist(n: int) -> GaussCode:
     """A twist knot diagram with warping degree 1 for both orientations.
 
     Same knot as ``twist_minimal(n)`` but drawn with 2n+1 crossings so

@@ -1,17 +1,18 @@
 """Independent slow-path checks for the warping engine.
 
 Everything here recomputes a quantity the engine gets by a faster or
-slicker route, using a method with no shared code:
+slicker route, by a method that shares no code and no step rule with
+it.  Both checks read one walk, ``_first_overpasses``: the full circle
+once per base point, recording the crossings met first as overpasses.
 
-* ``profile_bruteforce`` walks the full circle once per base point
-  instead of using the incremental step rule.
+* ``profile_bruteforce`` counts, per base point, the crossings not met
+  first as overpasses, instead of using the incremental step rule.
 * ``min_changes_to_monotone`` searches subsets of crossings to change,
   smallest first, until a monotone diagram appears.  Its answer must
   equal the warping degree.  Which visit of a crossing comes first from
-  a base point does not depend on which crossings are changed, so each
-  base point is walked once per diagram, recording the crossings it
-  meets first as overpasses; every subset is then tested against each
-  base point's record.  The walks share no step rule with the engine.
+  a base point does not depend on which crossings are changed, so the
+  walk is made once per diagram and every subset is tested against each
+  base point's record.
 * ``random_codes`` produces seeded abstract Gauss codes (uniform pairing
   of visit slots, random strand roles and signs) to feed both checks.
 
@@ -25,9 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .codes import GaussCode, GaussToken, MINUS, PLUS, _build_gauss
-from .diagram import OrientedDiagram
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
-from .warping import WarpingProfile
 
 __all__ = [
     "ORACLE_CAP",
@@ -47,26 +46,6 @@ class OracleResult:
     changes: int
     witness: tuple[int, ...]  # crossing labels changed, sorted
     nodes_searched: int  # subsets tested, including the witness
-
-
-def profile_bruteforce(diagram: OrientedDiagram) -> WarpingProfile:
-    """Warping degrees by 2c independent full walks of the curve."""
-    occ = diagram.tokens
-    n = len(occ)
-    if n == 0:
-        return WarpingProfile((0,))
-    degrees = []
-    for base in range(n):
-        seen: set[int] = set()
-        count = 0
-        for step in range(n):
-            tok = occ[(base + step) % n]
-            if tok.label not in seen:
-                seen.add(tok.label)
-                if not tok.over:
-                    count += 1
-        degrees.append(count)
-    return WarpingProfile(tuple(degrees))
 
 
 def _first_overpasses(occ: tuple[GaussToken, ...]) -> list[int]:
@@ -92,8 +71,18 @@ def _first_overpasses(occ: tuple[GaussToken, ...]) -> list[int]:
     return masks
 
 
+def profile_bruteforce(diagram: GaussCode) -> tuple[int, ...]:
+    """Warping degrees by 2c independent full walks of the curve.
+
+    Every crossing is met first as either an overpass or an underpass,
+    so a base point's degree is c minus its count of first overpasses.
+    """
+    c = diagram.crossings
+    return tuple(c - mask.bit_count() for mask in _first_overpasses(diagram.tokens))
+
+
 def min_changes_to_monotone(
-    diagram: OrientedDiagram,
+    diagram: GaussCode,
     budget: int | None = None,
     cap: int = ORACLE_CAP,
 ) -> OracleResult:

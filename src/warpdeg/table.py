@@ -29,13 +29,13 @@ over a table and reports every pass/fail as data rather than raising.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .codes import parse_gauss
-from .diagram import OrientedDiagram, from_gauss
+from .codes import GaussCode, parse_gauss
+from .diagram import from_gauss
 from .errors import DataError
 from .warping import WarpingSummary, summary
 
@@ -91,8 +91,8 @@ class KnotEntry:
     minimal_complete: bool
     extra_codes: tuple[str, ...] = ()
     expected: ExpectedValues | None = None
-    minimal_diagrams: tuple[OrientedDiagram, ...] = field(default=(), repr=False)
-    extra_diagrams: tuple[OrientedDiagram, ...] = field(default=(), repr=False)
+    minimal_diagrams: tuple[GaussCode, ...] = field(default=(), repr=False)
+    extra_diagrams: tuple[GaussCode, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class KnotTable:
 # loading
 # ---------------------------------------------------------------------------
 
-def _parse_diagrams(name: str, codes: Iterable[str]) -> tuple[OrientedDiagram, ...]:
+def _parse_diagrams(name: str, codes: Iterable[str]) -> tuple[GaussCode, ...]:
     diagrams = []
     for code in codes:
         try:
@@ -158,9 +158,9 @@ def _entry_from_json(obj) -> KnotEntry:
         if key in obj and not test(obj[key]):
             raise DataError(f"table entry {obj['name']!r}: {key} must be "
                             f"{want}, got {obj[key]!r}")
-    exp = obj.get("expected")
-    return _attach_diagrams(KnotEntry(
-        name=obj["name"],
+    name, exp = obj["name"], obj.get("expected")
+    return KnotEntry(
+        name=name,
         crossings=obj["crossings"],
         prime=obj["prime"],
         alternating=obj["alternating"],
@@ -171,14 +171,8 @@ def _entry_from_json(obj) -> KnotEntry:
         expected=None if exp is None else ExpectedValues(
             **{f.name: exp.get(f.name) for f in fields(ExpectedValues)}
         ),
-    ))
-
-
-def _attach_diagrams(entry: KnotEntry) -> KnotEntry:
-    return replace(
-        entry,
-        minimal_diagrams=_parse_diagrams(entry.name, entry.minimal_codes),
-        extra_diagrams=_parse_diagrams(entry.name, entry.extra_codes),
+        minimal_diagrams=_parse_diagrams(name, obj["minimal"]),
+        extra_diagrams=_parse_diagrams(name, obj.get("extra", ())),
     )
 
 
@@ -232,7 +226,8 @@ def load_table(path: str | Path | None = None) -> KnotTable:
     try:
         text = location.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the name
-        raise DataError(f"cannot read table {location}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read table {location}: {reason}") from exc
 
     lines = [
         line for line in text.splitlines()
@@ -361,7 +356,7 @@ def e_hat_bounds(entry: KnotEntry) -> tuple[int, int]:
     return _stats(entry).e_hat
 
 
-def is_alternating_diagram(diagram: OrientedDiagram) -> bool:
+def is_alternating_diagram(diagram: GaussCode) -> bool:
     """True when the visits alternate over and under all the way round."""
     occ = diagram.tokens
     return bool(occ) and all(

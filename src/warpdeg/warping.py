@@ -5,8 +5,9 @@ degree ``d_a(D)`` counts the crossings whose first visit on the walk from
 ``a`` is an underpass.  Moving the base point forward past one visit
 changes the count by exactly 1: the visit walked past was first before
 the move and its partner is first after it, so an underpass drops the
-count and an overpass raises it.  The profile is therefore computed in
-O(c) time: one direct count at base 0, then 2c-1 increments.
+count and an overpass raises it.  The profile, a plain tuple of these
+degrees in edge order, is therefore computed in O(c) time: one direct
+count at base 0, then 2c-1 increments.
 
 Derived quantities, all orientation-sensitive unless stated otherwise:
 
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import OrientedDiagram, reverse
+from .codes import GaussCode
+from .diagram import reverse
 from .errors import InternalInconsistency
 
 __all__ = [
-    "WarpingProfile",
     "WarpingSummary",
     "profile",
     "warping_degree",
@@ -42,24 +43,6 @@ __all__ = [
     "warping_polynomial",
     "summary",
 ]
-
-
-@dataclass(frozen=True)
-class WarpingProfile:
-    """Warping degree at every base point, in edge order."""
-
-    degrees: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def minimum(self) -> int:
-        return min(self.degrees)
-
-    @property
-    def maximum(self) -> int:
-        return max(self.degrees)
 
 
 @dataclass(frozen=True)
@@ -72,15 +55,15 @@ class WarpingSummary:
     warping_sum: int
     span: int
     polynomial: tuple[int, ...]  # coefficient k = #{a : d_a = k}
-    profile: tuple[int, ...]  # the forward profile's degrees
+    profile: tuple[int, ...]  # the forward profile
 
 
-def profile(diagram: OrientedDiagram) -> WarpingProfile:
+def profile(diagram: GaussCode) -> tuple[int, ...]:
     """Warping degrees at all 2c base points (``(0,)`` when c = 0)."""
     occ = diagram.tokens
     n = len(occ)
     if n == 0:
-        return WarpingProfile((0,))
+        return (0,)
     seen: set[int] = set()
     d0 = 0
     for tok in occ:
@@ -92,15 +75,15 @@ def profile(diagram: OrientedDiagram) -> WarpingProfile:
     for a in range(n - 1):
         step = -1 if not occ[a].over else 1
         degrees.append(degrees[-1] + step)
-    return WarpingProfile(tuple(degrees))
+    return tuple(degrees)
 
 
-def warping_degree(diagram: OrientedDiagram) -> int:
+def warping_degree(diagram: GaussCode) -> int:
     """d(D): the smallest warping degree over all base points."""
-    return profile(diagram).minimum
+    return min(profile(diagram))
 
 
-def is_monotone(diagram: OrientedDiagram) -> bool:
+def is_monotone(diagram: GaussCode) -> bool:
     """True when some base point sees every crossing as an overpass first."""
     return warping_degree(diagram) == 0
 
@@ -112,12 +95,12 @@ def _polynomial(degrees: tuple[int, ...], crossings: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def warping_polynomial(diagram: OrientedDiagram) -> tuple[int, ...]:
+def warping_polynomial(diagram: GaussCode) -> tuple[int, ...]:
     """Dense coefficients of the warping polynomial, degree 0..c."""
-    return _polynomial(profile(diagram).degrees, diagram.crossings)
+    return _polynomial(profile(diagram), diagram.crossings)
 
 
-def summary(diagram: OrientedDiagram) -> WarpingSummary:
+def summary(diagram: GaussCode) -> WarpingSummary:
     """Compute d(D), d(-D), e(D), spn(D) and the warping polynomial.
 
     The forward profile is built once and read for the minimum, the
@@ -126,10 +109,10 @@ def summary(diagram: OrientedDiagram) -> WarpingSummary:
     are verified against the forward profile.
     """
     c = diagram.crossings
-    degrees = profile(diagram).degrees
+    degrees = profile(diagram)
     d_fwd = min(degrees)
     top = max(degrees)
-    d_rev = profile(reverse(diagram)).minimum
+    d_rev = min(profile(reverse(diagram)))
     e = d_fwd + d_rev
     spn = top - d_fwd
     if c > 0 and d_rev != c - top:

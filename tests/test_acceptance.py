@@ -125,11 +125,11 @@ def test_criterion_08_structural_identities(table):
         c = d.crossings
         s = summary(d)
         assert s.span == c - s.warping_sum
-        p = profile(d).degrees
+        p = profile(d)
         n = len(p)
         assert all(abs(p[i] - p[(i + 1) % n]) == 1 for i in range(n)) or c == 0
         # the reversed walk sees the complementary count at every base
-        pr = profile(reverse(d)).degrees
+        pr = profile(reverse(d))
         assert all(p[i] + pr[(n - i) % n] == c for i in range(n))
         for other in (mirror(d), reverse(d), rotate(d, 2)):
             t = summary(other)

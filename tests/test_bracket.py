@@ -14,8 +14,8 @@ from warpdeg.bracket import (
     determinant,
     kauffman_bracket,
 )
-from warpdeg.codes import parse_dt, parse_gauss, dt_to_gauss
-from warpdeg.diagram import OrientedDiagram, from_gauss, mirror, reverse, rotate
+from warpdeg.codes import GaussCode, parse_dt, parse_gauss, dt_to_gauss
+from warpdeg.diagram import from_gauss, mirror, reverse, rotate
 from warpdeg.errors import CapExceeded, NotClassical, StructureError, UnknownSigns
 from warpdeg.families import ozawa_twist, twist_minimal
 from warpdeg.oracle import random_codes
@@ -152,7 +152,7 @@ class _ArcUnion:
         self.parent[self.find(x)] = self.find(y)
 
 
-def reference_state_sum(diagram: OrientedDiagram) -> BracketPolynomial:
+def reference_state_sum(diagram: GaussCode) -> BracketPolynomial:
     """The writhe-normalized bracket summed over all 2^c states."""
     c = diagram.crossings
     if c == 0:
@@ -198,7 +198,7 @@ def reference_state_sum(diagram: OrientedDiagram) -> BracketPolynomial:
     return BracketPolynomial.from_dict(_laurent_mul(total, norm))
 
 
-def _assert_matches_the_state_sum(d: OrientedDiagram) -> None:
+def _assert_matches_the_state_sum(d: GaussCode) -> None:
     assert kauffman_bracket(d, cap=d.crossings) == reference_state_sum(d)
 
 

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from warpdeg.codes import GaussToken, parse_gauss, serialize
-from warpdeg.diagram import OrientedDiagram, from_gauss
+from warpdeg.codes import GaussCode, GaussToken, parse_gauss, serialize
+from warpdeg.diagram import from_gauss
 from warpdeg.errors import BudgetExceeded, CapExceeded, InvalidParam
 from warpdeg.families import ozawa_twist, twist_minimal
 from warpdeg.oracle import (
@@ -132,7 +132,7 @@ def _is_monotone_after(occ: tuple[GaussToken, ...], flipped: frozenset[int]) -> 
     return False
 
 
-def reference_search(diagram: OrientedDiagram) -> OracleResult:
+def reference_search(diagram: GaussCode) -> OracleResult:
     """The subset search, each subset tested by counting every walk."""
     c = diagram.crossings
     searched = 0
@@ -144,7 +144,7 @@ def reference_search(diagram: OrientedDiagram) -> OracleResult:
     raise AssertionError("some set of crossing changes always makes it monotone")
 
 
-def _assert_matches_the_reference(d: OrientedDiagram) -> None:
+def _assert_matches_the_reference(d: GaussCode) -> None:
     result = min_changes_to_monotone(d)
     assert result == reference_search(d)
     assert min_changes_to_monotone(d, budget=result.changes) == result

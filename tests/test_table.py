@@ -300,6 +300,10 @@ def test_loader_rejects_duplicates_and_invalid_entries(tmp_path):
         ))
     with pytest.raises(DataError, match="cannot read table"):
         load_table(tmp_path / "absent.tbl")
+    # a read fault names the path once, with the OS's reason
+    with pytest.raises(DataError) as info:
+        load_table(tmp_path)
+    assert str(info.value) == f"cannot read table {tmp_path}: Is a directory"
 
 
 @pytest.mark.parametrize("field, value", [

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from warpdeg.codes import parse_gauss
-from warpdeg.diagram import OrientedDiagram, from_gauss
+from warpdeg.codes import GaussCode, parse_gauss
+from warpdeg.diagram import from_gauss
 from warpdeg.warping import (
-    WarpingProfile,
     is_monotone,
     profile,
     summary,
@@ -28,7 +27,7 @@ EIGHT_TWELVE_A = "O1+U2+O3+U4-O5-U6-O7-U3+O2+U7-O6-U1+O8+U5-O4-U8+"
 EIGHT_TWELVE_B = "O1+U2-O3+U4-O5-U3+O6-U1+O7+U6-O8+U5-O4-U8+O2-U7+"
 
 
-def diagram(text: str) -> OrientedDiagram:
+def diagram(text: str) -> GaussCode:
     return from_gauss(parse_gauss(text))
 
 
@@ -37,35 +36,35 @@ def diagram(text: str) -> OrientedDiagram:
 # ---------------------------------------------------------------------------
 
 def test_trefoil_profile():
-    assert profile(diagram(TREFOIL)).degrees == (1, 2, 1, 2, 1, 2)
+    assert profile(diagram(TREFOIL)) == (1, 2, 1, 2, 1, 2)
 
 
 def test_figure_eight_profile():
-    assert profile(diagram(FIGURE8)).degrees == (1, 2, 1, 2, 1, 2, 1, 2)
+    assert profile(diagram(FIGURE8)) == (1, 2, 1, 2, 1, 2, 1, 2)
 
 
 def test_kink_profiles():
-    assert profile(diagram("O1U1")).degrees == (0, 1)
-    assert profile(diagram("U1O1")).degrees == (1, 0)
+    assert profile(diagram("O1U1")) == (0, 1)
+    assert profile(diagram("U1O1")) == (1, 0)
 
 
 def test_zero_crossing_profile():
     p = profile(diagram(""))
-    assert p.degrees == (0,)
-    assert (p.minimum, p.maximum, len(p)) == (0, 0, 1)
+    assert p == (0,)
+    assert (min(p), max(p), len(p)) == (0, 0, 1)
 
 
 def test_profile_extremes():
     p = profile(diagram(TREFOIL))
-    assert p.minimum == 1
-    assert p.maximum == 2
+    assert min(p) == 1
+    assert max(p) == 2
     assert len(p) == 6
 
 
 def test_adjacent_profile_entries_differ_by_one():
     # moving the base past one visit changes the degree by exactly 1
     for text in (TREFOIL, FIGURE8, SEVEN_SIX_A, EIGHT_TWELVE_B):
-        p = profile(diagram(text)).degrees
+        p = profile(diagram(text))
         n = len(p)
         assert all(abs(p[i] - p[(i + 1) % n]) == 1 for i in range(n))
 
@@ -78,7 +77,7 @@ def test_descending_code_has_degree_zero():
 
 def test_ascending_code_has_full_degree_somewhere():
     d = diagram("U1U2U3O1O2O3")
-    assert profile(d).degrees[0] == 3
+    assert profile(d)[0] == 3
     assert warping_degree(d) == 0  # monotone: some other base descends
 
 
@@ -165,10 +164,6 @@ def test_polynomial_coefficients_sum_to_the_base_count():
 def test_summary_carries_the_profile_and_its_polynomial(text):
     d = diagram(text)
     s = summary(d)
-    assert s.profile == profile(d).degrees
+    assert s.profile == profile(d)
     assert s.polynomial == warping_polynomial(d)
 
-
-def test_profile_is_a_value_object():
-    assert WarpingProfile((1, 2, 1, 2)).minimum == 1
-    assert WarpingProfile((1, 2, 1, 2)).maximum == 2

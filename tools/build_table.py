@@ -35,8 +35,8 @@ import sys
 from pathlib import Path
 
 from warpdeg.bracket import BracketPolynomial, determinant, kauffman_bracket
-from warpdeg.codes import parse_gauss, pd_to_gauss, serialize
-from warpdeg.diagram import OrientedDiagram, from_gauss
+from warpdeg.codes import GaussCode, parse_gauss, pd_to_gauss, serialize
+from warpdeg.diagram import from_gauss
 from warpdeg.families import _continued_fraction_pd, ozawa_twist
 from warpdeg.table import is_alternating_diagram, load_table, verify_paper
 from warpdeg.warping import summary
@@ -258,7 +258,7 @@ def composite_polys(
     return polys
 
 
-def is_reduced(diagram: OrientedDiagram) -> bool:
+def is_reduced(diagram: GaussCode) -> bool:
     """No nugatory crossings: every chord interleaves another chord."""
     occ = diagram.tokens
     pos: dict[int, list[int]] = {}
@@ -275,7 +275,7 @@ def is_reduced(diagram: OrientedDiagram) -> bool:
 
 def certify_identity(
     name: str,
-    diagram: OrientedDiagram,
+    diagram: GaussCode,
     det: int,
     excluded: list[tuple[str, ...]],
     fp: dict[str, BracketPolynomial],
