@@ -31,8 +31,8 @@ def main() -> None:
                                       else ""))
         if entry.twist is not None:
             notes.append(f"twist n={entry.twist}")
-        if len(entry.minimal_codes) > 1:
-            notes.append(f"{len(entry.minimal_codes)} minimal diagrams")
+        if len(entry.minimal_diagrams) > 1:
+            notes.append(f"{len(entry.minimal_diagrams)} minimal diagrams")
         print(f"{entry.name:>7} {entry.crossings:>2} {e_text:>5} "
               f"{md_text:>5} {window:>8}  {'; '.join(notes)}")
 

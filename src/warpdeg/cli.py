@@ -40,10 +40,11 @@ from .codes import (
     parse_gauss,
     parse_pd,
     pd_to_gauss,
+    read_text,
     serialize,
 )
 from .diagram import from_gauss
-from .errors import DataError, WarpingError
+from .errors import WarpingError
 from .oracle import ORACLE_CAP, min_changes_to_monotone, random_codes
 from .table import load_table, verify_paper
 from .warping import summary, warping_degree
@@ -61,18 +62,6 @@ def _record(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read_file(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-        reason = getattr(exc, "strerror", None) or exc
-        raise DataError(f"cannot read {path}: {reason}") from None
-
-
 def _read_input(value: str) -> str:
     """The argument itself, or the contents of the file it names."""
     path = Path(value)
@@ -80,7 +69,7 @@ def _read_input(value: str) -> str:
         is_file = path.is_file()
     except OSError:  # e.g. a name too long for the file system: a code
         return value
-    return _read_file(path) if is_file else value
+    return read_text(path) if is_file else value
 
 
 def _parse_code(text: str, notation: str | None) -> GaussCode:
@@ -216,7 +205,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    lines = _read_file(Path(args.file)).splitlines()
+    lines = read_text(Path(args.file)).splitlines()
     failures = 0
     for number, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()

@@ -31,9 +31,10 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import eq
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CodeSyntaxError, StructureError, UnknownCrossing
+from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
 
 __all__ = [
     "PLUS",
@@ -458,3 +459,16 @@ def detect_notation(text: str) -> str:
     if re.fullmatch(r"[-+\d\s,]+", body):
         return "dt"
     raise CodeSyntaxError(f"cannot detect notation of {body[:30]!r}")
+
+
+def read_text(path: Path) -> str:
+    """The UTF-8 text of a file; an unreadable file is a DataError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read {path}: {reason}") from None

@@ -2,10 +2,10 @@
 
 Diagrams are assembled as planar port graphs.  A crossing is a square
 with ports SW, SE, NE, NW (counterclockwise, slots 0..3); its strands run
-along the diagonals SW-NE and SE-NW and a flag says which diagonal is the
-overpass.  Twist regions are grown one crossing at a time: a right twist
-hooks a new crossing onto the NE/SE corners of the tangle, a bottom twist
-onto SW/SE.  Closing the tangle (NW to NE, SW to SE) and walking the
+along the diagonals SW-NE and SE-NW, and SW-NE is always the overpass.
+Twist regions are grown one crossing at a time: a right twist hooks a
+new crossing onto the NE/SE corners of the tangle, a bottom twist onto
+SW/SE.  Closing the tangle (NW to NE, SW to SE) and walking the
 curve yields a PD code whose edge numbering follows the traversal; the
 shared PD-to-Gauss converter then produces the signed Gauss code.
 
@@ -24,8 +24,6 @@ except at a single clasp crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .codes import GaussCode, PDCode, pd_to_gauss
 from .diagram import from_gauss
 from .errors import InternalInconsistency, InvalidParam, NotAKnot
@@ -43,41 +41,61 @@ _BOTTOM = (("sw", 3, 0), ("se", 2, 1))
 Port = tuple[int, int]  # (crossing id, slot)
 
 
-@dataclass
-class _PortGraph:
-    """A partially wired planar diagram under construction."""
+class _Tangle:
+    """A rational tangle under construction, wired as a planar port graph."""
 
-    over02: list[bool] = field(default_factory=list)
-    links: dict[Port, Port] = field(default_factory=dict)
+    def __init__(self, vertical: bool) -> None:
+        self.crossings = 0
+        self.links: dict[Port, Port] = {}
+        # corner -> the opposite corner's name while its strand is still
+        # bare, then its port once a crossing has been hooked on.
+        if vertical:  # infinity tangle: NW-SW and NE-SE strands
+            self.corners = {"nw": "sw", "sw": "nw", "ne": "se", "se": "ne"}
+        else:  # zero tangle: NW-NE and SW-SE strands
+            self.corners = {"nw": "ne", "ne": "nw", "sw": "se", "se": "sw"}
 
-    def new_crossing(self, over02: bool) -> int:
-        self.over02.append(over02)
-        return len(self.over02) - 1
-
-    def connect(self, a: Port, b: Port) -> None:
+    def _connect(self, a: Port, b: Port) -> None:
         if a in self.links or b in self.links:
             raise InternalInconsistency(f"port {a} or {b} wired twice")
         self.links[a] = b
         self.links[b] = a
 
-    # -- curve traversal and PD emission ---------------------------------
+    def _consume(self, corner: str, port: Port) -> None:
+        held = self.corners[corner]
+        if isinstance(held, str):
+            self.corners[held] = port
+        else:
+            self._connect(held, port)
 
-    def to_pd(self) -> PDCode:
-        """Walk the closed curve and emit PD quadruples.
+    def twist(self, hooks: tuple[tuple[str, int, int], ...]) -> None:
+        cid = self.crossings
+        self.crossings += 1
+        for corner, slot, _ in hooks:
+            self._consume(corner, (cid, slot))
+        for corner, _, slot in hooks:
+            self.corners[corner] = (cid, slot)
+
+    def close_numerator(self) -> PDCode:
+        """Join NW to NE and SW to SE, walk the curve and emit PD quadruples.
 
         Edges are numbered 1..2c in traversal order.  Raises NotAKnot if
-        the wiring closes into more than one component.
+        the closure has more than one component.
         """
-        c = len(self.over02)
+        for a, b in (("nw", "ne"), ("sw", "se")):
+            pa, pb = self.corners[a], self.corners[b]
+            if isinstance(pa, str) or isinstance(pb, str):
+                raise InternalInconsistency("closing an unbuilt tangle")
+            self._connect(pa, pb)
+        c = self.crossings
         if len(self.links) != 4 * c:
             raise InternalInconsistency("construction left dangling ports")
         edge_at: dict[Port, int] = {}
-        entered: dict[Port, bool] = {}
+        entered: set[Port] = set()
         start = (0, 0)
         here = start
         for edge in range(1, 2 * c + 1):
             # arrive via the link into ``here``, pass through the crossing
-            entered[here] = True
+            entered.add(here)
             edge_at[here] = edge
             out = (here[0], (here[1] + 2) % 4)
             edge_at[out] = edge % (2 * c) + 1
@@ -87,52 +105,12 @@ class _PortGraph:
 
         quads = []
         for cid in range(c):
-            under_slots = (1, 3) if self.over02[cid] else (0, 2)
-            under_in = next(
-                s for s in under_slots if entered.get((cid, s), False)
-            )
+            # the under-strand runs SE-NW: it enters at slot 1 or slot 3
+            under_in = 1 if (cid, 1) in entered else 3
             quads.append(tuple(
                 edge_at[(cid, (under_in + k) % 4)] for k in range(4)
             ))
         return PDCode(tuple(sorted(quads)))
-
-
-class _Tangle:
-    """Rational tangle builder over a _PortGraph."""
-
-    def __init__(self, vertical: bool) -> None:
-        self.graph = _PortGraph()
-        # corner -> ("peer", corner) while still a bare start strand,
-        # then ("port", port) once a crossing has been hooked on.
-        if vertical:  # infinity tangle: NW-SW and NE-SE strands
-            self.corners = {"nw": ("peer", "sw"), "sw": ("peer", "nw"),
-                            "ne": ("peer", "se"), "se": ("peer", "ne")}
-        else:  # zero tangle: NW-NE and SW-SE strands
-            self.corners = {"nw": ("peer", "ne"), "ne": ("peer", "nw"),
-                            "sw": ("peer", "se"), "se": ("peer", "sw")}
-
-    def _consume(self, corner: str, port: Port) -> None:
-        kind, value = self.corners[corner]
-        if kind == "peer":
-            self.corners[value] = ("port", port)
-        else:
-            self.graph.connect(value, port)
-
-    def twist(self, hooks: tuple[tuple[str, int, int], ...]) -> None:
-        cid = self.graph.new_crossing(True)
-        for corner, slot, _ in hooks:
-            self._consume(corner, (cid, slot))
-        for corner, _, slot in hooks:
-            self.corners[corner] = ("port", (cid, slot))
-
-    def close_numerator(self) -> PDCode:
-        for a, b in (("nw", "ne"), ("sw", "se")):
-            ka, va = self.corners[a]
-            kb, vb = self.corners[b]
-            if ka != "port" or kb != "port":
-                raise InternalInconsistency("closing an unbuilt tangle")
-            self.graph.connect(va, vb)
-        return self.graph.to_pd()
 
 
 def _continued_fraction_pd(entries: list[int]) -> PDCode:

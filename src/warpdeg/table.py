@@ -29,12 +29,12 @@ over a table and reports every pass/fail as data rather than raising.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .codes import GaussCode, parse_gauss
+from .codes import GaussCode, parse_gauss, read_text
 from .diagram import from_gauss
 from .errors import DataError
 from .warping import WarpingSummary, summary
@@ -67,8 +67,9 @@ class ExpectedValues:
 
     ``e``, ``md`` and ``e_hat`` are the knot's true warping sum, minimal
     warping degree and reduced warping sum; ``ascending`` and
-    ``unknotting`` are the classical a(K) and u(K).  Every field is
-    optional; absent means no independent source was available.
+    ``unknotting`` are the classical a(K) and u(K).  Every ``KnotEntry``
+    carries one; a field is None when no independent source was
+    available.
     """
 
     e: int | None = None
@@ -80,19 +81,21 @@ class ExpectedValues:
 
 @dataclass(frozen=True)
 class KnotEntry:
-    """One named knot with its diagrams and expected values."""
+    """One named knot with its diagrams and expected values.
+
+    ``expected`` is always present, with every field None when the
+    record gives no reference values.
+    """
 
     name: str
     crossings: int
     prime: bool
     alternating: bool
     twist: int | None  # n when the knot has the two-region pattern (2, n)
-    minimal_codes: tuple[str, ...]
+    minimal_diagrams: tuple[GaussCode, ...]
     minimal_complete: bool
-    extra_codes: tuple[str, ...] = ()
-    expected: ExpectedValues | None = None
-    minimal_diagrams: tuple[GaussCode, ...] = field(default=(), repr=False)
-    extra_diagrams: tuple[GaussCode, ...] = field(default=(), repr=False)
+    extra_diagrams: tuple[GaussCode, ...] = ()
+    expected: ExpectedValues = ExpectedValues()
 
 
 @dataclass(frozen=True)
@@ -158,21 +161,19 @@ def _entry_from_json(obj) -> KnotEntry:
         if key in obj and not test(obj[key]):
             raise DataError(f"table entry {obj['name']!r}: {key} must be "
                             f"{want}, got {obj[key]!r}")
-    name, exp = obj["name"], obj.get("expected")
+    name, exp = obj["name"], obj.get("expected", {})
     return KnotEntry(
         name=name,
         crossings=obj["crossings"],
         prime=obj["prime"],
         alternating=obj["alternating"],
         twist=obj.get("twist"),
-        minimal_codes=tuple(obj["minimal"]),
+        minimal_diagrams=_parse_diagrams(name, obj["minimal"]),
         minimal_complete=obj["minimal_complete"],
-        extra_codes=tuple(obj.get("extra", ())),
-        expected=None if exp is None else ExpectedValues(
+        extra_diagrams=_parse_diagrams(name, obj.get("extra", ())),
+        expected=ExpectedValues(
             **{f.name: exp.get(f.name) for f in fields(ExpectedValues)}
         ),
-        minimal_diagrams=_parse_diagrams(name, obj["minimal"]),
-        extra_diagrams=_parse_diagrams(name, obj.get("extra", ())),
     )
 
 
@@ -183,11 +184,8 @@ def validate_entry(entry: KnotEntry) -> list[str]:
         problems.append("empty name")
     if entry.crossings < 0:
         problems.append("negative crossing number")
-    if not entry.minimal_codes:
+    if not entry.minimal_diagrams:
         problems.append("no minimal diagrams")
-    if len(entry.minimal_diagrams) != len(entry.minimal_codes) or \
-            len(entry.extra_diagrams) != len(entry.extra_codes):
-        problems.append("diagram codes not parsed")
     for diagram in entry.minimal_diagrams:
         if diagram.crossings != entry.crossings:
             problems.append(
@@ -200,37 +198,28 @@ def validate_entry(entry: KnotEntry) -> list[str]:
         elif entry.crossings != entry.twist + 2:
             problems.append("twist parameter inconsistent with crossing number")
     exp = entry.expected
-    if exp is not None:
-        for label in ("e", "md", "e_hat", "ascending", "unknotting"):
-            value = getattr(exp, label)
-            if value is not None and value < 0:
-                problems.append(f"negative expected {label}")
-        if exp.unknotting is not None and exp.ascending is not None \
-                and exp.unknotting > exp.ascending:
-            problems.append("expected unknotting exceeds expected ascending")
-        if exp.ascending is not None and exp.md is not None \
-                and exp.ascending > exp.md:
-            problems.append("expected ascending exceeds expected md")
+    for f in fields(ExpectedValues):
+        value = getattr(exp, f.name)
+        if value is not None and value < 0:
+            problems.append(f"negative expected {f.name}")
+    if exp.unknotting is not None and exp.ascending is not None \
+            and exp.unknotting > exp.ascending:
+        problems.append("expected unknotting exceeds expected ascending")
+    if exp.ascending is not None and exp.md is not None \
+            and exp.ascending > exp.md:
+        problems.append("expected ascending exceeds expected md")
     return problems
 
 
 def default_table_path() -> Path:
-    from importlib.resources import files
-
-    return Path(str(files("warpdeg").joinpath("data/knots.tbl")))
+    return Path(__file__).parent / "data" / "knots.tbl"
 
 
 def load_table(path: str | Path | None = None) -> KnotTable:
     """Load a table file, validating the header and every entry."""
     location = Path(path) if path is not None else default_table_path()
-    try:
-        text = location.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL in the name
-        reason = getattr(exc, "strerror", None) or exc
-        raise DataError(f"cannot read table {location}: {reason}") from exc
-
     lines = [
-        line for line in text.splitlines()
+        line for line in read_text(location).splitlines()
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not lines:
@@ -299,15 +288,12 @@ class _EntryStats:
         return [(s.d_forward, s.d_reverse) for s in self.minimal]
 
     @property
-    def expected(self) -> ExpectedValues:
-        return self.entry.expected or ExpectedValues()
-
-    @property
     def true_e(self) -> int | None:
         """e(K) when known: a reference value or a complete minimal set."""
-        if self.expected.e is None and self.entry.minimal_complete:
+        e = self.entry.expected.e
+        if e is None and self.entry.minimal_complete:
             return self.e_value
-        return self.expected.e
+        return e
 
     @property
     def e_hat(self) -> tuple[int, int]:
@@ -422,7 +408,7 @@ def _fact(check: str, st: _EntryStats, ok: bool, failure: str) -> CheckRow:
 
 def _expected_values(st: _EntryStats) -> Iterator[CheckRow]:
     """Computed aggregates match the reference values."""
-    exp = st.expected
+    exp = st.entry.expected
     if exp.e is not None:
         yield _fact("expected-e", st, st.e_value == exp.e,
                     f"computed {st.e_value}, expected {exp.e}")
@@ -522,7 +508,7 @@ def _alternating_span(st: _EntryStats) -> Iterator[CheckRow]:
 
 def _e_hat_window(st: _EntryStats) -> Iterator[CheckRow]:
     """The e-hat bounds honor the classification and any expected value."""
-    (lower, upper), e_hat = st.e_hat, st.expected.e_hat
+    (lower, upper), e_hat = st.e_hat, st.entry.expected.e_hat
     details = ""
     if lower > upper:
         details = f"bounds crossed: [{lower}, {upper}]"
@@ -545,7 +531,7 @@ def _e_hat_six_three(st: _EntryStats) -> Iterator[CheckRow]:
         return
     if st.e_hat == (4, 4):
         yield CheckRow("e-hat-six-three", "6_3", True)
-    elif st.e_hat == (4, 5) and not st.entry.extra_codes:
+    elif st.e_hat == (4, 5) and not st.entry.extra_diagrams:
         yield CheckRow("e-hat-six-three", "6_3", True,
                        "gap: bounds (4, 5); no sum-4 diagram bundled")
     else:
@@ -554,7 +540,7 @@ def _e_hat_six_three(st: _EntryStats) -> Iterator[CheckRow]:
 
 def _ordering(st: _EntryStats) -> Iterator[CheckRow]:
     """unknotting <= ascending <= md against the computed md."""
-    exp = st.expected
+    exp = st.entry.expected
     if exp.ascending is None and exp.unknotting is None:
         return
     details = ""

@@ -101,11 +101,11 @@ def test_analyze_treats_an_overlong_argument_as_a_code(capsys):
     assert out == f"d(D)={s.d_forward} d(-D)={s.d_reverse} e={s.warping_sum} spn={s.span}\n"
 
 
-@pytest.mark.parametrize("command", ["analyze", "batch"])
+@pytest.mark.parametrize("command", ["analyze", "batch", "verify --table"])
 def test_non_utf8_files_are_input_errors(capsys, tmp_path, command):
     path = tmp_path / "latin1.txt"
     path.write_bytes(TREFOIL.encode() + b" # caf\xe9\n")
-    code, out, err = run(capsys, command, str(path))
+    code, out, err = run(capsys, *command.split(), str(path))
     assert (code, out) == (2, "")
     assert err == (f"error: {path} is not UTF-8 text "
                    "(invalid continuation byte at byte 24)\n")

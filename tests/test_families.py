@@ -3,13 +3,21 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from warpdeg.bracket import determinant, kauffman_bracket
 from warpdeg.cli import main
 from warpdeg.codes import parse_pd, pd_to_gauss, serialize
 from warpdeg.errors import InvalidParam, NotAKnot
-from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
+from warpdeg.families import (
+    _continued_fraction_pd,
+    ozawa_twist,
+    rational_pq,
+    twist_minimal,
+)
+from warpdeg.table import is_alternating_diagram
 from warpdeg.warping import summary
 
 
@@ -72,6 +80,26 @@ def test_rational_rejects_nonpositive_parameters():
         rational_pq(0, 2)
     with pytest.raises(InvalidParam):
         rational_pq(2, -1)
+
+
+def test_continued_fraction_closure_realizes_its_numerator():
+    # [a1, ..., ak] realizes ak + 1/(... + 1/a1); every vector with
+    # entries 1..3 and length 1..4
+    vectors = [list(v) for k in range(1, 5)
+               for v in itertools.product(range(1, 4), repeat=k)]
+    assert len(vectors) == 120
+    for v in vectors:
+        num, den = v[0], 1
+        for a in v[1:]:
+            num, den = a * num + den, num
+        if num % 2 == 0:
+            with pytest.raises(NotAKnot):
+                _continued_fraction_pd(v)
+            continue
+        diagram = pd_to_gauss(_continued_fraction_pd(v))
+        assert diagram.crossings == sum(v), v
+        assert is_alternating_diagram(diagram), v
+        assert determinant(diagram) == num, v
 
 
 # ---------------------------------------------------------------------------

@@ -49,34 +49,34 @@ OUT = Path(__file__).resolve().parents[1] / "src" / "warpdeg" / "data" / "knots.
 
 # Two-bridge entries: continued fraction [a1, ..., ak] realizes the
 # fraction ak + 1/(... + 1/a1); the knot's determinant is its numerator.
-# The twist column is n for the (2, n) pattern, None otherwise.
-RATIONAL: list[tuple[str, list[int], int, int | None]] = [
-    ("3_1", [2, 1], 3, 1),
-    ("4_1", [2, 2], 5, 2),
-    ("5_1", [4, 1], 5, None),
-    ("5_2", [2, 3], 7, 3),
-    ("6_1", [2, 4], 9, 4),
-    ("6_2", [3, 1, 2], 11, None),
-    ("6_3", [2, 1, 1, 2], 13, None),
-    ("7_1", [6, 1], 7, None),
-    ("7_2", [2, 5], 11, 5),
-    ("7_3", [3, 4], 13, None),
-    ("7_4", [3, 1, 3], 15, None),
-    ("7_5", [3, 2, 2], 17, None),
-    ("7_6", [2, 2, 1, 2], 19, None),
-    ("7_7", [2, 1, 1, 1, 2], 21, None),
-    ("8_1", [2, 6], 13, 6),
-    ("8_2", [5, 1, 2], 17, None),
-    ("8_3", [4, 4], 17, None),
-    ("8_4", [4, 1, 3], 19, None),
-    ("8_6", [3, 3, 2], 23, None),
-    ("8_7", [4, 1, 1, 2], 23, None),
-    ("8_8", [2, 3, 1, 2], 25, None),
-    ("8_9", [3, 1, 1, 3], 25, None),
-    ("8_11", [3, 2, 1, 2], 27, None),
-    ("8_12", [2, 2, 2, 2], 29, None),
-    ("8_13", [3, 1, 1, 1, 2], 29, None),
-    ("8_14", [2, 2, 1, 1, 2], 31, None),
+# The twist knots are exactly the vectors [2, n].
+RATIONAL: list[tuple[str, list[int], int]] = [
+    ("3_1", [2, 1], 3),
+    ("4_1", [2, 2], 5),
+    ("5_1", [4, 1], 5),
+    ("5_2", [2, 3], 7),
+    ("6_1", [2, 4], 9),
+    ("6_2", [3, 1, 2], 11),
+    ("6_3", [2, 1, 1, 2], 13),
+    ("7_1", [6, 1], 7),
+    ("7_2", [2, 5], 11),
+    ("7_3", [3, 4], 13),
+    ("7_4", [3, 1, 3], 15),
+    ("7_5", [3, 2, 2], 17),
+    ("7_6", [2, 2, 1, 2], 19),
+    ("7_7", [2, 1, 1, 1, 2], 21),
+    ("8_1", [2, 6], 13),
+    ("8_2", [5, 1, 2], 17),
+    ("8_3", [4, 4], 17),
+    ("8_4", [4, 1, 3], 19),
+    ("8_6", [3, 3, 2], 23),
+    ("8_7", [4, 1, 1, 2], 23),
+    ("8_8", [2, 3, 1, 2], 25),
+    ("8_9", [3, 1, 1, 3], 25),
+    ("8_11", [3, 2, 1, 2], 27),
+    ("8_12", [2, 2, 2, 2], 29),
+    ("8_13", [3, 1, 1, 1, 2], 29),
+    ("8_14", [2, 2, 1, 1, 2], 31),
 ]
 
 # Frozen diagrams from the exhaustive search over closed braid and
@@ -149,10 +149,6 @@ EIGHT_TWELVE_B = "O1+U2-O3+U4-O5-U3+O6-U1+O7+U6-O8+U5-O4-U8+O2-U7+"
 # value on its minimal diagrams).
 SIX_THREE_EXTRA = "O1+O2-U3-O4-O5+U6+U2-O3-U4-U1+O7+U5+O6+U7+"
 
-# Twist entries that bundle the (2n+1)-crossing sum-2 presentation; the
-# 3-crossing trefoil diagram already has sum 2 on its own.
-OZAWA_EXTRAS = {"4_1": 2, "5_2": 3, "6_1": 4, "7_2": 5, "8_1": 6}
-
 # Entries whose bundled minimal set is complete: the two-bridge knots
 # whose reduced alternating diagram is unique up to mirror image and
 # symmetry (single twist region, or twist vector admitting no flype that
@@ -163,7 +159,7 @@ MINIMAL_COMPLETE = {
 }
 
 NON_PRIME = {"0_1", "granny"}
-NON_ALTERNATING = {"8_19", "8_20", "8_21"}
+NON_ALTERNATING = set(FROZEN_NONALTERNATING)
 
 # --------------------------------------------------------------------------
 # reference values
@@ -323,14 +319,14 @@ def build_entries() -> list[dict]:
     twist_of: dict[str, int] = {}
 
     # two-bridge constructions
-    for name, entries, det, twist in RATIONAL:
+    for name, entries, det in RATIONAL:
         diagram = from_gauss(pd_to_gauss(_continued_fraction_pd(entries)))
         if diagram.crossings != sum(entries):
             fail(f"{name}: twist vector {entries} lost a crossing")
         fp[name] = certify_identity(name, diagram, det, [], fp, True)
         codes[name] = [serialize(diagram)]
-        if twist is not None:
-            twist_of[name] = twist
+        if len(entries) == 2 and entries[0] == 2:
+            twist_of[name] = entries[1]
 
     # frozen alternating and non-alternating picks
     for table, alternating in (
@@ -371,8 +367,11 @@ def build_entries() -> list[dict]:
         same_knot(f"{name}-partner", poly, fp[name])
         codes[name].append(serialize(partner))
 
-    # non-minimal presentations driving the reduced-sum upper bounds
-    for name, n in OZAWA_EXTRAS.items():
+    # non-minimal presentations driving the reduced-sum upper bounds; the
+    # trefoil's own 3-crossing diagram already has sum 2
+    for name, n in twist_of.items():
+        if n < 2:
+            continue
         diagram = ozawa_twist(n)
         if summary(diagram).warping_sum != 2:
             fail(f"{name}: sum-2 presentation has the wrong warping sum")
