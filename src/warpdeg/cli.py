@@ -16,6 +16,11 @@ stderr, and the exit code is 2, with no traceback.
 records``: every result is then one JSON line with sorted keys, so
 identical invocations produce byte-identical output.
 
+A module that only some commands run is imported where it is used: the
+knot table by ``verify``, the families by ``generate``, ``json`` by record
+output.  A ``batch`` or ``analyze`` run then starts with the parser and the
+warping engine alone.
+
 The cyclic garbage collector is paused only while a command runs, then
 restored: warpdeg's values form no reference cycles, and on a large batch
 its passes took about a quarter of the run and freed nothing.
@@ -25,12 +30,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import families
 from .codes import (
     GaussCode,
     detect_notation,
@@ -46,7 +49,6 @@ from .codes import (
 from .diagram import from_gauss
 from .errors import WarpingError
 from .oracle import ORACLE_CAP, min_changes_to_monotone, random_codes
-from .table import load_table, verify_paper
 from .warping import summary, warping_degree
 
 __all__ = ["main"]
@@ -59,6 +61,8 @@ def _emit(line: str) -> None:
 
 
 def _record(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -193,7 +197,10 @@ def _oracle_random(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    pd = args.build(*(getattr(args, name) for name in args.params))
+    from . import families
+
+    build = getattr(families, f"{args.family}_pd")
+    pd = build(*(getattr(args, name) for name in args.params))
     if args.format == "pd":
         code = pd
     elif args.format == "dt":
@@ -231,6 +238,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .table import load_table, verify_paper
+
     report = verify_paper(load_table(args.table))
     if args.output == "records":
         for row in report.records():
@@ -301,16 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a family diagram")
     kinds = p.add_subparsers(dest="family", required=True)
-    for family, build, params in (("twist", families.twist_pd, "n"),
-                                  ("rational", families.rational_pd, "pq"),
-                                  ("ozawa", families.ozawa_pd, "n")):
+    for family, params in (("twist", "n"), ("rational", "pq"), ("ozawa", "n")):
         k = kinds.add_parser(family)
         for name in params:
             k.add_argument(f"--{name}", type=int, required=True,
                            help="half-twist count")
         k.add_argument("--format", choices=("gauss", "dt", "pd"),
                        default="gauss", help="output notation; default gauss")
-        k.set_defaults(func=_cmd_generate, build=build, params=params)
+        k.set_defaults(func=_cmd_generate, params=params)
 
     p = sub.add_parser("batch", parents=[inputs, outputs],
                        help="analyze every code in a file")

@@ -28,11 +28,11 @@ anchored-but-unlabelled diagram exactly when their serializations match.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import eq
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
 
@@ -60,28 +60,73 @@ MINUS = -1
 UNSIGNED = 0
 
 
-class GaussToken(NamedTuple):
-    """One visit to a crossing: label, over/under flag, crossing sign."""
+# A namedtuple with one method attached, the way typing.NamedTuple builds
+# one: a subclass would make each token, one per visit, slower to create.
+GaussToken = namedtuple("GaussToken", ("label", "over", "sign"))
+GaussToken.__doc__ = """One visit to a crossing: label, over/under flag, crossing sign.
 
-    label: int
-    over: bool
-    sign: int  # PLUS, MINUS or UNSIGNED
+The sign is PLUS, MINUS or UNSIGNED.
+"""
 
-    def render(self) -> str:
-        return f"{'O' if self.over else 'U'}{self.label}{_MARK[self.sign]}"
+
+def _render(token: GaussToken) -> str:
+    return f"{'O' if token.over else 'U'}{token.label}{_MARK[token.sign]}"
+
+
+GaussToken.render = _render
 
 
 _MARK = {PLUS: "+", MINUS: "-", UNSIGNED: ""}
 
 
-@dataclass(frozen=True)
-class GaussCode:
+class _Value:
+    """Base of the immutable value types; ``__slots__`` lists the fields.
+
+    A subclass's ``__init__`` sets each field with ``object.__setattr__``.
+    Two values are equal when they are of one class with equal fields,
+    and hash by their fields; assigning or deleting a field raises
+    AttributeError.  Unlike a tuple, a value never equals a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GaussCode(_Value):
     """Normalized Gauss code; ``tokens`` is the anchored visit sequence.
 
     The code is also the oriented diagram it describes (see ``diagram``).
     """
 
-    tokens: tuple[GaussToken, ...]
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple[GaussToken, ...]) -> None:
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def crossings(self) -> int:
@@ -97,22 +142,26 @@ class GaussCode:
         return all(tok.sign != UNSIGNED for tok in self.tokens)
 
 
-@dataclass(frozen=True)
-class DTCode:
+class DTCode(_Value):
     """Dowker-Thistlethwaite code: the signed even partner of 1,3,5,..."""
 
-    evens: tuple[int, ...]
+    __slots__ = ("evens",)
+
+    def __init__(self, evens: tuple[int, ...]) -> None:
+        object.__setattr__(self, "evens", evens)
 
     @property
     def crossings(self) -> int:
         return len(self.evens)
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(_Value):
     """Planar diagram code: one edge quadruple per crossing."""
 
-    quads: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("quads",)
+
+    def __init__(self, quads: tuple[tuple[int, int, int, int], ...]) -> None:
+        object.__setattr__(self, "quads", quads)
 
     @property
     def crossings(self) -> int:

@@ -21,11 +21,9 @@ The subset search visits up to 2^c diagrams and is capped hard.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from itertools import combinations
 
-from .codes import GaussCode, GaussToken, MINUS, PLUS, _build_gauss
+from .codes import GaussCode, GaussToken, MINUS, PLUS, _Value, _build_gauss
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
 
 __all__ = [
@@ -39,13 +37,20 @@ __all__ = [
 ORACLE_CAP = 16
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Certificate from the subset search."""
+class OracleResult(_Value):
+    """Certificate from the subset search.
 
-    changes: int
-    witness: tuple[int, ...]  # crossing labels changed, sorted
-    nodes_searched: int  # subsets tested, including the witness
+    ``witness`` holds the crossing labels changed, sorted;
+    ``nodes_searched`` counts the subsets tested, the witness included.
+    """
+
+    __slots__ = ("changes", "witness", "nodes_searched")
+
+    def __init__(self, changes: int, witness: tuple[int, ...],
+                 nodes_searched: int) -> None:
+        object.__setattr__(self, "changes", changes)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_searched", nodes_searched)
 
 
 def _first_overpasses(occ: tuple[GaussToken, ...]) -> list[int]:
@@ -131,6 +136,8 @@ def random_codes(count: int, max_crossings: int, seed: int) -> list[GaussCode]:
     every crossing a random sign.  Codes need not be realizable in the
     plane; every engine computation here is defined for them anyway.
     """
+    import random  # here, so that the CLI's import of this module stays cheap
+
     if count < 0 or max_crossings < 1:
         raise InvalidParam("count must be >= 0 and max_crossings >= 1")
     rng = random.Random(seed)

@@ -211,8 +211,15 @@ def validate_entry(entry: KnotEntry) -> list[str]:
     return problems
 
 
-def default_table_path() -> Path:
-    return Path(__file__).parent / "data" / "knots.tbl"
+def default_table_path():
+    """The bundled table file, also when the package is inside a zip archive.
+
+    A file-system install gives a ``pathlib.Path``; a zip archive gives a
+    ``zipfile.Path``.  Both read like a path and print as one.
+    """
+    from importlib import resources
+
+    return resources.files(__package__) / "data" / "knots.tbl"
 
 
 def load_table(path: str | Path | None = None) -> KnotTable:

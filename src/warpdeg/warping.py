@@ -29,9 +29,7 @@ disagrees with itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .codes import GaussCode
+from .codes import GaussCode, _Value
 from .diagram import reverse
 from .errors import InternalInconsistency
 
@@ -45,17 +43,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WarpingSummary:
-    """All warping quantities of one diagram, cross-checked."""
+class WarpingSummary(_Value):
+    """All warping quantities of one diagram, cross-checked.
 
-    crossings: int
-    d_forward: int
-    d_reverse: int
-    warping_sum: int
-    span: int
-    polynomial: tuple[int, ...]  # coefficient k = #{a : d_a = k}
-    profile: tuple[int, ...]  # the forward profile
+    ``polynomial`` holds coefficient k = #{a : d_a = k}; ``profile`` is
+    the forward profile.
+    """
+
+    __slots__ = ("crossings", "d_forward", "d_reverse", "warping_sum", "span",
+                 "polynomial", "profile")
+
+    def __init__(self, crossings: int, d_forward: int, d_reverse: int,
+                 warping_sum: int, span: int, polynomial: tuple[int, ...],
+                 profile: tuple[int, ...]) -> None:
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "d_forward", d_forward)
+        object.__setattr__(self, "d_reverse", d_reverse)
+        object.__setattr__(self, "warping_sum", warping_sum)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "profile", profile)
 
 
 def profile(diagram: GaussCode) -> tuple[int, ...]:

@@ -145,7 +145,7 @@ def test_criterion_09_sum_four_or_five_forces_degree_two(table):
     covered = set()
     for entry in table:
         value, exact = knot_e(entry)
-        known = entry.expected.e if entry.expected is not None else None
+        known = entry.expected.e
         if not exact and known is None:
             continue
         if (known if known is not None else value) in (4, 5):

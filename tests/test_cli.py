@@ -613,6 +613,49 @@ def test_a_stdout_closed_by_its_reader_is_exit_2_without_a_traceback():
     assert err.splitlines() == ["error: standard output was closed"]
 
 
+# ---------------------------------------------------------------------------
+# what a run loads
+# ---------------------------------------------------------------------------
+
+def _fresh_python(*args: str, pythonpath: str = str(SRC), cwd=None):
+    """A new ``python -S`` process: no site .pth file hides or fakes an import."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "WARPDEG_TABLE"}
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True,
+                          text=True, env={**env, "PYTHONPATH": pythonpath},
+                          cwd=cwd)
+
+
+def test_analyze_and_batch_load_neither_the_table_nor_dataclasses(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from warpdeg import cli\n"
+        f"assert cli.main(['batch', {str(empty)!r}, '--output', 'records']) == 0\n"
+        "assert cli.main(['analyze', 'O1-U1-']) == 0\n"
+        "heavy = ('dataclasses', 'inspect', 'warpdeg.table', 'warpdeg.bracket')\n"
+        "print('loaded:', [name for name in heavy if name in sys.modules])\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+
+def test_verify_reads_the_bundled_table_from_a_zip_archive(tmp_path):
+    import zipfile
+
+    archive = tmp_path / "warpdeg.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for path in sorted((SRC / "warpdeg").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                bundle.write(path, path.relative_to(SRC).as_posix())
+    proc = _fresh_python("-m", "warpdeg.cli", "verify", "--quiet",
+                         pythonpath=str(archive), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.strip() == "ALL CHECKS PASSED (335 checks)"
+
+
 @pytest.mark.skipif(shutil.which("warpdeg") is None,
                     reason="entry point not installed")
 def test_installed_entry_point_runs_verify():

@@ -594,3 +594,22 @@ def test_crossing_counts():
     assert parse_gauss(TREFOIL).crossings == 3
     assert parse_dt("4 6 8 2").crossings == 4
     assert parse_pd(TREFOIL_PD).crossings == 3
+
+
+def test_codes_are_immutable_values_equal_only_to_their_own_class():
+    import copy
+    import pickle
+
+    code, same = parse_gauss(TREFOIL), parse_gauss(TREFOIL)
+    assert code == same and hash(code) == hash(same) and code is not same
+    assert code != parse_gauss(FIGURE8)
+    assert DTCode((4, 6, 2)) == DTCode(evens=(4, 6, 2))
+    assert DTCode((4, 6, 2)) != (4, 6, 2) and code != code.tokens
+    assert repr(DTCode((4, 6, 2))) == "DTCode(evens=(4, 6, 2))"
+    for mutate in (lambda: setattr(code, "tokens", ()),
+                   lambda: delattr(code, "tokens"),
+                   lambda: setattr(code, "extra", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert code.tokens == same.tokens
+    assert pickle.loads(pickle.dumps(code)) == code == copy.deepcopy(code)

@@ -17,6 +17,7 @@ from warpdeg.table import (
     load_table,
     verify_paper,
 )
+from warpdeg.warping import WarpingSummary
 
 HEADER = '{"format": "knots-table", "version": 1}'
 
@@ -214,16 +215,19 @@ def test_each_check_fails_on_a_mutated_table(tmp_path, check, name, mutate,
 )
 def test_theorem_checks_fail_on_a_faulty_engine(monkeypatch, table, check,
                                                 name, fault):
-    from dataclasses import replace
-
     from warpdeg import table as table_module
 
     honest = table_module.summary
     target = table[name].minimal_diagrams[0]
-    monkeypatch.setattr(
-        table_module, "summary",
-        lambda d: replace(honest(d), **fault) if d == target else honest(d),
-    )
+
+    def faulty(d):
+        s = honest(d)
+        if d != target:
+            return s
+        return WarpingSummary(**{field: fault.get(field, getattr(s, field))
+                                 for field in WarpingSummary.__slots__})
+
+    monkeypatch.setattr(table_module, "summary", faulty)
     report = verify_paper(table)
     assert {(row.check, row.scope) for row in report.failures} == {(check, name)}
 
