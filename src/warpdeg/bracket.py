@@ -29,9 +29,7 @@ a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .codes import GaussCode, GaussToken
+from .codes import GaussCode, GaussToken, _Value
 from .errors import CapExceeded, NotClassical, UnknownSigns
 
 __all__ = ["BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "determinant"]
@@ -50,11 +48,13 @@ def _laurent_mul(p: Laurent, q: Laurent) -> Laurent:
     return {e: k for e, k in out.items() if k != 0}
 
 
-@dataclass(frozen=True)
-class BracketPolynomial:
+class BracketPolynomial(_Value):
     """Writhe-normalized bracket, as sorted (exponent, coefficient) pairs."""
 
-    coefficients: tuple[tuple[int, int], ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def from_dict(cls, coeffs: Laurent) -> "BracketPolynomial":

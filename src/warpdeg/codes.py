@@ -510,9 +510,14 @@ def detect_notation(text: str) -> str:
     raise CodeSyntaxError(f"cannot detect notation of {body[:30]!r}")
 
 
-def read_text(path: Path) -> str:
-    """The UTF-8 text of a file; an unreadable file is a DataError."""
+def read_text(path: Path, get_data=None) -> str:
+    """The UTF-8 text of a file; an unreadable file is a DataError.
+
+    ``get_data``, given the path as a string, reads its bytes instead.
+    """
     try:
+        if get_data is not None:
+            return get_data(str(path)).decode("utf-8")
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(

@@ -29,12 +29,10 @@ over a table and reports every pass/fail as data rather than raising.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import Iterable, Iterator
 
-from .codes import GaussCode, parse_gauss, read_text
+from .codes import GaussCode, _Value, parse_gauss, read_text
 from .diagram import from_gauss
 from .errors import DataError
 from .warping import WarpingSummary, summary
@@ -61,8 +59,7 @@ _TABLE_VERSION = 1
 _SMALL_E = {"0_1": 0, "3_1": 2, "4_1": 3}
 
 
-@dataclass(frozen=True)
-class ExpectedValues:
+class ExpectedValues(_Value):
     """Reference invariant values attached to a table entry.
 
     ``e``, ``md`` and ``e_hat`` are the knot's true warping sum, minimal
@@ -72,42 +69,52 @@ class ExpectedValues:
     available.
     """
 
-    e: int | None = None
-    md: int | None = None
-    e_hat: int | None = None
-    ascending: int | None = None
-    unknotting: int | None = None
+    __slots__ = ("e", "md", "e_hat", "ascending", "unknotting")
+
+    def __init__(self, e: int | None = None, md: int | None = None,
+                 e_hat: int | None = None, ascending: int | None = None,
+                 unknotting: int | None = None) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "md", md)
+        object.__setattr__(self, "e_hat", e_hat)
+        object.__setattr__(self, "ascending", ascending)
+        object.__setattr__(self, "unknotting", unknotting)
 
 
-@dataclass(frozen=True)
-class KnotEntry:
+class KnotEntry(_Value):
     """One named knot with its diagrams and expected values.
 
+    ``twist`` is n when the knot has the two-region pattern (2, n).
     ``expected`` is always present, with every field None when the
     record gives no reference values.
     """
 
-    name: str
-    crossings: int
-    prime: bool
-    alternating: bool
-    twist: int | None  # n when the knot has the two-region pattern (2, n)
-    minimal_diagrams: tuple[GaussCode, ...]
-    minimal_complete: bool
-    extra_diagrams: tuple[GaussCode, ...] = ()
-    expected: ExpectedValues = ExpectedValues()
+    __slots__ = ("name", "crossings", "prime", "alternating", "twist",
+                 "minimal_diagrams", "minimal_complete", "extra_diagrams",
+                 "expected")
+
+    def __init__(self, name: str, crossings: int, prime: bool, alternating: bool,
+                 twist: int | None, minimal_diagrams: tuple[GaussCode, ...],
+                 minimal_complete: bool, extra_diagrams: tuple[GaussCode, ...] = (),
+                 expected: ExpectedValues = ExpectedValues()) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "alternating", alternating)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "minimal_diagrams", minimal_diagrams)
+        object.__setattr__(self, "minimal_complete", minimal_complete)
+        object.__setattr__(self, "extra_diagrams", extra_diagrams)
+        object.__setattr__(self, "expected", expected)
 
 
-@dataclass(frozen=True)
-class KnotTable:
-    """An immutable, name-indexed collection of knot entries."""
+class KnotTable(_Value):
+    """An immutable collection of knot entries; a name finds its first entry."""
 
-    entries: tuple[KnotEntry, ...]
+    __slots__ = ("entries",)
 
-    @cached_property
-    def _by_name(self) -> dict[str, KnotEntry]:
-        # reversed, so that the first of two equal names wins
-        return {entry.name: entry for entry in reversed(self.entries)}
+    def __init__(self, entries: tuple[KnotEntry, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def __iter__(self) -> Iterator[KnotEntry]:
         return iter(self.entries)
@@ -116,10 +123,13 @@ class KnotTable:
         return len(self.entries)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return any(entry.name == name for entry in self.entries)
 
     def __getitem__(self, name: str) -> KnotEntry:
-        return self._by_name[name]
+        for entry in self.entries:
+            if entry.name == name:
+                return entry
+        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +181,7 @@ def _entry_from_json(obj) -> KnotEntry:
         minimal_diagrams=_parse_diagrams(name, obj["minimal"]),
         minimal_complete=obj["minimal_complete"],
         extra_diagrams=_parse_diagrams(name, obj.get("extra", ())),
-        expected=ExpectedValues(
-            **{f.name: exp.get(f.name) for f in fields(ExpectedValues)}
-        ),
+        expected=ExpectedValues(*map(exp.get, ExpectedValues.__slots__)),
     )
 
 
@@ -198,35 +206,29 @@ def validate_entry(entry: KnotEntry) -> list[str]:
         elif entry.crossings != entry.twist + 2:
             problems.append("twist parameter inconsistent with crossing number")
     exp = entry.expected
-    for f in fields(ExpectedValues):
-        value = getattr(exp, f.name)
+    for field in ExpectedValues.__slots__:
+        value = getattr(exp, field)
         if value is not None and value < 0:
-            problems.append(f"negative expected {f.name}")
-    if exp.unknotting is not None and exp.ascending is not None \
-            and exp.unknotting > exp.ascending:
-        problems.append("expected unknotting exceeds expected ascending")
-    if exp.ascending is not None and exp.md is not None \
-            and exp.ascending > exp.md:
-        problems.append("expected ascending exceeds expected md")
+            problems.append(f"negative expected {field}")
+    for low, high in (("unknotting", "ascending"), ("ascending", "md")):
+        a, b = getattr(exp, low), getattr(exp, high)
+        if a is not None and b is not None and a > b:
+            problems.append(f"expected {low} exceeds expected {high}")
     return problems
 
 
-def default_table_path():
-    """The bundled table file, also when the package is inside a zip archive.
-
-    A file-system install gives a ``pathlib.Path``; a zip archive gives a
-    ``zipfile.Path``.  Both read like a path and print as one.
-    """
-    from importlib import resources
-
-    return resources.files(__package__) / "data" / "knots.tbl"
+def default_table_path() -> Path:
+    """The bundled table file; inside a zip archive, a member of the archive."""
+    return Path(__file__).parent / "data" / "knots.tbl"
 
 
 def load_table(path: str | Path | None = None) -> KnotTable:
     """Load a table file, validating the header and every entry."""
     location = Path(path) if path is not None else default_table_path()
+    # the package's loader reads the bundled table from a zip archive too
+    get_data = __loader__.get_data if path is None else None
     lines = [
-        line for line in read_text(location).splitlines()
+        line for line in read_text(location, get_data).splitlines()
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not lines:
@@ -267,16 +269,18 @@ def load_table(path: str | Path | None = None) -> KnotTable:
 # aggregated invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _EntryStats:
+class _EntryStats(_Value):
     """Every bundled diagram of one entry summarized once.
 
     The aggregates, the public helpers below and every check read these
-    summaries instead of computing their own.
+    summaries (minimal diagrams, then extras) instead of computing their own.
     """
 
-    entry: KnotEntry
-    summaries: tuple[WarpingSummary, ...]  # minimal diagrams, then extras
+    __slots__ = ("entry", "summaries")
+
+    def __init__(self, entry: KnotEntry, summaries: tuple[WarpingSummary, ...]) -> None:
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "summaries", summaries)
 
     @property
     def minimal(self) -> tuple[WarpingSummary, ...]:
@@ -360,19 +364,24 @@ def is_alternating_diagram(diagram: GaussCode) -> bool:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(_Value):
     """One verified fact: check name, entry scope, outcome, details."""
 
-    check: str
-    scope: str
-    passed: bool
-    details: str = ""
+    __slots__ = ("check", "scope", "passed", "details")
+
+    def __init__(self, check: str, scope: str, passed: bool,
+                 details: str = "") -> None:
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "details", details)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    rows: tuple[CheckRow, ...]
+class VerificationReport(_Value):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[CheckRow, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
 
     @property
     def passed(self) -> bool:
@@ -383,7 +392,8 @@ class VerificationReport:
         return tuple(row for row in self.rows if not row.passed)
 
     def records(self) -> list[dict]:
-        return [asdict(row) for row in self.rows]
+        return [{"check": row.check, "scope": row.scope, "passed": row.passed,
+                 "details": row.details} for row in self.rows]
 
     def render_text(self) -> str:
         by_check: dict[str, list[CheckRow]] = {}

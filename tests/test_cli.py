@@ -642,6 +642,25 @@ def test_analyze_and_batch_load_neither_the_table_nor_dataclasses(tmp_path):
     assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
+def test_certify_api_loads_none_of_dataclasses_inspect_and_typing():
+    # the names perfbench/certify.py imports, each run once
+    script = (
+        "import sys\n"
+        "from warpdeg import (determinant, kauffman_bracket, load_table,\n"
+        "    min_changes_to_monotone, ozawa_twist, parse_gauss, twist_minimal,\n"
+        "    verify_paper)\n"
+        "assert determinant(twist_minimal(1)) == 3\n"
+        "assert kauffman_bracket(ozawa_twist(2)).coefficients\n"
+        "assert min_changes_to_monotone(parse_gauss('O1+U2+O3+U1+O2+U3+')).changes == 1\n"
+        "assert verify_paper(load_table()).passed\n"
+        "heavy = ('dataclasses', 'inspect', 'typing')\n"
+        "print('loaded:', [name for name in heavy if name in sys.modules])\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+
 def test_verify_reads_the_bundled_table_from_a_zip_archive(tmp_path):
     import zipfile
 

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 
+from warpdeg.bracket import BracketPolynomial
 from warpdeg.errors import DataError
 from warpdeg.table import (
+    CheckRow,
+    ExpectedValues,
+    KnotEntry,
+    KnotTable,
+    VerificationReport,
+    _EntryStats,
+    _stats,
     default_table_path,
     e_hat_bounds,
     knot_e,
@@ -240,12 +250,97 @@ def test_every_check_has_a_failing_case(table):
 
 def test_broken_entries_opt_out_instead_of_crashing_the_run(table):
     # validation rejects such records at load time; feed one straight in
-    from dataclasses import replace
-
-    report = verify_paper([replace(table["3_1"], twist=3)])
+    good = table["3_1"]
+    broken = KnotEntry(
+        name=good.name, crossings=good.crossings, prime=good.prime,
+        alternating=good.alternating, twist=3,
+        minimal_diagrams=good.minimal_diagrams,
+        minimal_complete=good.minimal_complete,
+        extra_diagrams=good.extra_diagrams, expected=good.expected,
+    )
+    report = verify_paper([broken])
     assert [(row.check, row.passed) for row in report.rows] == \
         [("entry-valid", False)]
     assert verify_paper([table["3_1"]]).passed
+
+
+# Per value type: a value, an equal one built apart, and a different one.
+VALUES = {
+    ExpectedValues: lambda t: (ExpectedValues(e=2, md=1), ExpectedValues(2, 1),
+                               ExpectedValues(e=3)),
+    KnotEntry: lambda t: (t["3_1"], load_table()["3_1"], t["4_1"]),
+    KnotTable: lambda t: (KnotTable((t["3_1"],)), KnotTable((t["3_1"],)),
+                          KnotTable(())),
+    _EntryStats: lambda t: (_stats(t["3_1"]), _stats(t["3_1"]), _stats(t["4_1"])),
+    CheckRow: lambda t: (CheckRow("c", "3_1", True),
+                         CheckRow(check="c", scope="3_1", passed=True, details=""),
+                         CheckRow("c", "3_1", False, "why")),
+    VerificationReport: lambda t: (verify_paper([t["3_1"]]),
+                                   verify_paper([t["3_1"]]),
+                                   verify_paper([t["4_1"]])),
+    BracketPolynomial: lambda t: (BracketPolynomial.from_dict({-4: 1, 0: 0}),
+                                  BracketPolynomial(((-4, 1),)),
+                                  BracketPolynomial(())),
+}
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_table_and_bracket_types_are_immutable_values_equal_only_to_their_own_class(
+        table, cls):
+    value, same, other = VALUES[cls](table)
+    assert type(value) is cls
+    assert value == same and hash(value) == hash(same) and value is not same
+    assert value != other
+    fields = tuple(getattr(value, name) for name in cls.__slots__)
+
+    class Twin(cls):
+        __slots__ = ()
+
+    assert value != fields and value != Twin(*fields) and Twin(*fields) != value
+    assert repr(value).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
+    for mutate in (lambda: setattr(value, cls.__slots__[0], None),
+                   lambda: delattr(value, cls.__slots__[0]),
+                   lambda: setattr(value, "extra", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert value == same
+    assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+
+
+def test_value_reprs_read_like_their_constructor_calls():
+    assert repr(ExpectedValues(e=2)) == (
+        "ExpectedValues(e=2, md=None, e_hat=None, ascending=None, unknotting=None)"
+    )
+    assert repr(CheckRow("c", "3_1", True)) == \
+        "CheckRow(check='c', scope='3_1', passed=True, details='')"
+    assert repr(VerificationReport(())) == "VerificationReport(rows=())"
+    assert repr(KnotTable(())) == "KnotTable(entries=())"
+    assert repr(BracketPolynomial(((-4, 1),))) == \
+        "BracketPolynomial(coefficients=((-4, 1),))"
+
+
+def test_values_take_keywords_and_default_their_trailing_fields(table):
+    good = table["3_1"]
+    entry = KnotEntry(name="3_1", crossings=3, prime=True, alternating=True,
+                      twist=1, minimal_diagrams=good.minimal_diagrams,
+                      minimal_complete=True)
+    assert entry.extra_diagrams == () and entry.expected == ExpectedValues()
+    assert entry == KnotEntry("3_1", 3, True, True, 1, good.minimal_diagrams,
+                              True, extra_diagrams=(), expected=ExpectedValues())
+    assert ExpectedValues() == ExpectedValues(None, None, None, None, None)
+    assert CheckRow(check="c", scope="3_1", passed=True).details == ""
+    assert VerificationReport(rows=()).passed
+
+
+def test_table_lookup_finds_the_first_entry_of_a_name(table):
+    first, second = table["3_1"], table["4_1"]
+    twins = KnotTable((first, KnotEntry(**{
+        name: getattr(second, name) for name in KnotEntry.__slots__
+    } | {"name": "3_1"})))
+    assert twins["3_1"] is first and "3_1" in twins
+    assert "4_1" not in twins
+    with pytest.raises(KeyError):
+        twins["4_1"]
 
 
 def test_header_only_table_is_empty_and_passes(tmp_path):
@@ -335,6 +430,22 @@ def test_loader_rejects_wrongly_typed_fields(tmp_path, field, value):
     obj[field] = value
     want = f"table entry {obj['name']!r}: {field} must be "
     with pytest.raises(DataError, match=re.escape(want)):
+        load_table(write_table(tmp_path, HEADER, json.dumps(obj)))
+
+
+@pytest.mark.parametrize("expected, problem", [
+    ({"md": -1}, "negative expected md"),
+    ({"unknotting": 2, "ascending": 1},
+     "expected unknotting exceeds expected ascending"),
+    ({"ascending": 2, "md": 1}, "expected ascending exceeds expected md"),
+])
+def test_loader_checks_expected_values_field_by_field(tmp_path, expected, problem):
+    obj = json.loads(TREFOIL_RECORD)
+    obj["expected"] = {"unknotting": 1, "md": 1, "e_hat": 2, "e": 2}
+    assert load_table(write_table(tmp_path, HEADER, json.dumps(obj)))["3_1"] \
+        .expected == ExpectedValues(e=2, md=1, e_hat=2, unknotting=1)
+    obj["expected"] = expected
+    with pytest.raises(DataError, match=f": 3_1: {problem}$"):
         load_table(write_table(tmp_path, HEADER, json.dumps(obj)))
 
 
