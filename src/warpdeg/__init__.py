@@ -20,7 +20,7 @@ import importlib
 _EXPORTS = {
     "bracket": ("BracketPolynomial", "determinant", "kauffman_bracket"),
     "codes": (
-        "DTCode", "GaussCode", "GaussToken", "PDCode", "canonical",
+        "DTCode", "GaussCode", "PDCode", "canonical",
         "detect_notation", "dt_to_gauss", "gauss_to_dt", "parse_dt",
         "parse_gauss", "parse_pd", "pd_to_gauss", "serialize",
     ),

@@ -29,7 +29,7 @@ a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
 
 from __future__ import annotations
 
-from .codes import GaussCode, GaussToken, _Value
+from .codes import GaussCode, _Value
 from .errors import CapExceeded, NotClassical, UnknownSigns
 
 __all__ = ["BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "determinant"]
@@ -86,11 +86,11 @@ class BracketPolynomial(_Value):
 
 
 def _contraction_order(
-    occ: tuple[GaussToken, ...], crossings: list[tuple[int, int]]
+    labels: tuple[int, ...], crossings: list[tuple[int, int]]
 ) -> list[int]:
     """Greedy order: next, the crossing most joined to those already done."""
-    n = len(occ)
-    neighbours = [[occ[(v + d) % n].label - 1 for v in pq for d in (-1, 1)]
+    n = len(labels)
+    neighbours = [[labels[(v + d) % n] - 1 for v in pq for d in (-1, 1)]
                   for pq in crossings]
     done = [False] * len(crossings)
     order = []
@@ -140,19 +140,19 @@ def kauffman_bracket(
     if not diagram.has_all_signs():
         raise UnknownSigns("the bracket needs a sign at every crossing")
 
-    occ = diagram.tokens
+    labels = diagram.labels
     n = 2 * c
     positions: dict[int, list[int]] = {}
-    for pos, tok in enumerate(occ):
-        positions.setdefault(tok.label, []).append(pos)
+    for pos, label in enumerate(labels):
+        positions.setdefault(label, []).append(pos)
     crossings = [tuple(positions[label]) for label in range(1, c + 1)]
-    signs = [occ[p].sign for p, _ in crossings]
+    signs = [diagram.signs[p] for p, _ in crossings]
     writhe = sum(signs)
 
     # Arc i runs from visit i to visit i + 1: end 2i is its tail, 2i + 1
     # its head.  A state maps each open end to the end it is joined to.
     states: dict[tuple, Laurent] = {(): {0: 1}}
-    for idx in _contraction_order(occ, crossings):
+    for idx in _contraction_order(labels, crossings):
         p, q = crossings[idx]
         in_p, in_q = 2 * ((p - 1) % n) + 1, 2 * ((q - 1) % n) + 1
         oriented = ((in_p, 2 * q), (in_q, 2 * p))

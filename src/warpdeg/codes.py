@@ -28,11 +28,8 @@ anchored-but-unlabelled diagram exactly when their serializations match.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import repeat
 from operator import eq
-from pathlib import Path
 
 from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
 
@@ -40,7 +37,6 @@ __all__ = [
     "PLUS",
     "MINUS",
     "UNSIGNED",
-    "GaussToken",
     "GaussCode",
     "DTCode",
     "PDCode",
@@ -58,22 +54,6 @@ __all__ = [
 PLUS = 1
 MINUS = -1
 UNSIGNED = 0
-
-
-# A namedtuple with one method attached, the way typing.NamedTuple builds
-# one: a subclass would make each token, one per visit, slower to create.
-GaussToken = namedtuple("GaussToken", ("label", "over", "sign"))
-GaussToken.__doc__ = """One visit to a crossing: label, over/under flag, crossing sign.
-
-The sign is PLUS, MINUS or UNSIGNED.
-"""
-
-
-def _render(token: GaussToken) -> str:
-    return f"{'O' if token.over else 'U'}{token.label}{_MARK[token.sign]}"
-
-
-GaussToken.render = _render
 
 
 _MARK = {PLUS: "+", MINUS: "-", UNSIGNED: ""}
@@ -118,28 +98,33 @@ class _Value:
 
 
 class GaussCode(_Value):
-    """Normalized Gauss code; ``tokens`` is the anchored visit sequence.
+    """Normalized Gauss code: the anchored visit sequence as three columns.
 
-    The code is also the oriented diagram it describes (see ``diagram``).
+    Visit ``i``, in the direction of travel from the anchor, is to crossing
+    ``labels[i]``, passes over it when ``overs[i]`` is true and carries the
+    crossing's sign ``signs[i]`` (PLUS, MINUS or UNSIGNED).  The code is
+    also the oriented diagram it describes (see ``diagram``).
     """
 
-    __slots__ = ("tokens",)
+    __slots__ = ("labels", "overs", "signs")
 
-    def __init__(self, tokens: tuple[GaussToken, ...]) -> None:
-        object.__setattr__(self, "tokens", tokens)
+    def __init__(self, labels: tuple[int, ...], overs: tuple[bool, ...],
+                 signs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "overs", overs)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def crossings(self) -> int:
-        return len(self.tokens) // 2
+        return len(self.labels) // 2
 
     def sign_of(self, label: int) -> int:
-        for tok in self.tokens:
-            if tok.label == label:
-                return tok.sign
+        if label in self.labels:
+            return self.signs[self.labels.index(label)]
         raise UnknownCrossing(f"no crossing labelled {label}")
 
     def has_all_signs(self) -> bool:
-        return all(tok.sign != UNSIGNED for tok in self.tokens)
+        return UNSIGNED not in self.signs
 
 
 class DTCode(_Value):
@@ -239,11 +224,9 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
                 raise StructureError(f"crossing {label} is {way} at both visits")
             if clash[k]:
                 raise StructureError(f"crossing {label} has contradictory signs")
-    # tuple.__new__ skips GaussToken's Python-level constructor
-    return GaussCode(tuple(map(
-        tuple.__new__, repeat(GaussToken),
-        zip(numbers, overs, map(sign.__getitem__, numbers)),
-    )))
+    # tuple() of a list: from an iterator, CPython grows the tuple by
+    # realloc, and the freed columns would pile up on its tuple free lists
+    return GaussCode(tuple(numbers), tuple(overs), tuple([sign[k] for k in numbers]))
 
 
 def _gauss_visits(body: str) -> Iterator[tuple[int, bool, int]]:
@@ -270,20 +253,23 @@ def parse_gauss(text: str) -> GaussCode:
     return _build_gauss(_gauss_visits(_strip_comments(text)))
 
 
-def _relabel(tokens: Sequence[GaussToken]) -> tuple[GaussToken, ...]:
+def _relabel(labels: Sequence[int]) -> tuple[int, ...]:
     """Renumber labels 1..c by first appearance; nothing is validated."""
     number: dict[int, int] = {}
-    return tuple([
-        tuple.__new__(GaussToken,
-                      (number.setdefault(label, len(number) + 1), over, sign))
-        for label, over, sign in tokens
-    ])
+    return tuple([number.setdefault(label, len(number) + 1) for label in labels])
+
+
+def _rotated(code: GaussCode, k: int) -> GaussCode:
+    """``code`` re-anchored at position ``k`` (0 <= k < 2c) and relabelled."""
+    labels, overs, signs = code.labels, code.overs, code.signs
+    return GaussCode(_relabel(labels[k:] + labels[:k]), overs[k:] + overs[:k],
+                     signs[k:] + signs[:k])
 
 
 _SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
 
 
-def _least_rotation(tokens: Sequence[GaussToken]) -> int:
+def _least_rotation(code: GaussCode) -> int:
     """Start of the least rotation of the code's symbol word, in O(c).
 
     Position ``p`` has one symbol that does not depend on where a rotation
@@ -295,12 +281,13 @@ def _least_rotation(tokens: Sequence[GaussToken]) -> int:
     circular substrings", IPL 1980): ``i`` is the best start so far, and
     every start below ``j`` other than ``i`` is beaten.
     """
-    n = len(tokens)
+    n = len(code.labels)
     # symbol = (role * n + distance) * 3 + sign rank, with 0 < distance < n
-    word = [(0 if tok.over else 3 * n) + _SIGN_RANK[tok.sign] for tok in tokens]
+    word = [(0 if over else 3 * n) + _SIGN_RANK[sign]
+            for over, sign in zip(code.overs, code.signs)]
     first: dict[int, int] = {}
-    for p, tok in enumerate(tokens):
-        q = first.setdefault(tok.label, p)
+    for p, label in enumerate(code.labels):
+        q = first.setdefault(label, p)
         if q != p:
             word[q] += 3 * (p - q)
             word[p] += 3 * (n - (p - q))
@@ -326,11 +313,9 @@ def canonical(code: GaussCode) -> GaussCode:
     ``_least_rotation``) and relabelled by first appearance from there, in
     O(c).  The result starts with an O visit, is idempotent and does not
     depend on the input's anchor or labels.  Anchors differ from the
-    earlier form, which took the least relabelled token sequence in O(c²).
+    earlier form, which took the least relabelled visit sequence in O(c²).
     """
-    tokens = code.tokens
-    best = _least_rotation(tokens)
-    return GaussCode(_relabel(tokens[best:] + tokens[:best]))
+    return _rotated(code, _least_rotation(code))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +370,8 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
     express.
     """
     positions: dict[int, list[int]] = {}
-    for pos, tok in enumerate(code.tokens):
-        positions.setdefault(tok.label, []).append(pos + 1)  # 1-based
+    for pos, label in enumerate(code.labels):
+        positions.setdefault(label, []).append(pos + 1)  # 1-based
     evens: list[int] = [0] * code.crossings
     for label, (p, q) in positions.items():
         if p % 2 == q % 2:
@@ -395,7 +380,7 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
                 "equal parity cannot be written in DT notation"
             )
         odd_pos, even_pos = (p, q) if p % 2 == 1 else (q, p)
-        over_at_odd = code.tokens[odd_pos - 1].over
+        over_at_odd = code.overs[odd_pos - 1]
         evens[(odd_pos - 1) // 2] = even_pos if over_at_odd else -even_pos
     return DTCode(tuple(evens))
 
@@ -487,7 +472,10 @@ def pd_to_gauss(pd: PDCode) -> GaussCode:
 def serialize(code: GaussCode | DTCode | PDCode) -> str:
     """Canonical text for a code; reparsing yields the canonical value."""
     if isinstance(code, GaussCode):
-        return "".join(tok.render() for tok in canonical(code).tokens)
+        code = canonical(code)
+        return "".join([f"{'O' if over else 'U'}{label}{_MARK[sign]}"
+                        for label, over, sign
+                        in zip(code.labels, code.overs, code.signs)])
     if isinstance(code, DTCode):
         return " ".join(str(v) for v in code.evens)
     if isinstance(code, PDCode):
@@ -524,5 +512,10 @@ def read_text(path: Path, get_data=None) -> str:
             f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-        reason = getattr(exc, "strerror", None) or exc
+        if get_data is not None and isinstance(exc, OSError) and not exc.errno:
+            # zipimporter.get_data raises OSError(0, "", name) for a name
+            # that the archive does not hold
+            reason = "member missing from the archive"
+        else:
+            reason = getattr(exc, "strerror", None) or exc
         raise DataError(f"cannot read {path}: {reason}") from None

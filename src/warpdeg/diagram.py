@@ -1,7 +1,7 @@
 """Oriented knot diagrams and the symmetry operations used on them.
 
 There is one diagram type, ``GaussCode``: an anchored, oriented Gauss
-sequence whose position 0 is where traversal starts and whose tuple
+sequence whose position 0 is where traversal starts and whose column
 order is the direction of travel.  Base points for warping computations
 live on the edges of the curve; base point ``a`` sits on the edge just
 before position ``a``, so there are ``2c`` of them (one for the
@@ -17,7 +17,7 @@ random codes) are validated.
 
 from __future__ import annotations
 
-from .codes import GaussCode, GaussToken, _relabel
+from .codes import GaussCode, _relabel, _rotated
 from .errors import UnknownCrossing
 
 __all__ = ["from_gauss", "reverse", "mirror", "rotate", "change_crossing"]
@@ -35,22 +35,23 @@ def reverse(diagram: GaussCode) -> GaussCode:
     before position 0 is the same physical edge as before, so profiles of
     ``diagram`` and ``reverse(diagram)`` line up as a -> (2c - a) mod 2c.
     """
-    return GaussCode(_relabel(diagram.tokens[::-1]))
+    return GaussCode(_relabel(diagram.labels[::-1]), diagram.overs[::-1],
+                     diagram.signs[::-1])
 
 
 def mirror(diagram: GaussCode) -> GaussCode:
     """Swap over and under at every crossing and negate the signs."""
-    return GaussCode(tuple(GaussToken(t.label, not t.over, -t.sign)
-                           for t in diagram.tokens))
+    return GaussCode(diagram.labels,
+                     tuple([not over for over in diagram.overs]),
+                     tuple([-sign for sign in diagram.signs]))
 
 
 def rotate(diagram: GaussCode, k: int) -> GaussCode:
     """Move the anchor forward by ``k`` edges (any integer)."""
-    n = len(diagram.tokens)
+    n = len(diagram.labels)
     if n == 0:
         return diagram
-    k %= n
-    return GaussCode(_relabel(diagram.tokens[k:] + diagram.tokens[:k]))
+    return _rotated(diagram, k % n)
 
 
 def change_crossing(diagram: GaussCode, label: int) -> GaussCode:
@@ -63,7 +64,8 @@ def change_crossing(diagram: GaussCode, label: int) -> GaussCode:
         raise UnknownCrossing(
             f"crossing {label} not in 1..{diagram.crossings}"
         )
-    return GaussCode(tuple(
-        GaussToken(t.label, not t.over, -t.sign) if t.label == label else t
-        for t in diagram.tokens
-    ))
+    overs, signs = list(diagram.overs), list(diagram.signs)
+    for p, at in enumerate(diagram.labels):
+        if at == label:
+            overs[p], signs[p] = not overs[p], -signs[p]
+    return GaussCode(diagram.labels, tuple(overs), tuple(signs))

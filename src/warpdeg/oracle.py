@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .codes import GaussCode, GaussToken, MINUS, PLUS, _Value, _build_gauss
+from .codes import GaussCode, MINUS, PLUS, _Value, _build_gauss
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
 
 __all__ = [
@@ -53,26 +53,27 @@ class OracleResult(_Value):
         object.__setattr__(self, "nodes_searched", nodes_searched)
 
 
-def _first_overpasses(occ: tuple[GaussToken, ...]) -> list[int]:
+def _first_overpasses(diagram: GaussCode) -> list[int]:
     """Per base point, the crossings whose first visit is an overpass.
 
     Each set is an int bitmask, crossing k being bit k.  Every base point
     gets its own full walk with its own ``seen`` record.  A crossingless
     diagram has one base point, which meets nothing.
     """
-    n = len(occ)
+    visits = list(zip(diagram.labels, diagram.overs))
+    n = len(visits)
     if n == 0:
         return [0]
     masks = []
     for base in range(n):
         seen: set[int] = set()
-        overs = 0
-        for tok in occ[base:] + occ[:base]:
-            if tok.label not in seen:
-                seen.add(tok.label)
-                if tok.over:
-                    overs |= 1 << tok.label
-        masks.append(overs)
+        mask = 0
+        for label, over in visits[base:] + visits[:base]:
+            if label not in seen:
+                seen.add(label)
+                if over:
+                    mask |= 1 << label
+        masks.append(mask)
     return masks
 
 
@@ -83,7 +84,7 @@ def profile_bruteforce(diagram: GaussCode) -> tuple[int, ...]:
     so a base point's degree is c minus its count of first overpasses.
     """
     c = diagram.crossings
-    return tuple(c - mask.bit_count() for mask in _first_overpasses(diagram.tokens))
+    return tuple(c - mask.bit_count() for mask in _first_overpasses(diagram))
 
 
 def min_changes_to_monotone(
@@ -111,7 +112,7 @@ def min_changes_to_monotone(
     limit = c if budget is None else budget
     if limit < 0:
         raise InvalidParam(f"budget must be nonnegative, got {limit}")
-    overs = _first_overpasses(diagram.tokens)
+    overs = _first_overpasses(diagram)
     every = (1 << (c + 1)) - 2  # bits 1..c
     bits = [1 << k for k in range(1, c + 1)]
     searched = 0

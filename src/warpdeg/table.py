@@ -355,9 +355,9 @@ def e_hat_bounds(entry: KnotEntry) -> tuple[int, int]:
 
 def is_alternating_diagram(diagram: GaussCode) -> bool:
     """True when the visits alternate over and under all the way round."""
-    occ = diagram.tokens
-    return bool(occ) and all(
-        a.over != b.over for a, b in zip(occ, occ[1:] + occ[:1]))
+    overs = diagram.overs
+    return bool(overs) and all(
+        a != b for a, b in zip(overs, overs[1:] + overs[:1]))
 
 
 # ---------------------------------------------------------------------------

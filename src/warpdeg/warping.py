@@ -67,21 +67,19 @@ class WarpingSummary(_Value):
 
 def profile(diagram: GaussCode) -> tuple[int, ...]:
     """Warping degrees at all 2c base points (``(0,)`` when c = 0)."""
-    occ = diagram.tokens
-    n = len(occ)
-    if n == 0:
+    overs = diagram.overs
+    if not overs:
         return (0,)
     seen: set[int] = set()
     d0 = 0
-    for tok in occ:
-        if tok.label not in seen:
-            seen.add(tok.label)
-            if not tok.over:
+    for label, over in zip(diagram.labels, overs):
+        if label not in seen:
+            seen.add(label)
+            if not over:
                 d0 += 1
     degrees = [d0]
-    for a in range(n - 1):
-        step = -1 if not occ[a].over else 1
-        degrees.append(degrees[-1] + step)
+    for over in overs[:-1]:
+        degrees.append(degrees[-1] + (1 if over else -1))
     return tuple(degrees)
 
 

@@ -25,9 +25,9 @@ def _bundled_diagrams(table, max_crossings=None):
 
 
 def _alternating(diagram) -> bool:
-    occ = diagram.tokens
-    return bool(occ) and all(
-        occ[i].over != occ[(i + 1) % len(occ)].over for i in range(len(occ))
+    overs = diagram.overs
+    return bool(overs) and all(
+        overs[i] != overs[(i + 1) % len(overs)] for i in range(len(overs))
     )
 
 

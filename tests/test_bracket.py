@@ -158,11 +158,10 @@ def reference_state_sum(diagram: GaussCode) -> BracketPolynomial:
     if c == 0:
         return BracketPolynomial.from_dict({0: 1})
 
-    occ = diagram.tokens
     n = 2 * c
     positions: dict[int, list[int]] = {}
-    for pos, tok in enumerate(occ):
-        positions.setdefault(tok.label, []).append(pos)
+    for pos, label in enumerate(diagram.labels):
+        positions.setdefault(label, []).append(pos)
     crossings = [tuple(positions[label]) for label in range(1, c + 1)]
     signs = [diagram.sign_of(label) for label in range(1, c + 1)]
     writhe = sum(signs)

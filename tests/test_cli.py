@@ -675,6 +675,24 @@ def test_verify_reads_the_bundled_table_from_a_zip_archive(tmp_path):
     assert proc.stdout.strip() == "ALL CHECKS PASSED (335 checks)"
 
 
+def test_verify_names_a_table_missing_from_a_zip_archive(tmp_path):
+    import zipfile
+
+    archive = tmp_path / "warpdeg.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for path in sorted((SRC / "warpdeg").rglob("*")):
+            if (path.is_file() and "__pycache__" not in path.parts
+                    and path.name != "knots.tbl"):
+                bundle.write(path, path.relative_to(SRC).as_posix())
+    proc = _fresh_python("-m", "warpdeg.cli", "verify",
+                         pythonpath=str(archive), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error: cannot read {archive}/warpdeg/data/knots.tbl: "
+        "member missing from the archive"
+    ]
+
+
 @pytest.mark.skipif(shutil.which("warpdeg") is None,
                     reason="entry point not installed")
 def test_installed_entry_point_runs_verify():

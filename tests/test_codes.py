@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import time
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -15,7 +17,6 @@ from warpdeg.codes import (
     _split_words,
     DTCode,
     GaussCode,
-    GaussToken,
     MINUS,
     PLUS,
     UNSIGNED,
@@ -39,6 +40,18 @@ MIRROR_TREFOIL = "O1-U2-O3-U1-O2-U3-"
 FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
+MARK = {PLUS: "+", MINUS: "-", UNSIGNED: ""}
+
+
+def visits_of(code: GaussCode) -> list[tuple[int, bool, int]]:
+    """The (label, over, sign) visits of a code, in travel order."""
+    return list(zip(code.labels, code.overs, code.signs))
+
+
+def gauss_text(visits) -> str:
+    """Packed Gauss text of (label, over, sign) visits, e.g. ``O12-U3``."""
+    return "".join(f"{'O' if over else 'U'}{label}{MARK[sign]}"
+                   for label, over, sign in visits)
 
 
 # ---------------------------------------------------------------------------
@@ -63,28 +76,23 @@ def test_gauss_comments_run_to_end_of_line():
 
 def test_gauss_labels_renumbered_by_first_appearance():
     code = parse_gauss("O7 U9 O8 U7 O9 U8")
-    assert [t.label for t in code.tokens] == [1, 2, 3, 1, 2, 3]
+    assert list(code.labels) == [1, 2, 3, 1, 2, 3]
 
 
 def test_gauss_sign_given_once_spreads_to_both_visits():
     code = parse_gauss("O1+U2O3U1O2U3")
-    assert code.tokens[0].sign == PLUS
-    assert code.tokens[3].sign == PLUS  # the other visit of crossing 1
-    assert code.tokens[1].sign == UNSIGNED
+    assert code.signs[0] == PLUS
+    assert code.signs[3] == PLUS  # the other visit of crossing 1
+    assert code.signs[1] == UNSIGNED
     later = parse_gauss("O1U2O3U1-O2U3")  # given at the second visit only
-    assert later.tokens[0].sign == later.tokens[3].sign == MINUS
+    assert later.signs[0] == later.signs[3] == MINUS
 
 
 def test_gauss_empty_input_is_the_zero_crossing_diagram():
     code = parse_gauss("")
     assert code.crossings == 0
-    assert code.tokens == ()
+    assert code.labels == code.overs == code.signs == ()
     assert serialize(code) == ""
-
-
-def test_gauss_token_render_round_trips():
-    assert GaussToken(12, True, MINUS).render() == "O12-"
-    assert GaussToken(3, False, UNSIGNED).render() == "U3"
 
 
 @pytest.mark.parametrize("bad", ["Q1", "O1-x", "O", "1+", "O1+U2+%"])
@@ -118,6 +126,28 @@ def test_gauss_rejects_contradictory_signs():
 def test_gauss_single_kink_is_valid():
     code = parse_gauss("O1U1")
     assert code.crossings == 1
+
+
+def test_a_parsed_code_holds_no_object_per_visit():
+    # three columns of 2c entries; one object per visit held 1.87 MB here
+    rng = random.Random(16)
+    slots = list(range(20_000))
+    rng.shuffle(slots)
+    visits: list = [None] * 20_000
+    for label in range(1, 10_001):
+        over, sign = rng.random() < 0.5, rng.choice((PLUS, MINUS))
+        visits[slots[2 * label - 2]] = (label, over, sign)
+        visits[slots[2 * label - 1]] = (label, not over, sign)
+    text = gauss_text(visits)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = parse_gauss(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code.crossings == 10_000
+    assert held < 1_000_000
 
 
 @pytest.mark.parametrize("text, message", [
@@ -164,9 +194,9 @@ def reference_parse_gauss(text: str) -> GaussCode:
 
 
 def _outcome(parse, text: str):
-    """The parsed tokens, or the type and message of the error raised."""
+    """The parsed visits, or the type and message of the error raised."""
     try:
-        return parse(text).tokens
+        return visits_of(parse(text))
     except (CodeSyntaxError, StructureError) as exc:
         return type(exc), str(exc)
 
@@ -203,7 +233,7 @@ def test_gauss_syntax_errors_name_the_rest_of_the_word(text, message):
     outcome = _outcome(parse_gauss, text)
     assert outcome == _outcome(reference_parse_gauss, text)
     if message is None:
-        assert outcome == parse_gauss("O1U1").tokens
+        assert outcome == visits_of(parse_gauss("O1U1"))
     else:
         assert outcome == (CodeSyntaxError, message)
 
@@ -213,10 +243,10 @@ def test_gauss_syntax_errors_name_the_rest_of_the_word(text, message):
 # ---------------------------------------------------------------------------
 
 def test_canonical_is_invariant_under_rotation():
-    base = parse_gauss(TREFOIL)
-    for shift in range(len(base.tokens)):
-        rotated = base.tokens[shift:] + base.tokens[:shift]
-        text = "".join(t.render() for t in rotated)
+    base = visits_of(parse_gauss(TREFOIL))
+    for shift in range(len(base)):
+        rotated = base[shift:] + base[:shift]
+        text = gauss_text(rotated)
         assert serialize(parse_gauss(text)) == TREFOIL
 
 
@@ -239,55 +269,54 @@ def test_canonical_prefers_over_visits_first():
 _SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
 
 
-def _anchored_key(tokens, shift: int) -> tuple:
+def _anchored_key(visits, shift: int) -> tuple:
     """Comparison key of the rotation starting at ``shift``, relabelled.
 
     The least key over all shifts was the canonical anchor before the
     symbol word; it is kept as the reference for the classes.
     """
-    n = len(tokens)
+    n = len(visits)
     relabel: dict[int, int] = {}
     key = []
     for i in range(n):
-        tok = tokens[(shift + i) % n]
-        if tok.label not in relabel:
-            relabel[tok.label] = len(relabel) + 1
-        # token order: O before U, then label, then sign (+ before - before none)
-        key.append((0 if tok.over else 1, relabel[tok.label],
-                    _SIGN_RANK[tok.sign]))
+        label, over, sign = visits[(shift + i) % n]
+        if label not in relabel:
+            relabel[label] = len(relabel) + 1
+        # visit order: O before U, then label, then sign (+ before - before none)
+        key.append((0 if over else 1, relabel[label], _SIGN_RANK[sign]))
     return tuple(key)
 
 
 def anchored_form(code: GaussCode) -> tuple:
     """The least relabelled rotation: one value per class of codes."""
-    return min((_anchored_key(code.tokens, s) for s in range(len(code.tokens))),
+    visits = visits_of(code)
+    return min((_anchored_key(visits, s) for s in range(len(visits))),
                default=())
 
 
-def symbol_word(tokens) -> list[tuple[int, int, int]]:
+def symbol_word(visits) -> list[tuple[int, int, int]]:
     """(role, forward distance to the partner visit, sign rank) per visit."""
-    n = len(tokens)
-    visits: dict[int, list[int]] = {}
-    for p, tok in enumerate(tokens):
-        visits.setdefault(tok.label, []).append(p)
+    n = len(visits)
+    positions: dict[int, list[int]] = {}
+    for p, (label, _, _) in enumerate(visits):
+        positions.setdefault(label, []).append(p)
     word = []
-    for p, tok in enumerate(tokens):
-        first, second = visits[tok.label]
+    for p, (label, over, sign) in enumerate(visits):
+        first, second = positions[label]
         partner = second if p == first else first
-        word.append((0 if tok.over else 1, (partner - p) % n,
-                     _SIGN_RANK[tok.sign]))
+        word.append((0 if over else 1, (partner - p) % n, _SIGN_RANK[sign]))
     return word
 
 
 def reference_canonical(code: GaussCode) -> GaussCode:
     """The least rotation of the symbol word, found by comparing all 2c."""
-    n = len(code.tokens)
+    visits = visits_of(code)
+    n = len(visits)
     if n == 0:
         return code
-    word = symbol_word(code.tokens)
+    word = symbol_word(visits)
     best = min(range(n), key=lambda s: word[s:] + word[:s])
-    rotated = code.tokens[best:] + code.tokens[:best]
-    return parse_gauss("".join(t.render() for t in rotated))
+    return parse_gauss(gauss_text(visits[best:] + visits[:best]))
 
 
 @st.composite
@@ -298,9 +327,9 @@ def codes(draw, signs):
     for label in range(1, c + 1):
         over = draw(st.booleans())
         sign = draw(st.sampled_from(signs))
-        visits[slots[2 * label - 2]] = GaussToken(label, over, sign)
-        visits[slots[2 * label - 1]] = GaussToken(label, not over, sign)
-    return parse_gauss("".join(t.render() for t in visits))
+        visits[slots[2 * label - 2]] = (label, over, sign)
+        visits[slots[2 * label - 1]] = (label, not over, sign)
+    return parse_gauss(gauss_text(visits))
 
 
 ANY_CODE = st.one_of(codes((PLUS, MINUS)), codes((UNSIGNED,)),
@@ -317,16 +346,16 @@ def code_pairs(draw):
     """A code and a rotation of it, perhaps with one crossing's roles or
     sign changed, so that equal and unequal classes are both drawn often."""
     code = draw(ANY_CODE)
-    tokens = code.tokens
-    shift = draw(st.integers(min_value=0, max_value=max(len(tokens) - 1, 0)))
-    other = tokens[shift:] + tokens[:shift]
+    visits = visits_of(code)
+    shift = draw(st.integers(min_value=0, max_value=max(len(visits) - 1, 0)))
+    other = visits[shift:] + visits[:shift]
     if other and draw(st.booleans()):
         label = draw(st.integers(min_value=1, max_value=code.crossings))
         swap = draw(st.booleans())
         sign = draw(st.sampled_from((PLUS, MINUS, UNSIGNED)))
-        other = tuple(GaussToken(label, t.over != swap, sign)
-                      if t.label == label else t for t in other)
-    return code, parse_gauss("".join(t.render() for t in other))
+        other = [(label, over != swap, sign) if at == label else (at, over, s)
+                 for at, over, s in other]
+    return code, parse_gauss(gauss_text(other))
 
 
 @given(code_pairs())
@@ -336,9 +365,9 @@ def test_canonical_classes_are_the_anchored_key_classes(pair):
 
 
 def _strip_signs(code: GaussCode, keep) -> GaussCode:
-    return parse_gauss("".join(
-        GaussToken(t.label, t.over, t.sign if keep(t.label) else UNSIGNED).render()
-        for t in code.tokens
+    return parse_gauss(gauss_text(
+        (label, over, sign if keep(label) else UNSIGNED)
+        for label, over, sign in visits_of(code)
     ))
 
 
@@ -356,10 +385,10 @@ def test_canonical_splits_fixed_codes_into_the_anchored_key_classes():
 
 
 def _rotations(code: GaussCode) -> list[GaussCode]:
-    tokens = code.tokens
+    visits = visits_of(code)
     return [
-        parse_gauss("".join(t.render() for t in tokens[s:] + tokens[:s]))
-        for s in range(len(tokens))
+        parse_gauss(gauss_text(visits[s:] + visits[:s]))
+        for s in range(len(visits))
     ]
 
 
@@ -372,12 +401,12 @@ def _torus_code(c: int) -> GaussCode:
 
 def _connected_sum(*texts: str) -> GaussCode:
     """The Gauss codes one after another, each with its own labels."""
-    tokens: list[GaussToken] = []
+    visits: list[tuple[int, bool, int]] = []
     for text in texts:
-        base = len(tokens) // 2
-        tokens += [t._replace(label=t.label + base)
-                   for t in parse_gauss(text).tokens]
-    return parse_gauss("".join(t.render() for t in tokens))
+        base = len(visits) // 2
+        visits += [(label + base, over, sign)
+                   for label, over, sign in visits_of(parse_gauss(text))]
+    return parse_gauss(gauss_text(visits))
 
 
 @pytest.mark.parametrize("code", [
@@ -393,7 +422,7 @@ def _connected_sum(*texts: str) -> GaussCode:
 ])
 def test_canonical_of_every_rotation_matches_the_reference(code):
     want = reference_canonical(code)
-    assert want.tokens[0].over
+    assert want.overs[0]
     for rotated in _rotations(code):
         assert canonical(rotated) == want
     assert canonical(want) == want
@@ -458,7 +487,7 @@ def test_dt_rejects_non_permutations(bad):
 def test_dt_expansion_has_no_signs():
     code = dt_to_gauss(parse_dt("4 6 2"))
     assert serialize(code) == "O1U2O3U1O2U3"
-    assert all(t.sign == UNSIGNED for t in code.tokens)
+    assert all(sign == UNSIGNED for sign in code.signs)
 
 
 def test_dt_abbreviation_of_the_trefoil():
@@ -530,7 +559,7 @@ def test_pd_trace_of_the_figure_eight():
 
 def test_pd_trace_recovers_every_sign():
     code = pd_to_gauss(parse_pd(TREFOIL_PD))
-    assert all(t.sign == MINUS for t in code.tokens)
+    assert all(sign == MINUS for sign in code.signs)
 
 
 def test_pd_single_kink_traces_to_a_one_crossing_code():
@@ -604,12 +633,13 @@ def test_codes_are_immutable_values_equal_only_to_their_own_class():
     assert code == same and hash(code) == hash(same) and code is not same
     assert code != parse_gauss(FIGURE8)
     assert DTCode((4, 6, 2)) == DTCode(evens=(4, 6, 2))
-    assert DTCode((4, 6, 2)) != (4, 6, 2) and code != code.tokens
+    assert DTCode((4, 6, 2)) != (4, 6, 2)
+    assert code != (code.labels, code.overs, code.signs)
     assert repr(DTCode((4, 6, 2))) == "DTCode(evens=(4, 6, 2))"
-    for mutate in (lambda: setattr(code, "tokens", ()),
-                   lambda: delattr(code, "tokens"),
+    for mutate in (lambda: setattr(code, "labels", ()),
+                   lambda: delattr(code, "overs"),
                    lambda: setattr(code, "extra", 1)):
         with pytest.raises(AttributeError):
             mutate()
-    assert code.tokens == same.tokens
+    assert visits_of(code) == visits_of(same)
     assert pickle.loads(pickle.dumps(code)) == code == copy.deepcopy(code)

@@ -8,7 +8,6 @@ from warpdeg import codes, oracle
 from warpdeg.codes import (
     UNSIGNED,
     GaussCode,
-    GaussToken,
     _build_gauss,
     canonical,
     dt_to_gauss,
@@ -30,7 +29,7 @@ from warpdeg.families import twist_minimal
 from warpdeg.oracle import random_codes
 from warpdeg.warping import profile
 
-from test_codes import reference_canonical
+from test_codes import reference_canonical, visits_of
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
@@ -77,17 +76,16 @@ def test_mirror_is_an_involution():
 
 def test_mirror_swaps_strands_and_negates_signs():
     d = mirror(diagram(TREFOIL))
-    assert [t.over for t in d.tokens] == [False, True] * 3
-    assert all(t.sign == -1 for t in d.tokens)
+    assert list(d.overs) == [False, True] * 3
+    assert all(sign == -1 for sign in d.signs)
 
 
 def test_rotate_moves_the_anchor_forward():
     d = diagram(TREFOIL)
     r = rotate(d, 2)
     # position 0 of the rotation is old position 2, relabelled
-    assert [t.over for t in r.tokens] == \
-        [t.over for t in d.tokens[2:] + d.tokens[:2]]
-    assert rotate(r, len(d.tokens) - 2) == d
+    assert list(r.overs) == list(d.overs[2:] + d.overs[:2])
+    assert rotate(r, len(d.overs) - 2) == d
 
 
 def test_rotate_accepts_any_integer():
@@ -128,7 +126,8 @@ def test_rotate_rotates_the_profile():
 def test_change_crossing_swaps_roles_and_negates_the_sign():
     d = diagram(TREFOIL)
     ch = change_crossing(d, 2)
-    assert [t.over for t in ch.tokens if t.label == 2] == [True, False]
+    assert [over for label, over in zip(ch.labels, ch.overs)
+            if label == 2] == [True, False]
     assert ch.sign_of(2) == -1
     assert ch.sign_of(1) == 1
 
@@ -164,26 +163,26 @@ def test_changing_any_trefoil_crossing_yields_the_trivial_knot():
 
 def _validated(visits) -> GaussCode:
     """A move's result sent through full validation and normalization."""
-    return GaussCode(_build_gauss(
-        [(t.label, t.over, t.sign) for t in visits]
-    ).tokens)
+    return _build_gauss(list(visits))
 
 
 def _assert_moves_match_the_validating_path(d: GaussCode) -> None:
-    occ = d.tokens
-    assert reverse(d) == _validated(occ[::-1])
+    visits = visits_of(d)
+    assert reverse(d) == _validated(visits[::-1])
     assert mirror(d) == _validated(
-        GaussToken(t.label, not t.over, -t.sign) for t in occ
+        (label, not over, -sign) for label, over, sign in visits
     )
-    for k in range(len(occ)):
-        assert rotate(d, k) == _validated(occ[k:] + occ[:k])
-    for label in range(1, d.crossings + 1):
-        assert change_crossing(d, label) == _validated(
-            GaussToken(t.label, not t.over, -t.sign) if t.label == label else t
-            for t in occ
+    for k in range(len(visits)):
+        assert rotate(d, k) == _validated(visits[k:] + visits[:k])
+    for at in range(1, d.crossings + 1):
+        assert change_crossing(d, at) == _validated(
+            (label, not over, -sign) if label == at else (label, over, sign)
+            for label, over, sign in visits
         )
     assert canonical(d) == reference_canonical(d)
-    assert all(type(t) is GaussToken for t in reverse(d).tokens)
+    for moved in (reverse(d), mirror(d), rotate(d, 1), canonical(d)):
+        assert all(type(column) is tuple
+                   for column in (moved.labels, moved.overs, moved.signs))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

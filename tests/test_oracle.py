@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from warpdeg.codes import GaussCode, GaussToken, parse_gauss, serialize
+from warpdeg.codes import GaussCode, parse_gauss, serialize
 from warpdeg.diagram import from_gauss
 from warpdeg.errors import BudgetExceeded, CapExceeded, InvalidParam
 from warpdeg.families import ozawa_twist, twist_minimal
@@ -110,9 +110,10 @@ PROBE16 = ("U1+O2+O3-O4-U5+O6+O7-U8-U3-U9+U10-U11+U12-U7-O13+O12-O9+U14-"
            "U2+U6+O8-O15-O10-U16+U13+U4-O1+U15-O11+O16+O14-O5+")
 
 
-def _is_monotone_after(occ: tuple[GaussToken, ...], flipped: frozenset[int]) -> bool:
+def _is_monotone_after(diagram: GaussCode, flipped: frozenset[int]) -> bool:
     """Does some base point see only overpasses first, after the flips?"""
-    n = len(occ)
+    labels, overs = diagram.labels, diagram.overs
+    n = len(labels)
     if n == 0:
         return True
     best = n + 1
@@ -120,10 +121,11 @@ def _is_monotone_after(occ: tuple[GaussToken, ...], flipped: frozenset[int]) -> 
         seen: set[int] = set()
         count = 0
         for step in range(n):
-            tok = occ[(base + step) % n]
-            if tok.label not in seen:
-                seen.add(tok.label)
-                under = tok.over if tok.label in flipped else not tok.over
+            i = (base + step) % n
+            label, over = labels[i], overs[i]
+            if label not in seen:
+                seen.add(label)
+                under = over if label in flipped else not over
                 if under:
                     count += 1
         best = min(best, count)
@@ -139,7 +141,7 @@ def reference_search(diagram: GaussCode) -> OracleResult:
     for size in range(c + 1):
         for subset in combinations(range(1, c + 1), size):
             searched += 1
-            if _is_monotone_after(diagram.tokens, frozenset(subset)):
+            if _is_monotone_after(diagram, frozenset(subset)):
                 return OracleResult(size, subset, searched)
     raise AssertionError("some set of crossing changes always makes it monotone")
 

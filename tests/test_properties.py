@@ -146,7 +146,7 @@ def test_canonical_form_is_rotation_invariant_and_idempotent(code):
     want = serialize(code)
     assert serialize(canonical(code)) == want
     d = from_gauss(code)
-    for k in range(len(code.tokens)):
+    for k in range(len(code.labels)):
         assert serialize(rotate(d, k)) == want
 
 

@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC_NAMES = {
     "BracketPolynomial", "BudgetExceeded", "CapExceeded", "CodeSyntaxError",
-    "DTCode", "DataError", "GaussCode", "GaussToken", "InternalInconsistency",
+    "DTCode", "DataError", "GaussCode", "InternalInconsistency",
     "InvalidParam", "KnotEntry", "KnotTable", "NotAKnot", "NotClassical",
     "OracleResult", "PDCode", "StructureError", "UnknownCrossing",
     "UnknownSigns", "VerificationReport", "WarpingError", "WarpingSummary",
@@ -65,9 +65,13 @@ def test_an_unknown_attribute_is_an_attribute_error():
 def test_a_bare_import_loads_no_submodule():
     # -S: no site .pth file can import anything on the package's behalf
     script = ("import sys, warpdeg; "
-              "print(sorted(m for m in sys.modules if m.startswith('warpdeg.')))")
+              "print(sorted(m for m in sys.modules if m.startswith('warpdeg.')))\n"
+              "from warpdeg import parse_gauss, summary\n"
+              "summary(parse_gauss('O1+U2+O3+U1+O2+U3+'))\n"
+              "print('pathlib' in sys.modules)")
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    # the parser and the engine run without pathlib
+    assert proc.stdout.split() == ["[]", "False"]

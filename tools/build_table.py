@@ -256,10 +256,9 @@ def composite_polys(
 
 def is_reduced(diagram: GaussCode) -> bool:
     """No nugatory crossings: every chord interleaves another chord."""
-    occ = diagram.tokens
     pos: dict[int, list[int]] = {}
-    for i, tok in enumerate(occ):
-        pos.setdefault(tok.label, []).append(i)
+    for i, label in enumerate(diagram.labels):
+        pos.setdefault(label, []).append(i)
     for p, q in pos.values():
         inside = sum(
             1 for r, s in pos.values() if (p < r < q) != (p < s < q)
