@@ -18,7 +18,9 @@ import importlib
 
 # home module -> the names exported from it
 _EXPORTS = {
-    "bracket": ("BracketPolynomial", "determinant", "kauffman_bracket"),
+    "bracket": (
+        "BracketPolynomial", "determinant", "is_classical", "kauffman_bracket",
+    ),
     "codes": (
         "DTCode", "GaussCode", "PDCode", "canonical",
         "detect_notation", "dt_to_gauss", "gauss_to_dt", "parse_dt",

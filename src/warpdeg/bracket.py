@@ -25,14 +25,29 @@ exponential in the frontier width, not in c; two-bridge and twist
 diagrams have constant width.  Planarity is not assumed, so virtual codes
 get the state sum's value too.  ``BRACKET_CAP`` stays the default guard:
 a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
+
+``is_classical`` decides planarity in O(c).  The signs fix the cyclic
+order of the four arc ends at each crossing, so a signed code is a
+4-valent graph embedded in some closed surface (its Carter surface).
+Tracing the faces of that embedding gives F, and with c vertices and 2c
+edges the surface is a sphere exactly when F = c + 2 (Kauffman,
+"Virtual knot theory", 1999).
+
+``determinant`` does not go through the bracket.  On a classical
+diagram it is |det| of the coloring matrix with one row and one column
+deleted, eliminated exactly by Bareiss's fraction-free method (Math.
+Comp. 1968): O(c^3), with no cap.
 """
 
 from __future__ import annotations
 
 from .codes import GaussCode, _Value
-from .errors import CapExceeded, NotClassical, UnknownSigns
+from .errors import CapExceeded, InvalidParam, NotClassical, UnknownSigns
 
-__all__ = ["BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "determinant"]
+__all__ = [
+    "BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "is_classical",
+    "determinant",
+]
 
 BRACKET_CAP = 14
 
@@ -132,6 +147,8 @@ def kauffman_bracket(
     diagram: GaussCode, cap: int = BRACKET_CAP
 ) -> BracketPolynomial:
     """The writhe-normalized Kauffman bracket of a fully signed diagram."""
+    if cap < 0:
+        raise InvalidParam(f"cap must be nonnegative, got {cap}")
     c = diagram.crossings
     if c > cap:
         raise CapExceeded(f"bracket is exponential; {c} crossings > cap {cap}")
@@ -179,22 +196,99 @@ def kauffman_bracket(
     )
 
 
-def determinant(diagram: GaussCode, cap: int = BRACKET_CAP) -> int:
-    """|V(-1)|, the knot determinant, from the normalized bracket.
+def is_classical(diagram: GaussCode) -> bool:
+    """Whether the signed code is a planar (classical) knot diagram.
 
-    Evaluates the bracket at a primitive 8th root of unity exactly, in
-    Z[x]/(x^4 + 1).  The result of a classical knot diagram is an
-    integer; anything else raises NotClassical.
+    Arc i runs from visit i to visit i + 1; end 2i is its tail, 2i + 1
+    its head.  Counterclockwise around a positive crossing the ends are
+    under in, over out, under out, over in; a negative crossing takes
+    the mirror order.  A face is an orbit of "cross the arc, then turn
+    to the next end counterclockwise", and the code is classical exactly
+    when there are c + 2 faces.
     """
-    poly = kauffman_bracket(diagram, cap=cap)
-    vec = [0, 0, 0, 0]
-    for e, k in poly.coefficients:
-        r = e % 8
-        if r < 4:
-            vec[r] += k
+    if not diagram.has_all_signs():
+        raise UnknownSigns("planarity needs a sign at every crossing")
+    n = len(diagram.labels)
+    if n == 0:
+        return True
+    first: dict[int, int] = {}
+    turn = [0] * (2 * n)
+    for q, label in enumerate(diagram.labels):
+        p = first.setdefault(label, q)
+        if p == q:
+            continue
+        if not diagram.overs[p]:
+            p, q = q, p  # p is the overpass, q the underpass
+        ends = [2 * q - 1, 2 * p, 2 * q, 2 * p - 1]  # under in, over out, ...
+        if diagram.signs[p] < 0:
+            ends.reverse()
+        for k in range(4):
+            turn[ends[k] % (2 * n)] = ends[(k + 1) % 4] % (2 * n)
+    faces = 0
+    unseen = [True] * (2 * n)
+    for start in range(2 * n):
+        if unseen[start]:
+            faces += 1
+            end = start
+            while unseen[end]:
+                unseen[end] = False
+                end = turn[end ^ 1]
+    return faces == diagram.crossings + 2
+
+
+def determinant(diagram: GaussCode) -> int:
+    """The knot determinant |Delta(-1)| of a classical diagram.
+
+    Arcs run from one undervisit to the next; crossing k's row of the
+    coloring matrix is twice its overarc minus its two underarcs.  Any
+    one row and one column deleted, the rest has determinant +-det(K).
+    Raises UnknownSigns on a missing sign and NotClassical on a
+    non-planar code, both through ``is_classical``.
+    """
+    if not is_classical(diagram):
+        raise NotClassical("not a classical knot diagram: its faces do not "
+                           "make a sphere")
+    c = diagram.crossings
+    if c == 0:
+        return 1
+    labels, overs = diagram.labels, diagram.overs
+    n = len(labels)
+    start = overs.index(False) + 1  # arc 0 begins after the first undervisit
+    arc_at = [0] * n
+    arc = 0
+    for v in range(start, start + n):
+        arc_at[v % n] = arc
+        arc += not overs[v % n]
+    # row k - 1 is crossing k; the undervisit at v ends arc_at[v] and
+    # starts the next arc
+    rows = [[0] * c for _ in range(c)]
+    for v, label in enumerate(labels):
+        row = rows[label - 1]
+        if overs[v]:
+            row[arc_at[v]] += 2
         else:
-            vec[r - 4] -= k
-    if vec[1] or vec[2] or vec[3]:
-        raise NotClassical("not a classical knot diagram: its bracket at "
-                           f"the 8th root of unity is not an integer: {vec}")
-    return abs(vec[0])
+            row[arc_at[v]] -= 1
+            row[(arc_at[v] + 1) % c] -= 1
+    return abs(_bareiss([row[1:] for row in rows[1:]]))
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix, which it overwrites."""
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            lead = row[k]
+            if lead:
+                row[k + 1:] = [(a * pivot - lead * b) // prev
+                               for a, b in zip(row[k + 1:], top)]
+            elif pivot != prev:  # the matrix is sparse: skip the product
+                row[k + 1:] = [a * pivot // prev for a in row[k + 1:]]
+        prev = pivot
+    return sign * prev

@@ -112,18 +112,18 @@ def min_changes_to_monotone(
     limit = c if budget is None else budget
     if limit < 0:
         raise InvalidParam(f"budget must be nonnegative, got {limit}")
-    overs = _first_overpasses(diagram)
     every = (1 << (c + 1)) - 2  # bits 1..c
+    # per base point, in base order, the one subset that makes it monotone
+    wanted = [every ^ mask for mask in _first_overpasses(diagram)]
     bits = [1 << k for k in range(1, c + 1)]
     searched = 0
     for size in range(min(limit, c) + 1):
         for subset in combinations(bits, size):
             searched += 1
             flipped = sum(subset)
-            for mask in overs:
-                if mask ^ flipped == every:
-                    witness = tuple(k for k in range(1, c + 1) if flipped >> k & 1)
-                    return OracleResult(size, witness, searched)
+            if flipped in wanted:
+                witness = tuple(k for k in range(1, c + 1) if flipped >> k & 1)
+                return OracleResult(size, witness, searched)
     raise BudgetExceeded(
         f"no monotone diagram within {limit} crossing change(s)"
     )

@@ -12,12 +12,25 @@ from warpdeg.bracket import (
     Laurent,
     _laurent_mul,
     determinant,
+    is_classical,
     kauffman_bracket,
 )
-from warpdeg.codes import GaussCode, parse_dt, parse_gauss, dt_to_gauss
+from warpdeg.codes import (
+    GaussCode,
+    dt_to_gauss,
+    parse_dt,
+    parse_gauss,
+    serialize,
+)
 from warpdeg.diagram import from_gauss, mirror, reverse, rotate
-from warpdeg.errors import CapExceeded, NotClassical, StructureError, UnknownSigns
-from warpdeg.families import ozawa_twist, twist_minimal
+from warpdeg.errors import (
+    CapExceeded,
+    InvalidParam,
+    NotClassical,
+    StructureError,
+    UnknownSigns,
+)
+from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
 from warpdeg.oracle import random_codes
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -105,7 +118,14 @@ def test_bracket_cap_is_enforced():
     big = twist_minimal(BRACKET_CAP - 1)  # c = cap + 1
     with pytest.raises(CapExceeded):
         kauffman_bracket(big)
-    assert determinant(big, cap=BRACKET_CAP + 1) == 2 * (BRACKET_CAP - 1) + 1
+    assert determinant(big) == 2 * (BRACKET_CAP - 1) + 1
+
+
+def test_a_negative_bracket_cap_is_an_invalid_parameter():
+    with pytest.raises(InvalidParam,
+                       match="^cap must be nonnegative, got -1$"):
+        kauffman_bracket(diagram(""), cap=-1)
+    assert kauffman_bracket(diagram(""), cap=0).as_dict() == {0: 1}
 
 
 def test_polynomial_value_object():
@@ -234,9 +254,109 @@ def test_large_twist_families_stay_fast():
     # constant frontier width: the cost does not grow as 2^c
     start = time.perf_counter()
     for n in range(1, 41):
-        assert determinant(twist_minimal(n), cap=n + 2) == 2 * n + 1
+        assert determinant(twist_minimal(n)) == 2 * n + 1
     for n in range(1, 21):
-        assert determinant(ozawa_twist(n), cap=2 * n + 1) == 2 * n + 1
+        assert determinant(ozawa_twist(n)) == 2 * n + 1
         assert kauffman_bracket(twist_minimal(n), cap=n + 2) == \
             kauffman_bracket(ozawa_twist(n), cap=2 * n + 1)
     assert time.perf_counter() - start < 2.0
+    # the coloring-matrix determinant is polynomial: c = 200 and c = 201
+    for d, want in ((twist_minimal(198), 397), (ozawa_twist(100), 201)):
+        start = time.perf_counter()
+        assert determinant(d) == want
+        assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the bracket at the 8th root of unity as the reference for the determinant
+# ---------------------------------------------------------------------------
+
+def reference_determinant(diagram: GaussCode, cap: int = BRACKET_CAP) -> int:
+    """|V(-1)|, the knot determinant, from the normalized bracket.
+
+    Evaluates the bracket at a primitive 8th root of unity exactly, in
+    Z[x]/(x^4 + 1).  The result of a classical knot diagram is an
+    integer; anything else raises NotClassical.
+    """
+    poly = kauffman_bracket(diagram, cap=cap)
+    vec = [0, 0, 0, 0]
+    for e, k in poly.coefficients:
+        r = e % 8
+        if r < 4:
+            vec[r] += k
+        else:
+            vec[r - 4] -= k
+    if vec[1] or vec[2] or vec[3]:
+        raise NotClassical("not a classical knot diagram: its bracket at "
+                           f"the 8th root of unity is not an integer: {vec}")
+    return abs(vec[0])
+
+
+def test_determinant_matches_the_bracket_on_table_diagrams(table):
+    for entry in table:
+        for d in entry.minimal_diagrams + entry.extra_diagrams:
+            assert determinant(d) == reference_determinant(d), entry.name
+
+
+def test_determinant_matches_the_bracket_on_the_twist_families():
+    diagrams = [twist_minimal(n) for n in range(1, 13)]
+    diagrams += [ozawa_twist(n) for n in range(1, 7)]
+    for d in diagrams:
+        for variant in (d, mirror(d), reverse(d)):
+            assert determinant(variant) == reference_determinant(variant)
+
+
+def test_determinant_matches_the_bracket_on_classical_random_codes():
+    classical = integral_virtual = 0
+    for code in random_codes(3000, 10, 7):
+        try:
+            want = reference_determinant(code)
+        except NotClassical:
+            want = None
+        if is_classical(code):
+            classical += 1
+            assert determinant(code) == want, serialize(code)
+        else:
+            # the bracket at the 8th root is no planarity test: it is an
+            # integer on many virtual codes, and the determinant refuses all
+            integral_virtual += want is not None
+            with pytest.raises(NotClassical):
+                determinant(code)
+    assert (classical, integral_virtual) == (714, 748)
+
+
+def test_determinant_needs_every_sign():
+    with pytest.raises(UnknownSigns):
+        determinant(from_gauss(dt_to_gauss(parse_dt("4 6 2"))))
+
+
+# ---------------------------------------------------------------------------
+# planarity: F = c + 2 faces exactly on classical codes
+# ---------------------------------------------------------------------------
+
+def test_table_and_family_diagrams_are_classical(table):
+    diagrams = [d for entry in table
+                for d in entry.minimal_diagrams + entry.extra_diagrams]
+    assert len(diagrams) == 46
+    diagrams += [twist_minimal(n) for n in range(1, 12)]
+    diagrams += [ozawa_twist(n) for n in range(1, 8)]
+    diagrams += [rational_pq(p, q) for p in range(1, 7) for q in range(1, 7)
+                 if p * q % 2 == 0]  # pq odd closes to a link
+    for d in diagrams:
+        for variant in (d, reverse(d), mirror(d), rotate(d, 3)):
+            assert is_classical(variant), serialize(variant)
+
+
+def test_the_virtual_trefoil_is_not_classical():
+    # two crossings, two faces: its Carter surface is a torus
+    assert not is_classical(diagram("O1+O2+U1+U2+"))
+
+
+def test_classical_codes_among_random_codes_are_pinned():
+    codes = random_codes(2000, 10, 3)
+    assert sum(is_classical(code) for code in codes) == 468
+
+
+def test_planarity_needs_every_sign():
+    with pytest.raises(UnknownSigns):
+        is_classical(from_gauss(dt_to_gauss(parse_dt("4 6 2"))))

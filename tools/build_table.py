@@ -19,6 +19,9 @@ principles against the complete knot table through 8 crossings:
   brackets, and alternative presentations of an entry (flype partners,
   the sum-2 twist diagrams, the 7-crossing presentation of 6_3) must
   reproduce the bracket of the entry's primary diagram;
+* every written diagram must be classical (its faces make a sphere), and
+  its bracket at a primitive 8th root of unity must have the absolute
+  value of the coloring-matrix determinant;
 * all entries must have pairwise distinct bracket fingerprints up to
   mirroring, and the finished file must pass the library's full
   verification report.
@@ -34,7 +37,12 @@ import json
 import sys
 from pathlib import Path
 
-from warpdeg.bracket import BracketPolynomial, determinant, kauffman_bracket
+from warpdeg.bracket import (
+    BracketPolynomial,
+    determinant,
+    is_classical,
+    kauffman_bracket,
+)
 from warpdeg.codes import GaussCode, parse_gauss, pd_to_gauss, serialize
 from warpdeg.diagram import from_gauss
 from warpdeg.families import _continued_fraction_pd, ozawa_twist
@@ -254,6 +262,24 @@ def composite_polys(
     return polys
 
 
+def certify_planar(name: str, diagram: GaussCode) -> None:
+    """Classical, and |<D>| at the 8th root of unity equals det(D).
+
+    The value is computed exactly in Z[x]/(x^4 + 1); a classical diagram
+    makes it an integer.  The bracket and the coloring matrix share no
+    code, so each certifies the other.
+    """
+    if not is_classical(diagram):
+        fail(f"{name}: diagram is not classical")
+    vec = [0, 0, 0, 0]
+    for e, k in kauffman_bracket(diagram).coefficients:
+        vec[e % 4] += k if e % 8 < 4 else -k
+    det = determinant(diagram)
+    if vec[1:] != [0, 0, 0] or abs(vec[0]) != det:
+        fail(f"{name}: bracket at the 8th root {vec} disagrees with the "
+             f"determinant {det}")
+
+
 def is_reduced(diagram: GaussCode) -> bool:
     """No nugatory crossings: every chord interleaves another chord."""
     pos: dict[int, list[int]] = {}
@@ -396,6 +422,10 @@ def build_entries() -> list[dict]:
         for b in names[i + 1:]:
             if chiral_set(fp[a]) == chiral_set(fp[b]):
                 fail(f"{a} and {b} have identical bracket fingerprints")
+
+    for name in names:
+        for code in codes[name] + extras.get(name, []):
+            certify_planar(name, from_gauss(parse_gauss(code)))
 
     records = []
     for name in names:
