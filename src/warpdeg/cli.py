@@ -60,10 +60,17 @@ def _emit(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-def _record(obj: dict) -> str:
-    import json
+_encoder = None
 
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+def _record(obj: dict) -> str:
+    """One compact JSON record, keys sorted, by one encoder per process."""
+    global _encoder
+    if _encoder is None:
+        import json
+
+        _encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    return _encoder.encode(obj)
 
 
 def _read_input(value: str) -> str:

@@ -4,10 +4,13 @@ Three notations are supported:
 
 * Gauss codes: the cyclic sequence of crossing visits along the curve.
   Each token is ``(O|U)<label>(+|-)?``, e.g. ``O3`` or ``U12-``.  ``O``/``U``
-  say whether the strand passes over or under at that visit, the optional
-  trailing sign is the crossing sign.  Tokens may be separated by
+  (either case) say whether the strand passes over or under at that
+  visit, the optional trailing sign is the crossing sign.  The label is
+  any run of decimal digits, read as an integer: ``O0`` is accepted,
+  ``O01`` is ``O1`` and ``O٣`` is ``O3``.  Tokens may be separated by
   whitespace and/or commas, or packed together (``O1+U2+``); ``#`` starts
-  a comment that runs to the end of the line.
+  a comment that runs to the end of the line.  The text is tokenized a
+  chunk at a time, one regex split per chunk (see ``_gauss_chunks``).
 
 * DT codes: ``c`` signed even integers.  Visits are numbered 1..2c along
   the curve; entry ``i`` pairs odd number ``2i-1`` with the even number
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from operator import eq
+from itertools import chain
 
 from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
 
@@ -104,6 +107,11 @@ class GaussCode(_Value):
     ``labels[i]``, passes over it when ``overs[i]`` is true and carries the
     crossing's sign ``signs[i]`` (PLUS, MINUS or UNSIGNED).  The code is
     also the oriented diagram it describes (see ``diagram``).
+
+    Invariant: the labels are 1..c in order of first appearance, and both
+    visits of a crossing carry its sign.  Every constructor in the package
+    keeps it (the warping profile relies on it); building a ``GaussCode``
+    directly from columns that break it gives meaningless results.
     """
 
     __slots__ = ("labels", "overs", "signs")
@@ -162,6 +170,8 @@ _SEPARATORS = re.compile(r"[\s,]*")
 _WORD = re.compile(r"[^\s,]*")
 _SIGN_OF = {mark: sign for sign, mark in _MARK.items()}
 _INT_WORD = re.compile(r"[+-]?\d+\Z")
+_ROLE = re.compile(r"[OoUu]")
+_CHUNK = 1 << 15  # characters of Gauss text tokenized by one split
 
 
 def _strip_comments(text: str) -> str:
@@ -187,9 +197,11 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
     checking its visit count, then its roles, then its signs.
     """
     index: dict[int, int] = {}
-    # per crossing number k (slot 0 unused): visit count, roles at the
-    # first two visits, sign, and whether two signs contradict
-    count, first, second, sign, clash = [0], [False], [True], [UNSIGNED], [False]
+    # per crossing number k (slot 0 unused): visit count, role at the
+    # first visit and sign; the rare faulty crossings go into two sets
+    count, first, sign = [0], [False], [UNSIGNED]
+    same: set[int] = set()  # the second visit has the first one's role
+    clash: set[int] = set()  # two visits carry opposite signs
     numbers: list[int] = []
     overs: list[bool] = []
     for label, over, s in raw:
@@ -198,59 +210,72 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
             k = index[label] = len(count)
             count.append(1)
             first.append(over)
-            second.append(over)
             sign.append(s)
-            clash.append(False)
         else:
             count[k] += 1
-            if count[k] == 2:
-                second[k] = over
-            if s != UNSIGNED and s != sign[k]:
+            if over == first[k] and count[k] == 2:
+                same.add(k)
+            if s != sign[k] and s != UNSIGNED:
                 if sign[k] == UNSIGNED:
                     sign[k] = s
                 else:
-                    clash[k] = True
+                    clash.add(k)
         numbers.append(k)
         overs.append(over)
 
-    if count.count(2) != len(index) or any(map(eq, first, second)) or any(clash):
+    if count.count(2) != len(index) or same or clash:
         for label, k in index.items():
             if count[k] != 2:
                 raise StructureError(
                     f"crossing {label} appears {count[k]} time(s), expected 2"
                 )
-            if first[k] == second[k]:
+            if k in same:
                 way = "over" if first[k] else "under"
                 raise StructureError(f"crossing {label} is {way} at both visits")
-            if clash[k]:
+            if k in clash:
                 raise StructureError(f"crossing {label} has contradictory signs")
     # tuple() of a list: from an iterator, CPython grows the tuple by
     # realloc, and the freed columns would pile up on its tuple free lists
     return GaussCode(tuple(numbers), tuple(overs), tuple([sign[k] for k in numbers]))
 
 
-def _gauss_visits(body: str) -> Iterator[tuple[int, bool, int]]:
-    """The (label, over, sign) visits of comment-free Gauss text, lazily."""
-    pos = 0
-    for match in _GAUSS_TOKEN.finditer(body):
-        start = match.start()
-        if start != pos and _SEPARATORS.match(body, pos).end() != start:
-            break
-        role, label, mark = match.groups()
-        yield int(label), role in "Oo", _SIGN_OF[mark]
-        pos = match.end()
-    pos = _SEPARATORS.match(body, pos).end()
-    if pos < len(body):
-        word = _WORD.match(body, pos).group()
-        raise CodeSyntaxError(f"bad Gauss token at {word!r}")
+def _gauss_chunks(body: str) -> Iterator[Iterator[tuple[int, bool, int]]]:
+    """The (label, over, sign) visits of comment-free Gauss text, lazily.
+
+    Yields one iterator of visits per chunk of about ``_CHUNK``
+    characters, which one ``re.split`` tokenizes: every fourth part is a
+    gap between tokens, and the three parts after it are a token's role,
+    label and mark.  A chunk ends just before an O or U, which no token
+    holds after its first letter, so no token runs across a cut.  A gap
+    that is not all separators is a syntax error, raised when its chunk is
+    reached and named by the word of the whole body that starts there.
+    """
+    start, end = 0, len(body)
+    while start < end:
+        found = _ROLE.search(body, start + _CHUNK)
+        cut = found.start() if found else end
+        parts = _GAUSS_TOKEN.split(body[start:cut])
+        gaps = parts[::4]
+        if _SEPARATORS.fullmatch("".join(gaps)) is None:
+            i = next(i for i, gap in enumerate(gaps)
+                     if _SEPARATORS.fullmatch(gap) is None)
+            pos = (start + len("".join(parts[:4 * i]))
+                   + _SEPARATORS.match(gaps[i]).end())
+            word = _WORD.match(body, pos).group()
+            raise CodeSyntaxError(f"bad Gauss token at {word!r}")
+        yield zip(map(int, parts[2::4]), map("Oo".__contains__, parts[1::4]),
+                  map(_SIGN_OF.__getitem__, parts[3::4]))
+        start = cut
 
 
 def parse_gauss(text: str) -> GaussCode:
     """Parse Gauss notation.  Raises CodeSyntaxError / StructureError.
 
-    Empty input is the zero-crossing diagram.
+    Empty input is the zero-crossing diagram.  A syntax error anywhere in
+    the text is reported before any structural fault.
     """
-    return _build_gauss(_gauss_visits(_strip_comments(text)))
+    # chained, the visits reach _build_gauss with no generator step each
+    return _build_gauss(chain.from_iterable(_gauss_chunks(_strip_comments(text))))
 
 
 def _relabel(labels: Sequence[int]) -> tuple[int, ...]:

@@ -139,8 +139,10 @@ def random_codes(count: int, max_crossings: int, seed: int) -> list[GaussCode]:
     """
     import random  # here, so that the CLI's import of this module stays cheap
 
-    if count < 0 or max_crossings < 1:
-        raise InvalidParam("count must be >= 0 and max_crossings >= 1")
+    if count < 0:
+        raise InvalidParam(f"count must be >= 0, got {count}")
+    if max_crossings < 1:
+        raise InvalidParam(f"max_crossings must be >= 1, got {max_crossings}")
     rng = random.Random(seed)
     out: list[GaussCode] = []
     for _ in range(count):

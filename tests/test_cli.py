@@ -145,6 +145,16 @@ def test_oracle_rejects_a_negative_cap(capsys, source):
     assert err == "error: cap must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--random", "-1"), "count must be >= 0, got -1"),
+    (("--random", "3", "--max-crossings", "0"), "max_crossings must be >= 1, got 0"),
+], ids=["count", "max-crossings"])
+def test_oracle_random_names_the_bad_parameter(capsys, argv, message):
+    code, out, err = run(capsys, "oracle", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
+from warpdeg import codes as codes_module
 from warpdeg.codes import (
     _build_gauss,
     _split_words,
@@ -128,8 +129,8 @@ def test_gauss_single_kink_is_valid():
     assert code.crossings == 1
 
 
-def test_a_parsed_code_holds_no_object_per_visit():
-    # three columns of 2c entries; one object per visit held 1.87 MB here
+def _seeded_text() -> str:
+    """Packed text of a seeded random signed code with 10⁴ crossings."""
     rng = random.Random(16)
     slots = list(range(20_000))
     rng.shuffle(slots)
@@ -138,7 +139,12 @@ def test_a_parsed_code_holds_no_object_per_visit():
         over, sign = rng.random() < 0.5, rng.choice((PLUS, MINUS))
         visits[slots[2 * label - 2]] = (label, over, sign)
         visits[slots[2 * label - 1]] = (label, not over, sign)
-    text = gauss_text(visits)
+    return gauss_text(visits)
+
+
+def test_a_parsed_code_holds_no_object_per_visit():
+    # three columns of 2c entries; one object per visit held 1.87 MB here
+    text = _seeded_text()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -148,6 +154,22 @@ def test_a_parsed_code_holds_no_object_per_visit():
         tracemalloc.stop()
     assert code.crossings == 10_000
     assert held < 1_000_000
+
+
+def test_parsing_builds_no_column_of_all_visits_on_the_way():
+    # the visits reach _build_gauss a chunk at a time: the peak read
+    # 2.36 MB here, and listing all visits before _build_gauss read 3.86 MB
+    text = _seeded_text()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code = parse_gauss(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code.crossings == 10_000
+    assert peak < 2_600_000
 
 
 @pytest.mark.parametrize("text, message", [
@@ -214,9 +236,36 @@ _gauss_noise = st.sampled_from([
 ])
 
 
-@given(st.lists(st.one_of(_gauss_tokens, _gauss_noise), max_size=12).map("".join))
+_gauss_texts = st.lists(st.one_of(_gauss_tokens, _gauss_noise), max_size=12).map("".join)
+
+
+@given(_gauss_texts)
 def test_gauss_parse_matches_the_per_word_reference(text):
     assert _outcome(parse_gauss, text) == _outcome(reference_parse_gauss, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@given(text=_gauss_texts)
+def test_gauss_parse_is_the_same_in_small_chunks(chunk, text):
+    # a chunk ends just before an O or U, wherever it falls in a word
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes_module, "_CHUNK", chunk)
+        assert _outcome(parse_gauss, text) == _outcome(reference_parse_gauss, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 15])
+@pytest.mark.parametrize("text, message", [
+    # the word is named whole, wherever a chunk ends within it
+    ("O1U1xO2U2", "bad Gauss token at 'xO2U2'"),
+    # a syntax error wins over a structural fault that comes before it
+    ("O5O5U5 O1U1 x", "bad Gauss token at 'x'"),
+])
+def test_gauss_syntax_errors_do_not_depend_on_chunks(monkeypatch, chunk, text,
+                                                      message):
+    monkeypatch.setattr(codes_module, "_CHUNK", chunk)
+    with pytest.raises(CodeSyntaxError) as info:
+        parse_gauss(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text, message", [

@@ -25,7 +25,7 @@ from warpdeg.diagram import (
 )
 from warpdeg.errors import UnknownCrossing
 from warpdeg.bracket import kauffman_bracket
-from warpdeg.families import twist_minimal
+from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
 from warpdeg.oracle import random_codes
 from warpdeg.warping import profile
 
@@ -216,3 +216,37 @@ def test_only_codes_from_outside_data_are_validated(monkeypatch):
     for moved in (d, reverse(d), mirror(d), rotate(d, 3), change_crossing(d, 2)):
         canonical(moved)
     assert len(calls) == 5
+
+
+# ---------------------------------------------------------------------------
+# the normalization every constructor keeps
+# ---------------------------------------------------------------------------
+
+def _first_appearances(labels) -> list[int]:
+    order: list[int] = []
+    for label in labels:
+        if label not in order:
+            order.append(label)
+    return order
+
+
+def test_every_constructor_numbers_labels_by_first_appearance():
+    # warping.profile finds first visits by this invariant alone
+    made = [
+        parse_gauss("U7+ O3- U5+ O7+ U3- O5+"),
+        parse_gauss(""),
+        dt_to_gauss(parse_dt("-8 6 -10 2 -4")),
+        pd_to_gauss(parse_pd("X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)")),
+        *random_codes(40, 9, 4),
+        *(twist_minimal(n) for n in range(1, 5)),
+        *(rational_pq(p, q) for p, q in ((1, 2), (2, 1), (2, 3), (4, 3))),
+        *(ozawa_twist(n) for n in range(1, 5)),
+    ]
+    for d in list(made):
+        made += [reverse(d), mirror(d), canonical(d)]
+        made += [rotate(d, k) for k in (1, 5, -3)]
+        made += [change_crossing(d, at) for at in range(1, d.crossings + 1)]
+    for d in made:
+        order = _first_appearances(d.labels)
+        assert order == list(range(1, d.crossings + 1))
+        assert len(d.labels) == 2 * len(order)
