@@ -47,7 +47,7 @@ from .codes import (
     serialize,
 )
 from .diagram import from_gauss
-from .errors import WarpingError
+from .errors import CapExceeded, WarpingError
 from .oracle import ORACLE_CAP, min_changes_to_monotone, random_codes
 from .warping import summary, warping_degree
 
@@ -173,6 +173,13 @@ def _cmd_oracle(args) -> int:
 
 def _oracle_random(args) -> int:
     max_crossings = 8 if args.max_crossings is None else args.max_crossings
+    if 0 <= args.oracle_cap < max_crossings:
+        # checked before any code is drawn, so that no record is printed
+        default = " (the default)" if args.max_crossings is None else ""
+        raise CapExceeded(
+            f"--max-crossings {max_crossings}{default} > --oracle-cap "
+            f"{args.oracle_cap}; subset search is exponential"
+        )
     codes = random_codes(args.random, max_crossings, args.seed or 0)
     disagreements = 0
     for index, code in enumerate(codes):

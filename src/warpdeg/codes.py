@@ -109,18 +109,40 @@ class GaussCode(_Value):
     also the oriented diagram it describes (see ``diagram``).
 
     Invariant: the labels are 1..c in order of first appearance, and both
-    visits of a crossing carry its sign.  Every constructor in the package
-    keeps it (the warping profile relies on it); building a ``GaussCode``
-    directly from columns that break it gives meaningless results.
+    visits of a crossing carry its sign.  The constructor enforces it as
+    the parsers do: the three columns must be of one length and the signs
+    PLUS, MINUS or UNSIGNED; each label must appear exactly twice, over at
+    one visit and under at the other, without opposite signs, or
+    StructureError names the first faulty label.  Any hashable labels are
+    then renumbered 1..c by first appearance, a sign given at one visit is
+    spread to both, and the columns are stored as tuples.
     """
 
     __slots__ = ("labels", "overs", "signs")
 
-    def __init__(self, labels: tuple[int, ...], overs: tuple[bool, ...],
-                 signs: tuple[int, ...]) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "overs", overs)
-        object.__setattr__(self, "signs", signs)
+    def __init__(self, labels: Sequence[int], overs: Sequence[bool],
+                 signs: Sequence[int]) -> None:
+        if not len(labels) == len(overs) == len(signs):
+            raise StructureError(
+                f"columns of {len(labels)} labels, {len(overs)} roles and "
+                f"{len(signs)} signs; expected one length"
+            )
+        for s in signs:
+            if s not in _MARK:
+                raise StructureError(f"sign {s!r} is not PLUS, MINUS or UNSIGNED")
+        code = _build_gauss(zip(labels, overs, signs))
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(code, name))
+
+    @classmethod
+    def _of(cls, labels: tuple[int, ...], overs: tuple[bool, ...],
+            signs: tuple[int, ...]) -> GaussCode:
+        """A code of columns that keep the invariant already; unchecked."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "labels", labels)
+        object.__setattr__(code, "overs", overs)
+        object.__setattr__(code, "signs", signs)
+        return code
 
     @property
     def crossings(self) -> int:
@@ -171,6 +193,7 @@ _WORD = re.compile(r"[^\s,]*")
 _SIGN_OF = {mark: sign for sign, mark in _MARK.items()}
 _INT_WORD = re.compile(r"[+-]?\d+\Z")
 _ROLE = re.compile(r"[OoUu]")
+_IS_OVER = {"O": True, "o": True, "U": False, "u": False}
 _CHUNK = 1 << 15  # characters of Gauss text tokenized by one split
 
 
@@ -236,7 +259,8 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
                 raise StructureError(f"crossing {label} has contradictory signs")
     # tuple() of a list: from an iterator, CPython grows the tuple by
     # realloc, and the freed columns would pile up on its tuple free lists
-    return GaussCode(tuple(numbers), tuple(overs), tuple([sign[k] for k in numbers]))
+    return GaussCode._of(tuple(numbers), tuple(overs),
+                         tuple([sign[k] for k in numbers]))
 
 
 def _gauss_chunks(body: str) -> Iterator[Iterator[tuple[int, bool, int]]]:
@@ -263,7 +287,7 @@ def _gauss_chunks(body: str) -> Iterator[Iterator[tuple[int, bool, int]]]:
                    + _SEPARATORS.match(gaps[i]).end())
             word = _WORD.match(body, pos).group()
             raise CodeSyntaxError(f"bad Gauss token at {word!r}")
-        yield zip(map(int, parts[2::4]), map("Oo".__contains__, parts[1::4]),
+        yield zip(map(int, parts[2::4]), map(_IS_OVER.__getitem__, parts[1::4]),
                   map(_SIGN_OF.__getitem__, parts[3::4]))
         start = cut
 
@@ -279,16 +303,28 @@ def parse_gauss(text: str) -> GaussCode:
 
 
 def _relabel(labels: Sequence[int]) -> tuple[int, ...]:
-    """Renumber labels 1..c by first appearance; nothing is validated."""
-    number: dict[int, int] = {}
-    return tuple([number.setdefault(label, len(number) + 1) for label in labels])
+    """Renumber labels 1..c by first appearance; nothing is validated.
+
+    The labels must be 1..c already, each twice and in any order, as in a
+    rotation or reversal of a normalized code's labels.
+    """
+    number = [0] * (len(labels) // 2 + 1)  # slot 0 unused
+    fresh = 0
+    out: list[int] = []
+    for label in labels:
+        k = number[label]
+        if not k:
+            fresh += 1
+            k = number[label] = fresh
+        out.append(k)
+    return tuple(out)
 
 
 def _rotated(code: GaussCode, k: int) -> GaussCode:
     """``code`` re-anchored at position ``k`` (0 <= k < 2c) and relabelled."""
     labels, overs, signs = code.labels, code.overs, code.signs
-    return GaussCode(_relabel(labels[k:] + labels[:k]), overs[k:] + overs[:k],
-                     signs[k:] + signs[:k])
+    return GaussCode._of(_relabel(labels[k:] + labels[:k]), overs[k:] + overs[:k],
+                         signs[k:] + signs[:k])
 
 
 _SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
@@ -304,16 +340,19 @@ def _least_rotation(code: GaussCode) -> int:
     so every least start gives the same relabelled code.  The scan is the
     standard two-index one for Booth's problem ("Lexicographically least
     circular substrings", IPL 1980): ``i`` is the best start so far, and
-    every start below ``j`` other than ``i`` is beaten.
+    every start below ``j`` other than ``i`` is beaten.  The code's labels
+    are 1..c, so the partner table is a list indexed by label.
     """
     n = len(code.labels)
     # symbol = (role * n + distance) * 3 + sign rank, with 0 < distance < n
     word = [(0 if over else 3 * n) + _SIGN_RANK[sign]
             for over, sign in zip(code.overs, code.signs)]
-    first: dict[int, int] = {}
+    first = [-1] * (n // 2 + 1)  # label -> position of its first visit
     for p, label in enumerate(code.labels):
-        q = first.setdefault(label, p)
-        if q != p:
+        q = first[label]
+        if q < 0:
+            first[label] = p
+        else:
             word[q] += 3 * (p - q)
             word[p] += 3 * (n - (p - q))
     word += word
@@ -526,12 +565,13 @@ def detect_notation(text: str) -> str:
 def read_text(path: Path, get_data=None) -> str:
     """The UTF-8 text of a file; an unreadable file is a DataError.
 
-    ``get_data``, given the path as a string, reads its bytes instead.
+    A leading byte-order mark is dropped.  ``get_data``, given the path as
+    a string, reads its bytes instead.
     """
     try:
         if get_data is not None:
-            return get_data(str(path)).decode("utf-8")
-        return path.read_text(encoding="utf-8")
+            return get_data(str(path)).decode("utf-8-sig")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -35,15 +35,15 @@ def reverse(diagram: GaussCode) -> GaussCode:
     before position 0 is the same physical edge as before, so profiles of
     ``diagram`` and ``reverse(diagram)`` line up as a -> (2c - a) mod 2c.
     """
-    return GaussCode(_relabel(diagram.labels[::-1]), diagram.overs[::-1],
-                     diagram.signs[::-1])
+    return GaussCode._of(_relabel(diagram.labels[::-1]), diagram.overs[::-1],
+                         diagram.signs[::-1])
 
 
 def mirror(diagram: GaussCode) -> GaussCode:
     """Swap over and under at every crossing and negate the signs."""
-    return GaussCode(diagram.labels,
-                     tuple([not over for over in diagram.overs]),
-                     tuple([-sign for sign in diagram.signs]))
+    return GaussCode._of(diagram.labels,
+                         tuple([not over for over in diagram.overs]),
+                         tuple([-sign for sign in diagram.signs]))
 
 
 def rotate(diagram: GaussCode, k: int) -> GaussCode:
@@ -68,4 +68,4 @@ def change_crossing(diagram: GaussCode, label: int) -> GaussCode:
     for p, at in enumerate(diagram.labels):
         if at == label:
             overs[p], signs[p] = not overs[p], -signs[p]
-    return GaussCode(diagram.labels, tuple(overs), tuple(signs))
+    return GaussCode._of(diagram.labels, tuple(overs), tuple(signs))

@@ -111,6 +111,30 @@ def test_non_utf8_files_are_input_errors(capsys, tmp_path, command):
                    "(invalid continuation byte at byte 24)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{file}"), ("analyze", "{file}", "--output", "records"),
+    ("batch", "{file}"), ("batch", "{file}", "--output", "records"),
+    ("verify", "--quiet", "--table", "{file}"),
+], ids=" ".join)
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, argv):
+    from warpdeg.table import default_table_path
+
+    if argv[0] == "verify":
+        text = default_table_path().read_bytes()
+    elif argv[0] == "analyze":
+        text = f"# a figure eight\n{FIGURE8}\n".encode()
+    else:  # a comment line, a failing line, and Gauss, DT and PD lines
+        text = (f"# codes\n{TREFOIL}\nO1+U2+\n4 6 2\n"
+                "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n").encode()
+    outcomes = []
+    for name, head in (("plain.txt", b""), ("marked.txt", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(head + text)
+        outcomes.append(run(capsys, *(a.format(file=path) for a in argv)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == ""
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -151,6 +175,19 @@ def test_oracle_rejects_a_negative_cap(capsys, source):
 ], ids=["count", "max-crossings"])
 def test_oracle_random_names_the_bad_parameter(capsys, argv, message):
     code, out, err = run(capsys, "oracle", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--max-crossings", "17", "--seed", "3", "--output", "records"),
+     "--max-crossings 17 > --oracle-cap 16; subset search is exponential"),
+    (("--oracle-cap", "5"),
+     "--max-crossings 8 (the default) > --oracle-cap 5; subset search is exponential"),
+], ids=["default-cap", "default-bound"])
+def test_oracle_random_rejects_a_bound_above_the_cap_before_any_output(
+        capsys, argv, message):
+    code, out, err = run(capsys, "oracle", "--random", "40", *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
 
