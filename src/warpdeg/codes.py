@@ -30,6 +30,7 @@ anchored-but-unlabelled diagram exactly when their serializations match.
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
@@ -225,8 +226,8 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
     count, first, sign = [0], [False], [UNSIGNED]
     same: set[int] = set()  # the second visit has the first one's role
     clash: set[int] = set()  # two visits carry opposite signs
-    numbers: list[int] = []
-    overs: list[bool] = []
+    numbers = []
+    overs = []
     for label, over, s in raw:
         k = index.get(label)
         if k is None:
@@ -257,10 +258,16 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
                 raise StructureError(f"crossing {label} is {way} at both visits")
             if k in clash:
                 raise StructureError(f"crossing {label} has contradictory signs")
+    # free the scratch before the columns are built, and each list as soon
+    # as its tuple exists, so no more than one column is held twice over
+    del index, count, first, same, clash
+    signs = [sign[k] for k in numbers]
+    del sign
     # tuple() of a list: from an iterator, CPython grows the tuple by
     # realloc, and the freed columns would pile up on its tuple free lists
-    return GaussCode._of(tuple(numbers), tuple(overs),
-                         tuple([sign[k] for k in numbers]))
+    numbers = tuple(numbers)
+    overs = tuple(overs)
+    return GaussCode._of(numbers, overs, tuple(signs))
 
 
 def _gauss_chunks(body: str) -> Iterator[Iterator[tuple[int, bool, int]]]:
@@ -562,7 +569,7 @@ def detect_notation(text: str) -> str:
     raise CodeSyntaxError(f"cannot detect notation of {body[:30]!r}")
 
 
-def read_text(path: Path, get_data=None) -> str:
+def read_text(path: str | os.PathLike[str], get_data=None) -> str:
     """The UTF-8 text of a file; an unreadable file is a DataError.
 
     A leading byte-order mark is dropped.  ``get_data``, given the path as
@@ -571,7 +578,8 @@ def read_text(path: Path, get_data=None) -> str:
     try:
         if get_data is not None:
             return get_data(str(path)).decode("utf-8-sig")
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"

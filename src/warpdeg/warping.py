@@ -23,16 +23,19 @@ Derived quantities, all orientation-sensitive unless stated otherwise:
 Since a visit's partner has the opposite strand role, walking the whole
 circle balances out: ``d_a(D) + d_a(-D) = c`` at every shared base point,
 which gives the identities ``e(D) = c - spn(D)`` and
-``d(-D) = c - max(profile)``.  ``summary`` builds the forward profile
-once and takes the minimum, the maximum and the polynomial from it.  It
-still recomputes the reverse degree by an independent traversal and
-checks both identities, raising InternalInconsistency if the engine ever
-disagrees with itself.
+``d(-D) = c - max(profile)``.  ``summary`` still recomputes the reverse
+degree by an independent traversal of the reversed diagram, but streams
+it: the degrees of ``-D`` are walked for their minimum and never stored.
+Only then does it build the forward profile, once, and take the minimum,
+the maximum and the polynomial from it, so at most one profile is held
+at a time.  Both identities are checked, raising InternalInconsistency
+if the engine ever disagrees with itself.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections.abc import Iterator
+from itertools import accumulate, islice
 
 from .codes import GaussCode, _Value
 from .diagram import reverse
@@ -70,11 +73,11 @@ class WarpingSummary(_Value):
         object.__setattr__(self, "profile", profile)
 
 
-def profile(diagram: GaussCode) -> tuple[int, ...]:
-    """Warping degrees at all 2c base points (``(0,)`` when c = 0)."""
+def _degrees(diagram: GaussCode) -> Iterator[int]:
+    """The warping degrees at the 2c base points, in edge order, lazily."""
     overs = diagram.overs
     if not overs:
-        return (0,)
+        return iter((0,))
     # labels are 1..c in order of first appearance, so the first visit to
     # a crossing is the one that carries the next fresh label
     fresh = 1
@@ -85,10 +88,16 @@ def profile(diagram: GaussCode) -> tuple[int, ...]:
             if not over:
                 d0 += 1
     # walking past an overpass raises the degree by 1, an underpass lowers
-    # it; tuple() of a list, as in codes._build_gauss: grown from the
+    # it; islice rather than overs[:-1], which would copy the column
+    steps = map((-1, 1).__getitem__, islice(overs, len(overs) - 1))
+    return accumulate(steps, initial=d0)
+
+
+def profile(diagram: GaussCode) -> tuple[int, ...]:
+    """Warping degrees at all 2c base points (``(0,)`` when c = 0)."""
+    # tuple() of a list, as in codes._build_gauss: grown from the
     # iterator, the tuple raised batch peak RSS by 1.5 MB on short codes
-    steps = map((-1, 1).__getitem__, overs[:-1])
-    return tuple(list(accumulate(steps, initial=d0)))
+    return tuple(list(_degrees(diagram)))
 
 
 def warping_degree(diagram: GaussCode) -> int:
@@ -116,16 +125,18 @@ def warping_polynomial(diagram: GaussCode) -> tuple[int, ...]:
 def summary(diagram: GaussCode) -> WarpingSummary:
     """Compute d(D), d(-D), e(D), spn(D) and the warping polynomial.
 
-    The forward profile is built once and read for the minimum, the
-    maximum and the polynomial.  The reverse degree comes from a fresh
-    traversal of the reversed diagram, then both closed-form identities
-    are verified against the forward profile.
+    The reverse degree comes first, from a fresh traversal of the reversed
+    diagram whose degrees are streamed for their minimum and never stored.
+    The reversed diagram is then dropped, and the forward profile is built
+    once and read for the minimum, the maximum and the polynomial, so only
+    one profile is held at a time.  Both closed-form identities are
+    verified against the forward profile.
     """
     c = diagram.crossings
+    d_rev = min(_degrees(reverse(diagram)))
     degrees = profile(diagram)
     d_fwd = min(degrees)
     top = max(degrees)
-    d_rev = min(profile(reverse(diagram)))
     e = d_fwd + d_rev
     spn = top - d_fwd
     if c > 0 and d_rev != c - top:

@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tracemalloc
+import typing
 from importlib import resources
 
 import pytest
@@ -34,7 +35,7 @@ from warpdeg.codes import (
 )
 from warpdeg.diagram import reverse
 from warpdeg.errors import CodeSyntaxError, StructureError
-from warpdeg.warping import profile
+from warpdeg.warping import profile, summary
 from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
 from warpdeg.oracle import random_codes
 
@@ -131,13 +132,13 @@ def test_gauss_single_kink_is_valid():
     assert code.crossings == 1
 
 
-def _seeded_text() -> str:
-    """Packed text of a seeded random signed code with 10⁴ crossings."""
+def _seeded_text(crossings: int = 10_000) -> str:
+    """Packed text of a seeded random signed code, 10⁴ crossings by default."""
     rng = random.Random(16)
-    slots = list(range(20_000))
+    slots = list(range(2 * crossings))
     rng.shuffle(slots)
-    visits: list = [None] * 20_000
-    for label in range(1, 10_001):
+    visits: list = [None] * (2 * crossings)
+    for label in range(1, crossings + 1):
         over, sign = rng.random() < 0.5, rng.choice((PLUS, MINUS))
         visits[slots[2 * label - 2]] = (label, over, sign)
         visits[slots[2 * label - 1]] = (label, not over, sign)
@@ -174,13 +175,13 @@ def test_parsing_builds_no_column_of_all_visits_on_the_way():
     assert peak < 2_600_000
 
 
-def _peak_of(make, code: GaussCode) -> int:
-    """The tracemalloc peak of ``make(code)`` above what was held before."""
+def _peak_of(make, arg) -> int:
+    """The tracemalloc peak of ``make(arg)`` above what was held before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        make(code)
+        make(arg)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -192,6 +193,31 @@ def test_reverse_and_canonical_renumber_through_no_dict_of_all_labels():
     code = parse_gauss(_seeded_text())
     assert _peak_of(reverse, code) < 950_000
     assert _peak_of(canonical, code) < 1_400_000
+
+
+def test_type_hints_resolve():
+    # a hint naming a type the module does not import fails only here
+    for name in [*codes_module.__all__, "read_text"]:
+        value = getattr(codes_module, name)
+        if callable(value):
+            typing.get_type_hints(value)
+            if isinstance(value, type):
+                typing.get_type_hints(value.__init__)
+
+
+def test_parsing_frees_its_scratch_before_building_the_columns():
+    # at c = 5·10⁴ the peak read 11.5 MB while the per-label scratch and
+    # every list stayed alive until the end; freed early, 9.3 MB
+    text = _seeded_text(50_000)
+    assert _peak_of(parse_gauss, text) < 10_000_000
+
+
+def test_summary_holds_one_profile_at_a_time():
+    # with the reverse profile built as a tuple next to the forward one
+    # and the reversed diagram, the peak read 2.57 MB; streamed, 0.97 MB,
+    # as for profile alone
+    code = parse_gauss(_seeded_text())
+    assert _peak_of(summary, code) < 1_100_000
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from warpdeg import warping
 from warpdeg.codes import GaussCode, parse_gauss
 from warpdeg.diagram import from_gauss
+from warpdeg.errors import InternalInconsistency
 from warpdeg.warping import (
     is_monotone,
     profile,
@@ -121,6 +123,36 @@ def test_alternating_diagrams_have_span_one():
     for text in (TREFOIL, FIGURE8, SEVEN_SIX_A, SEVEN_SIX_B,
                   EIGHT_TWELVE_A, EIGHT_TWELVE_B):
         assert summary(diagram(text)).span == 1
+
+
+def test_summary_checks_its_reverse_degree_against_the_profile(monkeypatch):
+    # a "reverse" that hands back the diagram itself: its degree is
+    # d(D) = 4, while the forward profile's maximum says d(-D) = 7 - 5 = 2
+    monkeypatch.setattr(warping, "reverse", lambda d: d)
+    with pytest.raises(InternalInconsistency) as info:
+        summary(diagram(SEVEN_SIX_B))
+    assert str(info.value) == "reverse degree 4 != c - max(profile) = 2"
+
+
+def test_summary_reverses_once_and_builds_one_profile(monkeypatch):
+    # the traced benchmark run requires both entry points to fire per
+    # diagram; dropping either from summary needs a benchmark revision
+    calls = []
+
+    def spy(name):
+        real = getattr(warping, name)
+
+        def counted(d):
+            calls.append(name)
+            return real(d)
+
+        monkeypatch.setattr(warping, name, counted)
+
+    spy("reverse")
+    spy("profile")
+    s = summary(diagram(SEVEN_SIX_B))
+    assert sorted(calls) == ["profile", "reverse"]
+    assert (s.d_forward, s.d_reverse) == (4, 2)
 
 
 # ---------------------------------------------------------------------------
