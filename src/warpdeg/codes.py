@@ -383,8 +383,7 @@ def canonical(code: GaussCode) -> GaussCode:
     The code is rotated to the least start of its symbol word (see
     ``_least_rotation``) and relabelled by first appearance from there, in
     O(c).  The result starts with an O visit, is idempotent and does not
-    depend on the input's anchor or labels.  Anchors differ from the
-    earlier form, which took the least relabelled visit sequence in O(c²).
+    depend on the input's anchor or labels.
     """
     return _rotated(code, _least_rotation(code))
 

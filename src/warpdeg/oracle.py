@@ -11,8 +11,9 @@ once per base point, recording the crossings met first as overpasses.
   smallest first, until a monotone diagram appears.  Its answer must
   equal the warping degree.  Which visit of a crossing comes first from
   a base point does not depend on which crossings are changed, so the
-  walk is made once per diagram and every subset is tested against each
-  base point's record.
+  walk is made once per diagram, giving the set of subsets that make
+  some base point monotone.  Each size's subsets are summed and looked up
+  there by C-level iterators; the first hit's index gives the witness.
 * ``random_codes`` produces seeded abstract Gauss codes (uniform pairing
   of visit slots, random strand roles and signs) to feed both checks.
 
@@ -21,7 +22,8 @@ The subset search visits up to 2^c diagrams and is capped hard.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress, count, islice
+from math import comb
 
 from .codes import GaussCode, MINUS, PLUS, _Value, _build_gauss
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
@@ -113,17 +115,19 @@ def min_changes_to_monotone(
     if limit < 0:
         raise InvalidParam(f"budget must be nonnegative, got {limit}")
     every = (1 << (c + 1)) - 2  # bits 1..c
-    # per base point, in base order, the one subset that makes it monotone
-    wanted = [every ^ mask for mask in _first_overpasses(diagram)]
+    # the one subset per base point that makes it monotone
+    wanted = {every ^ mask for mask in _first_overpasses(diagram)}
     bits = [1 << k for k in range(1, c + 1)]
     searched = 0
     for size in range(min(limit, c) + 1):
-        for subset in combinations(bits, size):
-            searched += 1
-            flipped = sum(subset)
-            if flipped in wanted:
-                witness = tuple(k for k in range(1, c + 1) if flipped >> k & 1)
-                return OracleResult(size, witness, searched)
+        hits = map(wanted.__contains__, map(sum, combinations(bits, size)))
+        i = next(compress(count(), hits), None)  # index of the first hit
+        if i is None:
+            searched += comb(c, size)
+            continue
+        subset = next(islice(combinations(bits, size), i, None))
+        witness = tuple(bit.bit_length() - 1 for bit in subset)
+        return OracleResult(size, witness, searched + i + 1)
     raise BudgetExceeded(
         f"no monotone diagram within {limit} crossing change(s)"
     )

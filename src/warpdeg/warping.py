@@ -28,8 +28,9 @@ degree by an independent traversal of the reversed diagram, but streams
 it: the degrees of ``-D`` are walked for their minimum and never stored.
 Only then does it build the forward profile, once, and take the minimum,
 the maximum and the polynomial from it, so at most one profile is held
-at a time.  Both identities are checked, raising InternalInconsistency
-if the engine ever disagrees with itself.
+at a time.  ``d(-D) = c - max(profile)`` is checked, raising
+InternalInconsistency if the engine ever disagrees with itself; the span
+identity holds exactly when that one does.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def summary(diagram: GaussCode) -> WarpingSummary:
     diagram whose degrees are streamed for their minimum and never stored.
     The reversed diagram is then dropped, and the forward profile is built
     once and read for the minimum, the maximum and the polynomial, so only
-    one profile is held at a time.  Both closed-form identities are
-    verified against the forward profile.
+    one profile is held at a time.  The reverse degree is verified
+    against the forward profile's maximum.
     """
     c = diagram.crossings
     d_rev = min(_degrees(reverse(diagram)))
@@ -143,8 +144,6 @@ def summary(diagram: GaussCode) -> WarpingSummary:
         raise InternalInconsistency(
             f"reverse degree {d_rev} != c - max(profile) = {c - top}"
         )
-    if c > 0 and spn != c - e:
-        raise InternalInconsistency(f"span {spn} != c - e = {c - e}")
     return WarpingSummary(
         crossings=c,
         d_forward=d_fwd,

@@ -8,8 +8,11 @@ import pytest
 
 from warpdeg.bracket import (
     BRACKET_CAP,
+    DELTA,
     BracketPolynomial,
     Laurent,
+    _contraction_order,
+    _divide_by_delta,
     _laurent_mul,
     determinant,
     is_classical,
@@ -25,6 +28,7 @@ from warpdeg.codes import (
 from warpdeg.diagram import from_gauss, mirror, reverse, rotate
 from warpdeg.errors import (
     CapExceeded,
+    InternalInconsistency,
     InvalidParam,
     NotClassical,
     StructureError,
@@ -248,6 +252,65 @@ def test_contraction_matches_the_state_sum_on_the_twist_families():
 def test_contraction_matches_the_state_sum_on_kinks(text):
     # an arc that starts and ends at the same crossing
     _assert_matches_the_state_sum(diagram(text))
+
+
+def test_division_by_delta_refuses_a_remainder():
+    with pytest.raises(InternalInconsistency, match="leaves 1$"):
+        _divide_by_delta({0: 1})
+    with pytest.raises(InternalInconsistency, match="leaves 1$"):
+        _divide_by_delta({2: -1, 0: 1, -2: -1})  # delta + 1
+
+
+def test_division_by_delta_divides_an_exact_multiple():
+    quotient = {3: 2, 1: -5, -7: 1}
+    assert _divide_by_delta(_laurent_mul(quotient, DELTA)) == quotient
+
+
+# ---------------------------------------------------------------------------
+# the O(c^2) greedy rule as the reference for the running-score order: the
+# order moves only the cost, never the polynomial, so the state-sum tests
+# above cannot see it
+# ---------------------------------------------------------------------------
+
+def reference_contraction_order(
+    labels: tuple[int, ...], crossings: list[list[int]]
+) -> list[int]:
+    """Next, the first not-done crossing with the most done neighbours."""
+    n = len(labels)
+    neighbours = [[labels[(v + d) % n] - 1 for v in pq for d in (-1, 1)]
+                  for pq in crossings]
+    done = [False] * len(crossings)
+    order = []
+    for _ in crossings:
+        nxt = max((i for i, d in enumerate(done) if not d),
+                  key=lambda i: sum(done[j] for j in neighbours[i]))
+        done[nxt] = True
+        order.append(nxt)
+    return order
+
+
+def _assert_same_order(d: GaussCode) -> None:
+    positions: list[list[int]] = [[] for _ in range(d.crossings + 1)]
+    for pos, label in enumerate(d.labels):
+        positions[label].append(pos)
+    crossings = positions[1:]
+    assert _contraction_order(d.labels, crossings) == \
+        reference_contraction_order(d.labels, crossings)
+
+
+def test_contraction_order_matches_the_reference_on_table_and_families(table):
+    diagrams = [d for entry in table
+                for d in entry.minimal_diagrams + entry.extra_diagrams]
+    diagrams += [twist_minimal(n) for n in range(1, 13)]
+    diagrams += [ozawa_twist(n) for n in range(1, 7)]
+    for d in diagrams:
+        _assert_same_order(d)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_contraction_order_matches_the_reference_on_random_codes(seed):
+    for code in random_codes(300, 12, seed):
+        _assert_same_order(from_gauss(code))
 
 
 def test_large_twist_families_stay_fast():
