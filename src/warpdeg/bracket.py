@@ -72,9 +72,6 @@ class BracketPolynomial(_Value):
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-
     @classmethod
     def from_dict(cls, coeffs: Laurent) -> "BracketPolynomial":
         return cls(tuple(sorted((e, k) for e, k in coeffs.items() if k != 0)))

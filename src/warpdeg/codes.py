@@ -36,6 +36,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
+from .values import _Value  # the other modules import it from here
 
 __all__ = [
     "PLUS",
@@ -63,44 +64,6 @@ UNSIGNED = 0
 _MARK = {PLUS: "+", MINUS: "-", UNSIGNED: ""}
 
 
-class _Value:
-    """Base of the immutable value types; ``__slots__`` lists the fields.
-
-    A subclass's ``__init__`` sets each field with ``object.__setattr__``.
-    Two values are equal when they are of one class with equal fields,
-    and hash by their fields; assigning or deleting a field raises
-    AttributeError.  Unlike a tuple, a value never equals a plain tuple.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: "
-                             f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: "
-                             f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
 class GaussCode(_Value):
     """Normalized Gauss code: the anchored visit sequence as three columns.
 
@@ -110,13 +73,14 @@ class GaussCode(_Value):
     also the oriented diagram it describes (see ``diagram``).
 
     Invariant: the labels are 1..c in order of first appearance, and both
-    visits of a crossing carry its sign.  The constructor enforces it as
-    the parsers do: the three columns must be of one length and the signs
-    PLUS, MINUS or UNSIGNED; each label must appear exactly twice, over at
-    one visit and under at the other, without opposite signs, or
-    StructureError names the first faulty label.  Any hashable labels are
-    then renumbered 1..c by first appearance, a sign given at one visit is
-    spread to both, and the columns are stored as tuples.
+    visits of a crossing carry its sign.  The constructor enforces it as the
+    parsers do: the three columns must be of one length, the roles True or
+    False and the signs PLUS, MINUS or UNSIGNED; each label must appear
+    exactly twice, over at one visit and under at the other, without
+    opposite signs, or StructureError names the first faulty label.  Any
+    hashable labels are then renumbered 1..c by first appearance, a sign
+    given at one visit is spread to both, and the columns are stored as
+    tuples.
     """
 
     __slots__ = ("labels", "overs", "signs")
@@ -128,12 +92,13 @@ class GaussCode(_Value):
                 f"columns of {len(labels)} labels, {len(overs)} roles and "
                 f"{len(signs)} signs; expected one length"
             )
-        for s in signs:
+        for over, s in zip(overs, signs):
             if s not in _MARK:
                 raise StructureError(f"sign {s!r} is not PLUS, MINUS or UNSIGNED")
+            if over not in (True, False):
+                raise StructureError(f"role {over!r} is not True or False")
         code = _build_gauss(zip(labels, overs, signs))
-        for name in self.__slots__:
-            object.__setattr__(self, name, getattr(code, name))
+        super().__init__(*code._values())
 
     @classmethod
     def _of(cls, labels: tuple[int, ...], overs: tuple[bool, ...],
@@ -163,9 +128,6 @@ class DTCode(_Value):
 
     __slots__ = ("evens",)
 
-    def __init__(self, evens: tuple[int, ...]) -> None:
-        object.__setattr__(self, "evens", evens)
-
     @property
     def crossings(self) -> int:
         return len(self.evens)
@@ -175,9 +137,6 @@ class PDCode(_Value):
     """Planar diagram code: one edge quadruple per crossing."""
 
     __slots__ = ("quads",)
-
-    def __init__(self, quads: tuple[tuple[int, int, int, int], ...]) -> None:
-        object.__setattr__(self, "quads", quads)
 
     @property
     def crossings(self) -> int:

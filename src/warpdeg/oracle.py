@@ -48,12 +48,6 @@ class OracleResult(_Value):
 
     __slots__ = ("changes", "witness", "nodes_searched")
 
-    def __init__(self, changes: int, witness: tuple[int, ...],
-                 nodes_searched: int) -> None:
-        object.__setattr__(self, "changes", changes)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "nodes_searched", nodes_searched)
-
 
 def _first_overpasses(diagram: GaussCode) -> list[int]:
     """Per base point, the crossings whose first visit is an overpass.

@@ -65,56 +65,30 @@ class ExpectedValues(_Value):
     ``e``, ``md`` and ``e_hat`` are the knot's true warping sum, minimal
     warping degree and reduced warping sum; ``ascending`` and
     ``unknotting`` are the classical a(K) and u(K).  Every ``KnotEntry``
-    carries one; a field is None when no independent source was
-    available.
+    carries one; a field is None, its default, when no source gave it.
     """
 
     __slots__ = ("e", "md", "e_hat", "ascending", "unknotting")
-
-    def __init__(self, e: int | None = None, md: int | None = None,
-                 e_hat: int | None = None, ascending: int | None = None,
-                 unknotting: int | None = None) -> None:
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "md", md)
-        object.__setattr__(self, "e_hat", e_hat)
-        object.__setattr__(self, "ascending", ascending)
-        object.__setattr__(self, "unknotting", unknotting)
+    _defaults = dict.fromkeys(__slots__)
 
 
 class KnotEntry(_Value):
     """One named knot with its diagrams and expected values.
 
     ``twist`` is n when the knot has the two-region pattern (2, n).
-    ``expected`` is always present, with every field None when the
-    record gives no reference values.
+    ``extra_diagrams`` defaults to ``()``, ``expected`` to all-None values.
     """
 
     __slots__ = ("name", "crossings", "prime", "alternating", "twist",
                  "minimal_diagrams", "minimal_complete", "extra_diagrams",
                  "expected")
-
-    def __init__(self, name: str, crossings: int, prime: bool, alternating: bool,
-                 twist: int | None, minimal_diagrams: tuple[GaussCode, ...],
-                 minimal_complete: bool, extra_diagrams: tuple[GaussCode, ...] = (),
-                 expected: ExpectedValues = ExpectedValues()) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "alternating", alternating)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "minimal_diagrams", minimal_diagrams)
-        object.__setattr__(self, "minimal_complete", minimal_complete)
-        object.__setattr__(self, "extra_diagrams", extra_diagrams)
-        object.__setattr__(self, "expected", expected)
+    _defaults = {"extra_diagrams": (), "expected": ExpectedValues()}
 
 
 class KnotTable(_Value):
     """An immutable collection of knot entries; a name finds its first entry."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[KnotEntry, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
 
     def __iter__(self) -> Iterator[KnotEntry]:
         return iter(self.entries)
@@ -172,6 +146,10 @@ def _entry_from_json(obj) -> KnotEntry:
             raise DataError(f"table entry {obj['name']!r}: {key} must be "
                             f"{want}, got {obj[key]!r}")
     name, exp = obj["name"], obj.get("expected", {})
+    unknown = [key for key in obj if key not in _FIELDS]
+    unknown += [f"expected.{key}" for key in exp if key not in ExpectedValues._fields]
+    if unknown:
+        raise DataError(f"table entry {name!r}: unknown key {unknown[0]!r}")
     return KnotEntry(
         name=name,
         crossings=obj["crossings"],
@@ -181,7 +159,7 @@ def _entry_from_json(obj) -> KnotEntry:
         minimal_diagrams=_parse_diagrams(name, obj["minimal"]),
         minimal_complete=obj["minimal_complete"],
         extra_diagrams=_parse_diagrams(name, obj.get("extra", ())),
-        expected=ExpectedValues(*map(exp.get, ExpectedValues.__slots__)),
+        expected=ExpectedValues(*map(exp.get, ExpectedValues._fields)),
     )
 
 
@@ -206,7 +184,7 @@ def validate_entry(entry: KnotEntry) -> list[str]:
         elif entry.crossings != entry.twist + 2:
             problems.append("twist parameter inconsistent with crossing number")
     exp = entry.expected
-    for field in ExpectedValues.__slots__:
+    for field in ExpectedValues._fields:
         value = getattr(exp, field)
         if value is not None and value < 0:
             problems.append(f"negative expected {field}")
@@ -277,10 +255,6 @@ class _EntryStats(_Value):
     """
 
     __slots__ = ("entry", "summaries")
-
-    def __init__(self, entry: KnotEntry, summaries: tuple[WarpingSummary, ...]) -> None:
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "summaries", summaries)
 
     @property
     def minimal(self) -> tuple[WarpingSummary, ...]:
@@ -365,23 +339,14 @@ def is_alternating_diagram(diagram: GaussCode) -> bool:
 # ---------------------------------------------------------------------------
 
 class CheckRow(_Value):
-    """One verified fact: check name, entry scope, outcome, details."""
+    """One verified fact: check name, entry scope, outcome, details ("" by default)."""
 
     __slots__ = ("check", "scope", "passed", "details")
-
-    def __init__(self, check: str, scope: str, passed: bool,
-                 details: str = "") -> None:
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "details", details)
+    _defaults = {"details": ""}
 
 
 class VerificationReport(_Value):
     __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[CheckRow, ...]) -> None:
-        object.__setattr__(self, "rows", rows)
 
     @property
     def passed(self) -> bool:

@@ -62,17 +62,6 @@ class WarpingSummary(_Value):
     __slots__ = ("crossings", "d_forward", "d_reverse", "warping_sum", "span",
                  "polynomial", "profile")
 
-    def __init__(self, crossings: int, d_forward: int, d_reverse: int,
-                 warping_sum: int, span: int, polynomial: tuple[int, ...],
-                 profile: tuple[int, ...]) -> None:
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "d_forward", d_forward)
-        object.__setattr__(self, "d_reverse", d_reverse)
-        object.__setattr__(self, "warping_sum", warping_sum)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "polynomial", polynomial)
-        object.__setattr__(self, "profile", profile)
-
 
 def _degrees(diagram: GaussCode) -> Iterator[int]:
     """The warping degrees at the 2c base points, in edge order, lazily."""
@@ -144,12 +133,4 @@ def summary(diagram: GaussCode) -> WarpingSummary:
         raise InternalInconsistency(
             f"reverse degree {d_rev} != c - max(profile) = {c - top}"
         )
-    return WarpingSummary(
-        crossings=c,
-        d_forward=d_fwd,
-        d_reverse=d_rev,
-        warping_sum=e,
-        span=spn,
-        polynomial=_polynomial(degrees, c),
-        profile=degrees,
-    )
+    return WarpingSummary(c, d_fwd, d_rev, e, spn, _polynomial(degrees, c), degrees)

@@ -740,6 +740,21 @@ def test_verify_names_a_table_missing_from_a_zip_archive(tmp_path):
     ]
 
 
+def test_the_declared_console_script_runs_verify():
+    # runs where the package is not installed, unlike the test below
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text("utf-8"))
+    module, attr = pyproject["project"]["scripts"]["warpdeg"].split(":")
+    script = (
+        "import importlib, sys\n"
+        f"main = getattr(importlib.import_module({module!r}), {attr!r})\n"
+        "sys.exit(main(['verify', '--quiet']))\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.strip() == "ALL CHECKS PASSED (335 checks)"
+
+
 @pytest.mark.skipif(shutil.which("warpdeg") is None,
                     reason="entry point not installed")
 def test_installed_entry_point_runs_verify():

@@ -373,6 +373,11 @@ def test_the_constructor_raises_what_the_parser_raises(text, message):
     (((1, 1), (True,), (0, 0)),
      "columns of 2 labels, 1 roles and 2 signs; expected one length"),
     (((1, 1), (True, False), (0, 2)), "sign 2 is not PLUS, MINUS or UNSIGNED"),
+    # past the constructor, such a role would surface in profile or
+    # summary as an IndexError or TypeError, not as a WarpingError
+    (((1, 1), (2, 0), (1, 1)), "role 2 is not True or False"),
+    (((1, 1), ("O", ""), (1, 1)), "role 'O' is not True or False"),
+    (((1, 1), (True, None), (1, 1)), "role None is not True or False"),
 ])
 def test_the_constructor_rejects_columns_no_parser_could_give(columns, message):
     with pytest.raises(StructureError) as info:
@@ -787,3 +792,87 @@ def test_codes_are_immutable_values_equal_only_to_their_own_class():
     assert pickle.loads(pickle.dumps(code)) == code == copy.deepcopy(code)
     for moved in (reverse(code), canonical(code)):
         assert pickle.loads(pickle.dumps(moved)) == moved == copy.deepcopy(moved)
+
+
+# ---------------------------------------------------------------------------
+# the value constructor
+# ---------------------------------------------------------------------------
+
+class FieldlessDT(DTCode):
+    __slots__ = ()
+
+
+class FieldlessGauss(GaussCode):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("value, other, shown", [
+    (FieldlessDT((4, 6, 2)), FieldlessDT((2,)), "FieldlessDT(evens=(4, 6, 2))"),
+    (FieldlessGauss((1, 1), (True, False), (PLUS, PLUS)),
+     FieldlessGauss((), (), ()),
+     "FieldlessGauss(labels=(1, 1), overs=(True, False), signs=(1, 1))"),
+])
+def test_a_fieldless_subclass_keeps_its_parents_fields(value, other, shown):
+    import copy
+    import pickle
+
+    assert value != other and hash(value) != hash(other)
+    assert repr(value) == shown
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+
+
+def test_only_the_gauss_code_writes_its_own_constructor():
+    import importlib
+    import pkgutil
+
+    import warpdeg
+    from warpdeg.values import _Value
+
+    for module in pkgutil.iter_modules(warpdeg.__path__):
+        importlib.import_module(f"warpdeg.{module.name}")
+    classes, todo = [], [_Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    assert {"DTCode", "KnotEntry", "WarpingSummary"} <= {c.__name__ for c in classes}
+    assert [c for c in classes if "__init__" in vars(c)] == [GaussCode]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DTCode((2,), (4,)), "DTCode() got 2 values for fields ('evens',)"),
+    (lambda: DTCode(odds=(2,)), "DTCode() got an unexpected keyword argument 'odds'"),
+    (lambda: DTCode((2,), evens=(2,)),
+     "DTCode() got multiple values for argument 'evens'"),
+    (lambda: DTCode(), "DTCode() missing argument 'evens'"),
+    (lambda: PDCode(), "PDCode() missing argument 'quads'"),
+])
+def test_the_value_constructor_binds_as_a_call_does(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_the_value_constructor_fills_in_defaults():
+    from warpdeg.table import CheckRow, ExpectedValues, KnotEntry
+
+    assert ExpectedValues(2, unknotting=1) == \
+        ExpectedValues(e=2, md=None, e_hat=None, ascending=None, unknotting=1)
+    entry = KnotEntry("3_1", 3, True, True, 1, (parse_gauss(TREFOIL),), True)
+    assert (entry.extra_diagrams, entry.expected) == ((), ExpectedValues())
+    assert CheckRow("c", "3_1", True) == CheckRow("c", "3_1", True, "")
+    # a field with no default is still required when a later one has one
+    with pytest.raises(TypeError, match="missing argument 'scope'"):
+        CheckRow("c", passed=True)
+
+
+def test_positional_and_keyword_values_are_equal():
+    from warpdeg.oracle import OracleResult
+
+    assert OracleResult(1, (2,), 3) == OracleResult(nodes_searched=3, changes=1,
+                                                    witness=(2,))
+    assert PDCode(((1, 4, 2, 5),)) == PDCode(quads=((1, 4, 2, 5),))
+    summed = summary(parse_gauss(TREFOIL))
+    assert type(summed)(*summed._values()) == summed == type(summed)(
+        **{name: getattr(summed, name) for name in summed._fields})

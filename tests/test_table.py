@@ -449,6 +449,20 @@ def test_loader_checks_expected_values_field_by_field(tmp_path, expected, proble
         load_table(write_table(tmp_path, HEADER, json.dumps(obj)))
 
 
+@pytest.mark.parametrize("key, value, unknown", [
+    ("extras", ["O1+U2+O3+U1+O2+U3+"], "'extras'"),
+    ("expected", {"e": 2, "unknoting": 7}, "'expected.unknoting'"),
+])
+def test_loader_rejects_unknown_keys(tmp_path, key, value, unknown):
+    # a misspelt key would otherwise drop its value without a word
+    obj = json.loads(TREFOIL_RECORD)
+    obj[key] = value
+    path = write_table(tmp_path, HEADER, json.dumps(obj))
+    with pytest.raises(DataError) as info:
+        load_table(path)
+    assert str(info.value) == f"{path}: table entry '3_1': unknown key {unknown}"
+
+
 def test_loader_rejects_records_that_are_not_objects(tmp_path):
     with pytest.raises(DataError, match="not an object"):
         load_table(write_table(tmp_path, HEADER, "[1]"))
