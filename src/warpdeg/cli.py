@@ -69,7 +69,8 @@ def _record(obj: dict) -> str:
     if _encoder is None:
         import json
 
-        _encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        _encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                    check_circular=False)  # records are flat
     return _encoder.encode(obj)
 
 
@@ -114,8 +115,8 @@ def _analysis_record(diagram: GaussCode) -> dict:
         "e": s.warping_sum,
         "spn": s.span,
         "monotone": s.d_forward == 0,
-        "profile": list(s.profile),
-        "polynomial": list(s.polynomial),
+        "profile": s.profile,
+        "polynomial": s.polynomial,
     }
 
 

@@ -105,9 +105,10 @@ class GaussCode(_Value):
             signs: tuple[int, ...]) -> GaussCode:
         """A code of columns that keep the invariant already; unchecked."""
         code = object.__new__(cls)
-        object.__setattr__(code, "labels", labels)
-        object.__setattr__(code, "overs", overs)
-        object.__setattr__(code, "signs", signs)
+        set_labels, set_overs, set_signs = cls._setters
+        set_labels(code, labels)
+        set_overs(code, overs)
+        set_signs(code, signs)
         return code
 
     @property
@@ -158,6 +159,8 @@ _CHUNK = 1 << 15  # characters of Gauss text tokenized by one split
 
 
 def _strip_comments(text: str) -> str:
+    if "#" not in text and "\r" not in text and "\n" not in text:
+        return text  # a batch line's body, cut from its comment already
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return " ".join(line.split("#", 1)[0] for line in lines)
 
@@ -293,7 +296,7 @@ def _rotated(code: GaussCode, k: int) -> GaussCode:
                          signs[k:] + signs[:k])
 
 
-_SIGN_RANK = {PLUS: 0, MINUS: 1, UNSIGNED: 2}
+_SIGN_RANK = (2, 0, 1)  # by sign: PLUS 0, MINUS (index -1) 1, UNSIGNED 2
 
 
 def _least_rotation(code: GaussCode) -> int:

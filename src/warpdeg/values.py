@@ -4,28 +4,35 @@
 class _Value:
     """Base of the immutable value types, and their one constructor.
 
-    ``_fields`` is the parent's fields, then the class's own ``__slots__``:
-    a subclass with ``__slots__ = ()`` keeps its parent's.  The constructor
-    binds positional, then keyword arguments to them as a call binds
-    parameters, and a field given neither way takes the class's default
-    from ``_defaults``.  Values of one class are equal, and hash alike,
-    when their fields are; a value never equals a tuple, and assigning or
-    deleting a field raises AttributeError.
+    ``_fields`` is the parent's fields, then the class's own ``__slots__``,
+    one name as a string or any iterable of names, less ``__dict__`` and
+    ``__weakref__``: a subclass with ``__slots__ = ()`` keeps its parent's.
+    The constructor binds positional, then keyword arguments to them as a
+    call binds parameters, and a field given neither way takes the class's
+    default from ``_defaults``.  It sets the slots through ``_setters``, the
+    ``__set__`` of each field's descriptor, cached when the class is made.
+    Values of one class are equal, and hash alike, when their fields are;
+    a value never equals a tuple, and assigning or deleting a field raises
+    AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
-        cls._fields += cls.__dict__.get("__slots__", ())
+        slots = cls.__dict__.get("__slots__", ())
+        names = (slots,) if isinstance(slots, str) else slots
+        cls._fields += tuple(n for n in names if n not in ("__dict__", "__weakref__"))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
             args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(setters, args):
+            set_slot(self, value)
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
         """The field values of a call that is not one value per field."""

@@ -35,7 +35,7 @@ identity holds exactly when that one does.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice
 
 from .codes import GaussCode, _Value
@@ -92,7 +92,7 @@ def profile(diagram: GaussCode) -> tuple[int, ...]:
 
 def warping_degree(diagram: GaussCode) -> int:
     """d(D): the smallest warping degree over all base points."""
-    return min(profile(diagram))
+    return min(_degrees(diagram))
 
 
 def is_monotone(diagram: GaussCode) -> bool:
@@ -100,7 +100,7 @@ def is_monotone(diagram: GaussCode) -> bool:
     return warping_degree(diagram) == 0
 
 
-def _polynomial(degrees: tuple[int, ...], crossings: int) -> tuple[int, ...]:
+def _polynomial(degrees: Iterable[int], crossings: int) -> tuple[int, ...]:
     coeffs = [0] * (crossings + 1)
     for d in degrees:
         coeffs[d] += 1
@@ -109,7 +109,7 @@ def _polynomial(degrees: tuple[int, ...], crossings: int) -> tuple[int, ...]:
 
 def warping_polynomial(diagram: GaussCode) -> tuple[int, ...]:
     """Dense coefficients of the warping polynomial, degree 0..c."""
-    return _polynomial(profile(diagram), diagram.crossings)
+    return _polynomial(_degrees(diagram), diagram.crossings)
 
 
 def summary(diagram: GaussCode) -> WarpingSummary:

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -286,6 +287,55 @@ def test_batch_of_clean_lines_exits_zero(capsys, tmp_path):
     code, out, _ = run(capsys, "batch", str(path))
     assert code == 0
     assert out.splitlines()[-1] == "batch: 0 failed line(s)"
+
+
+def _mixed_batch_text(lines: int = 2000) -> str:
+    """Seeded batch input, built without warpdeg: Gauss and DT codes.
+
+    Gauss codes carry shuffled labels out of 1..99 and random separators;
+    every fifth one is unsigned.  Every tenth line is a signed DT code.
+    One comment line, one blank line, one trailing comment and one line
+    that does not close up are mixed in.
+    """
+    rng = random.Random(23)
+    out = []
+    for i in range(lines):
+        c = rng.randint(1, 12)
+        if i % 10 == 9:
+            evens = [rng.choice((1, -1)) * e for e in range(2, 2 * c + 1, 2)]
+            rng.shuffle(evens)
+            out.append(" ".join(map(str, evens)))
+            continue
+        names = rng.sample(range(1, 100), c)
+        slots = list(range(2 * c))
+        rng.shuffle(slots)
+        visits = [""] * (2 * c)
+        for name in names:
+            over = rng.random() < 0.5
+            mark = "" if i % 5 == 4 else rng.choice("+-")
+            visits[slots.pop()] = f"{'O' if over else 'U'}{name}{mark}"
+            visits[slots.pop()] = f"{'U' if over else 'O'}{name}{mark}"
+        out.append(rng.choice(("", " ", ",")).join(visits))
+    out[3] += "  # trailing comment"
+    out[100:100] = ["# comment only", "", "O1+U2+"]
+    return "\n".join(out) + "\n"
+
+
+# The records of one seeded mixed corpus: a change to the canonical form,
+# the engine or the record writer changes the digest.
+BATCH_RECORDS_SHA256 = (
+    "91d19e777f39c09989e48cb67e326cc0fd1eaf21928ee0a32037ccd9c2d67a9b"
+)
+
+
+def test_batch_records_on_a_seeded_corpus_are_pinned(capsys, tmp_path):
+    path = tmp_path / "codes.txt"
+    path.write_text(_mixed_batch_text(), encoding="utf-8")
+    code, out, _ = run(capsys, "batch", str(path), "--output", "records")
+    assert code == 1
+    assert len(out.splitlines()) == 2001
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        BATCH_RECORDS_SHA256
 
 
 # ---------------------------------------------------------------------------

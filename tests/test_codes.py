@@ -35,7 +35,13 @@ from warpdeg.codes import (
 )
 from warpdeg.diagram import reverse
 from warpdeg.errors import CodeSyntaxError, StructureError
-from warpdeg.warping import profile, summary
+from warpdeg.warping import (
+    is_monotone,
+    profile,
+    summary,
+    warping_degree,
+    warping_polynomial,
+)
 from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
 from warpdeg.oracle import random_codes
 
@@ -220,6 +226,17 @@ def test_summary_holds_one_profile_at_a_time():
     assert _peak_of(summary, code) < 1_100_000
 
 
+@pytest.mark.parametrize("walk, limit", [
+    (warping_degree, 50_000), (is_monotone, 50_000), (warping_polynomial, 250_000),
+], ids=["warping_degree", "is_monotone", "warping_polynomial"])
+def test_the_degree_readers_hold_no_profile(walk, limit):
+    # read from the whole profile tuple, each peaked at 0.93 MB here;
+    # streamed, warping_degree held nothing and warping_polynomial 0.15 MB,
+    # its list of coefficients
+    code = parse_gauss(_seeded_text())
+    assert _peak_of(walk, code) < limit
+
+
 @pytest.mark.parametrize("text, message", [
     # faults are reported for the first faulty label in first-appearance
     # order; on one label the count comes first, then roles, then signs
@@ -290,6 +307,15 @@ _gauss_texts = st.lists(st.one_of(_gauss_tokens, _gauss_noise), max_size=12).map
 @given(_gauss_texts)
 def test_gauss_parse_matches_the_per_word_reference(text):
     assert _outcome(parse_gauss, text) == _outcome(reference_parse_gauss, text)
+
+
+@given(st.text(alphabet="OU0123456789+-, #\r\n", max_size=40))
+def test_strip_comments_is_the_full_pass_and_keeps_clean_text(text):
+    lines = re.split(r"\r\n|\r|\n", text)
+    stripped = codes_module._strip_comments(text)
+    assert stripped == " ".join(line.split("#", 1)[0] for line in lines)
+    if not {"#", "\r", "\n"} & set(text):
+        assert stripped is text
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
@@ -822,6 +848,38 @@ def test_a_fieldless_subclass_keeps_its_parents_fields(value, other, shown):
         assert type(twin) is type(value) and twin == value
 
 
+class NotedDT(DTCode):
+    __slots__ = "note"  # one name
+
+
+class ListedDT(DTCode):
+    __slots__ = ["note"]
+
+
+class WeakDT(DTCode):
+    __slots__ = ("__weakref__",)  # not a field
+
+
+@pytest.mark.parametrize("value, other, shown", [
+    (NotedDT((2,), "a"), NotedDT((2,), "b"), "NotedDT(evens=(2,), note='a')"),
+    (ListedDT((2,), note="a"), ListedDT((4, 2), "a"),
+     "ListedDT(evens=(2,), note='a')"),
+    (WeakDT((2,)), WeakDT(evens=(4, 2)), "WeakDT(evens=(2,))"),
+], ids=["str", "list", "weakref"])
+def test_every_legal_slots_form_makes_a_value_type(value, other, shown):
+    import copy
+    import pickle
+    import weakref
+
+    assert value == type(value)(*value._values()) and value != other
+    assert hash(value) == hash(copy.copy(value))
+    assert repr(value) == shown
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+    if isinstance(value, WeakDT):
+        assert weakref.ref(value)() is value
+
+
 def test_only_the_gauss_code_writes_its_own_constructor():
     import importlib
     import pkgutil
@@ -838,6 +896,17 @@ def test_only_the_gauss_code_writes_its_own_constructor():
         todo += subclasses
     assert {"DTCode", "KnotEntry", "WarpingSummary"} <= {c.__name__ for c in classes}
     assert [c for c in classes if "__init__" in vars(c)] == [GaussCode]
+    # each class sets its slots through its own descriptors, in field order
+    for cls in [_Value, *classes]:
+        assert [setter.__self__ for setter in cls._setters] == \
+            [getattr(cls, name) for name in cls._fields]
+    for value in (DTCode((4, 6, 2)), parse_gauss(TREFOIL),
+                  summary(parse_gauss(TREFOIL))):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
 
 
 @pytest.mark.parametrize("make, message", [
