@@ -17,9 +17,9 @@ records``: every result is then one JSON line with sorted keys, so
 identical invocations produce byte-identical output.
 
 A module that only some commands run is imported where it is used: the
-knot table by ``verify``, the families by ``generate``, ``json`` by record
-output.  A ``batch`` or ``analyze`` run then starts with the parser and the
-warping engine alone.
+knot table by ``verify``, the families by ``generate``, the oracle by
+``oracle``, ``json`` by record output.  A ``batch`` or ``analyze`` run
+then starts with the parser and the warping engine alone.
 
 The cyclic garbage collector is paused only while a command runs, then
 restored: warpdeg's values form no reference cycles, and on a large batch
@@ -48,12 +48,12 @@ from .codes import (
 )
 from .diagram import from_gauss
 from .errors import CapExceeded, WarpingError
-from .oracle import ORACLE_CAP, min_changes_to_monotone, random_codes
 from .warping import summary, warping_degree
 
 __all__ = ["main"]
 
 _ENV_TABLE = "WARPDEG_TABLE"
+_ORACLE_CAP = 16  # oracle.ORACLE_CAP, which only the oracle command imports
 
 
 def _emit(line: str) -> None:
@@ -145,6 +145,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import min_changes_to_monotone
+
     if args.random is not None:
         return _oracle_random(args)
     diagram = from_gauss(_parse_code(_read_input(args.code), args.format))
@@ -173,6 +175,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _oracle_random(args) -> int:
+    from .oracle import min_changes_to_monotone, random_codes
+
     max_crossings = 8 if args.max_crossings is None else args.max_crossings
     if 0 <= args.oracle_cap < max_crossings:
         # checked before any code is drawn, so that no record is printed
@@ -315,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="check COUNT seeded random codes instead")
     p.add_argument("--budget", type=int, default=None,
                    help="largest change-set size to try")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
-                   help=f"crossing cap for subset search (default {ORACLE_CAP})")
+    p.add_argument("--oracle-cap", type=int, default=_ORACLE_CAP,
+                   help=f"crossing cap for subset search (default {_ORACLE_CAP})")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for --random (default 0)")
     p.add_argument("--max-crossings", type=int, default=None,

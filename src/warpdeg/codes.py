@@ -9,8 +9,7 @@ Three notations are supported:
   any run of decimal digits, read as an integer: ``O0`` is accepted,
   ``O01`` is ``O1`` and ``O٣`` is ``O3``.  Tokens may be separated by
   whitespace and/or commas, or packed together (``O1+U2+``); ``#`` starts
-  a comment that runs to the end of the line.  The text is tokenized a
-  chunk at a time, one regex split per chunk (see ``_gauss_chunks``).
+  a comment that runs to the end of the line.
 
 * DT codes: ``c`` signed even integers.  Visits are numbered 1..2c along
   the curve; entry ``i`` pairs odd number ``2i-1`` with the even number
@@ -32,8 +31,9 @@ from __future__ import annotations
 
 import os
 import re
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, compress
 
 from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
 from .values import _Value  # the other modules import it from here
@@ -173,7 +173,8 @@ def _split_words(text: str) -> list[str]:
 # Gauss codes
 # ---------------------------------------------------------------------------
 
-def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
+def _build_gauss(raw: Iterable[tuple[int, bool, int]],
+                 limit: int = -1) -> GaussCode:
     """Validate raw (label, over, sign) visits and normalize them.
 
     Normalization renumbers labels 1..c by first appearance and spreads
@@ -181,8 +182,14 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
     first) is preserved.  One pass over ``raw`` gathers everything; a
     fault names the first faulty label in first-appearance order,
     checking its visit count, then its roles, then its signs.
+
+    A caller that gives ``limit`` promises int labels >= 0, numbered
+    through a list indexed by label, doubled as needed up to ``limit + 1``
+    slots; the first label above ``limit`` moves the call to a dict.
+    Without it, a dict takes any hashable labels, equal keys being one
+    crossing.
     """
-    index: dict[int, int] = {}
+    index = [0] * min(limit + 1, 64) if limit >= 0 else defaultdict(int)
     # per crossing number k (slot 0 unused): visit count, role at the
     # first visit and sign; the rare faulty crossings go into two sets
     count, first, sign = [0], [False], [UNSIGNED]
@@ -191,8 +198,16 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
     numbers = []
     overs = []
     for label, over, s in raw:
-        k = index.get(label)
-        if k is None:
+        try:
+            k = index[label]
+        except IndexError:  # a list's, for an unseen label >= its length
+            if label > limit:
+                index = defaultdict(int, compress(enumerate(index), index))
+            else:
+                index += [0] * (min(max(2 * len(index), label + 1), limit + 1)
+                                - len(index))
+            k = 0
+        if not k:
             k = index[label] = len(count)
             count.append(1)
             first.append(over)
@@ -209,17 +224,21 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]]) -> GaussCode:
         numbers.append(k)
         overs.append(over)
 
-    if count.count(2) != len(index) or same or clash:
-        for label, k in index.items():
+    if count.count(2) != len(count) - 1 or same or clash:
+        if isinstance(index, dict):  # name: crossing -> its first label
+            name = dict(zip(index.values(), index))
+        else:
+            name = dict(zip(index, range(len(index))))
+        for k in range(1, len(count)):
             if count[k] != 2:
                 raise StructureError(
-                    f"crossing {label} appears {count[k]} time(s), expected 2"
+                    f"crossing {name[k]} appears {count[k]} time(s), expected 2"
                 )
             if k in same:
                 way = "over" if first[k] else "under"
-                raise StructureError(f"crossing {label} is {way} at both visits")
+                raise StructureError(f"crossing {name[k]} is {way} at both visits")
             if k in clash:
-                raise StructureError(f"crossing {label} has contradictory signs")
+                raise StructureError(f"crossing {name[k]} has contradictory signs")
     # free the scratch before the columns are built, and each list as soon
     # as its tuple exists, so no more than one column is held twice over
     del index, count, first, same, clash
@@ -267,8 +286,10 @@ def parse_gauss(text: str) -> GaussCode:
     Empty input is the zero-crossing diagram.  A syntax error anywhere in
     the text is reported before any structural fault.
     """
-    # chained, the visits reach _build_gauss with no generator step each
-    return _build_gauss(chain.from_iterable(_gauss_chunks(_strip_comments(text))))
+    body = _strip_comments(text)
+    # chained, the visits reach _build_gauss with no generator step each;
+    # a crossing's two tokens take 4 characters or more
+    return _build_gauss(chain.from_iterable(_gauss_chunks(body)), len(body) // 4)
 
 
 def _relabel(labels: Sequence[int]) -> tuple[int, ...]:
@@ -382,16 +403,12 @@ def dt_to_gauss(dt: DTCode) -> GaussCode:
     Crossing signs are not recoverable from DT notation and are left
     unsigned.
     """
-    c = dt.crossings
-    slots: list[tuple[int, bool] | None] = [None] * (2 * c)
-    for i, entry in enumerate(dt.evens):
-        odd_pos = 2 * i          # 0-based position of visit number 2i+1
-        even_pos = abs(entry) - 1
-        over_at_odd = entry > 0
-        slots[odd_pos] = (i + 1, over_at_odd)
-        slots[even_pos] = (i + 1, not over_at_odd)
-    raw = [(label, over, UNSIGNED) for label, over in slots]  # type: ignore[misc]
-    return _build_gauss(raw)
+    raw: list = [None] * (2 * dt.crossings)
+    for i, entry in enumerate(dt.evens):  # visit 2i+1 is at position 2i
+        over = entry > 0
+        raw[2 * i] = (i + 1, over, UNSIGNED)
+        raw[abs(entry) - 1] = (i + 1, not over, UNSIGNED)
+    return _build_gauss(raw, len(raw))
 
 
 def gauss_to_dt(code: GaussCode) -> DTCode:
@@ -443,10 +460,7 @@ def parse_pd(text: str) -> PDCode:
     if not quads:
         raise StructureError("empty PD code")
     c = len(quads)
-    counts: dict[int, int] = {}
-    for quad in quads:
-        for edge in quad:
-            counts[edge] = counts.get(edge, 0) + 1
+    counts = Counter(chain.from_iterable(quads))
     if sorted(counts) != list(range(1, 2 * c + 1)) or set(counts.values()) != {2}:
         raise StructureError("PD edge labels must be 1..2c, each used twice")
     return PDCode(tuple(sorted(quads)))
@@ -468,7 +482,6 @@ def pd_to_gauss(pd: PDCode) -> GaussCode:
 
     c = pd.crossings
     raw: list[tuple[int, bool, int]] = []
-    signs: dict[int, int] = {}
     seen: set[tuple[int, int]] = set()
     here = (0, 0)  # enter crossing 0 along its incoming under-strand
     for _ in range(2 * c):
@@ -477,9 +490,8 @@ def pd_to_gauss(pd: PDCode) -> GaussCode:
             raise StructureError("PD traversal revisits a strand; not a knot")
         seen.add(here)
         over = slot in (1, 3)
-        if over:
-            signs[ci] = PLUS if slot == 3 else MINUS
-        raw.append((ci + 1, over, UNSIGNED))
+        # the sign shows at the overpass; _build_gauss spreads it to both visits
+        raw.append((ci + 1, over, (PLUS if slot == 3 else MINUS) if over else UNSIGNED))
         exit_slot = (slot + 2) % 4
         edge = pd.quads[ci][exit_slot]
         ends = incidence[edge]
@@ -493,8 +505,7 @@ def pd_to_gauss(pd: PDCode) -> GaussCode:
         raise StructureError("PD traversal does not close up; not a knot")
     if len({ci for ci, _ in seen}) != c:
         raise StructureError("PD code describes more than one component")
-    raw_signed = [(label, over, signs[label - 1]) for label, over, _ in raw]
-    return _build_gauss(raw_signed)
+    return _build_gauss(raw, len(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -154,5 +154,5 @@ def random_codes(count: int, max_crossings: int, seed: int) -> list[GaussCode]:
             sign = PLUS if rng.random() < 0.5 else MINUS
             visits[p] = (label, over_first, sign)
             visits[q] = (label, not over_first, sign)
-        out.append(_build_gauss([v for v in visits if v is not None]))
+        out.append(_build_gauss([v for v in visits if v is not None], 2 * c))
     return out

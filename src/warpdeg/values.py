@@ -7,6 +7,7 @@ class _Value:
     ``_fields`` is the parent's fields, then the class's own ``__slots__``,
     one name as a string or any iterable of names, less ``__dict__`` and
     ``__weakref__``: a subclass with ``__slots__ = ()`` keeps its parent's.
+    A private (name-mangled) slot such as ``__note`` is a TypeError.
     The constructor binds positional, then keyword arguments to them as a
     call binds parameters, and a field given neither way takes the class's
     default from ``_defaults``.  It sets the slots through ``_setters``, the
@@ -24,7 +25,12 @@ class _Value:
     def __init_subclass__(cls) -> None:
         slots = cls.__dict__.get("__slots__", ())
         names = (slots,) if isinstance(slots, str) else slots
-        cls._fields += tuple(n for n in names if n not in ("__dict__", "__weakref__"))
+        own = tuple(n for n in names if n not in ("__dict__", "__weakref__"))
+        for name in own:
+            if name.startswith("__") and not name.endswith("__"):
+                raise TypeError(f"{cls.__name__}: private slot {name!r} cannot "
+                                "be a field (Python stores it name-mangled)")
+        cls._fields += own
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:

@@ -193,6 +193,17 @@ def test_oracle_random_rejects_a_bound_above_the_cap_before_any_output(
     assert err == f"error: {message}\n"
 
 
+def test_oracle_cap_default_and_help_are_the_oracles_own(capsys):
+    # the parser holds its own copy, so that no other command imports oracle
+    from warpdeg.oracle import ORACLE_CAP
+
+    args = cli._build_parser().parse_args(["oracle", "--random", "1"])
+    assert args.oracle_cap == ORACLE_CAP
+    code, out, _ = run(capsys, "oracle", "--help")
+    assert code == 0
+    assert f"crossing cap for subset search (default {ORACLE_CAP})" in " ".join(out.split())
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -731,7 +742,8 @@ def test_analyze_and_batch_load_neither_the_table_nor_dataclasses(tmp_path):
         "from warpdeg import cli\n"
         f"assert cli.main(['batch', {str(empty)!r}, '--output', 'records']) == 0\n"
         "assert cli.main(['analyze', 'O1-U1-']) == 0\n"
-        "heavy = ('dataclasses', 'inspect', 'warpdeg.table', 'warpdeg.bracket')\n"
+        "heavy = ('dataclasses', 'inspect', 'warpdeg.table', 'warpdeg.bracket',\n"
+        "         'warpdeg.oracle')\n"
         "print('loaded:', [name for name in heavy if name in sys.modules])\n"
     )
     proc = _fresh_python("-c", script)

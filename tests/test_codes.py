@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import time
 import tracemalloc
 import typing
@@ -218,6 +219,16 @@ def test_parsing_frees_its_scratch_before_building_the_columns():
     assert _peak_of(parse_gauss, text) < 10_000_000
 
 
+def test_parsing_numbers_crossings_through_a_list_indexed_by_label():
+    # through a dict of raw labels the peaks read 9.26 MB at c = 5·10⁴ and
+    # 2.19 MB at c = 10⁴; through a list indexed by label, 5.85 and 1.83 MB
+    assert _peak_of(parse_gauss, _seeded_text(50_000)) < 7_000_000
+    assert _peak_of(parse_gauss, _seeded_text()) < 2_000_000
+    # no table is sized by a label beyond what the text's length bounds
+    assert _peak_of(parse_gauss, "O99999999999U99999999999") < 100_000
+    assert _peak_of(parse_gauss, "O99999U99999") < 100_000
+
+
 def test_summary_holds_one_profile_at_a_time():
     # with the reverse profile built as a tuple next to the forward one
     # and the reversed diagram, the peak read 2.57 MB; streamed, 0.97 MB,
@@ -277,7 +288,35 @@ def reference_parse_gauss(text: str) -> GaussCode:
                 label = int(tok[1:])
             raw.append((label, over, sign))
             pos = match.end()
-    return _build_gauss(raw)
+    return reference_build_gauss(raw)
+
+
+def reference_build_gauss(raw) -> GaussCode:
+    """Normalization through a dict of raw labels, checked label by label.
+
+    Labels equal as dict keys are one crossing, named by the first of
+    them; faults are reported for the first faulty label in
+    first-appearance order, count before roles before signs.
+    """
+    raw = list(raw)
+    where: dict = {}  # label -> positions of its visits
+    for p, (label, _, _) in enumerate(raw):
+        where.setdefault(label, []).append(p)
+    for label, ps in where.items():
+        if len(ps) != 2:
+            raise StructureError(
+                f"crossing {label} appears {len(ps)} time(s), expected 2")
+        (_, over, s), (_, again, t) = raw[ps[0]], raw[ps[1]]
+        if over == again:
+            way = "over" if over else "under"
+            raise StructureError(f"crossing {label} is {way} at both visits")
+        if s and t and s != t:
+            raise StructureError(f"crossing {label} has contradictory signs")
+    number = {label: k for k, label in enumerate(where, 1)}
+    sign = {label: raw[ps[0]][2] or raw[ps[1]][2] for label, ps in where.items()}
+    return GaussCode._of(tuple(number[label] for label, _, _ in raw),
+                         tuple(over for _, over, _ in raw),
+                         tuple(sign[label] for label, _, _ in raw))
 
 
 def _outcome(parse, text: str):
@@ -359,6 +398,140 @@ def test_gauss_syntax_errors_name_the_rest_of_the_word(text, message):
         assert outcome == visits_of(parse_gauss("O1U1"))
     else:
         assert outcome == (CodeSyntaxError, message)
+
+
+def _built(build, *args):
+    """The normalized visits, or the type and message of the error raised."""
+    try:
+        return visits_of(build(*args))
+    except StructureError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _visit_lists(draw, labels):
+    """Visits of a few crossings, valid or with faults of every kind.
+
+    A label drawn twice is two crossings that merge into one of four
+    visits.  Each fault drops, repeats, flips the role or flips the
+    sign of one visit.
+    """
+    visits = []
+    for label in draw(st.lists(labels, max_size=6)):
+        over = draw(st.booleans())
+        s = draw(st.sampled_from((PLUS, MINUS, UNSIGNED)))
+        visits += [(label, over, s),
+                   (label, not over, draw(st.sampled_from((s, UNSIGNED))))]
+    visits = draw(st.permutations(visits))
+    for fault in draw(st.lists(st.sampled_from("drop again role sign"), max_size=2)):
+        if not visits:
+            break
+        i = draw(st.integers(0, len(visits) - 1))
+        label, over, s = visits[i]
+        if fault == "drop":
+            del visits[i]
+        elif fault == "again":
+            visits.insert(draw(st.integers(0, len(visits))), visits[i])
+        elif fault == "role":
+            visits[i] = (label, not over, s)
+        else:
+            visits[i] = (label, over, -s if s else PLUS)
+    return visits
+
+
+# dense labels, label 0, labels past the first 64 slots, and huge ones
+_int_labels = st.one_of(st.integers(0, 9), st.integers(60, 200),
+                        st.sampled_from([10**11, 10**11 + 1, 2**64]))
+_OTHER_DIGITS = [str.maketrans("0123456789", digits)
+                 for digits in ("٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９")]
+
+
+@st.composite
+def _labelled_texts(draw):
+    """Gauss text of such visits: labels spelled with leading zeros or in
+    other scripts' digits, maybe one noise item, maybe trailing blanks
+    (which raise the bound on the labels the parser's list may hold)."""
+    words = []
+    for label, over, s in draw(_visit_lists(_int_labels)):
+        digits = str(label)
+        spelling = draw(st.integers(0, 1 + len(_OTHER_DIGITS)))
+        if spelling == 1:
+            digits = "00" + digits
+        elif spelling > 1:
+            digits = digits.translate(_OTHER_DIGITS[spelling - 2])
+        role = draw(st.sampled_from("Oo" if over else "Uu"))
+        words += [role, digits, MARK[s], draw(st.sampled_from(["", " ", ","]))]
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), draw(_gauss_noise))
+    return "".join(words) + " " * draw(st.sampled_from([0, 300, 1200]))
+
+
+@given(_labelled_texts())
+def test_gauss_parse_numbers_labels_as_the_dict_reference(text):
+    assert _outcome(parse_gauss, text) == _outcome(reference_parse_gauss, text)
+
+
+def _watched(visits, lists):
+    """The visits, noting before each and at the end the length of the
+    list, if any, that ``_build_gauss`` iterating them numbers crossings
+    through (-1 while it uses a dict)."""
+    for visit in visits:
+        lists.append(_list_length(sys._getframe(1).f_locals["index"]))
+        yield visit
+    lists.append(_list_length(sys._getframe(1).f_locals["index"]))
+
+
+def _list_length(table) -> int:
+    return len(table) if isinstance(table, list) else -1
+
+
+@given(_visit_lists(_int_labels), st.integers(-1, 400))
+def test_build_gauss_numbers_labels_as_the_dict_reference(visits, limit):
+    lengths = []
+    outcome = _built(_build_gauss, _watched(visits, lengths), limit)
+    assert outcome == _built(reference_build_gauss, visits)
+    # no list the labels are numbered through outgrows limit + 1 slots
+    assert max(lengths) <= limit + 1
+
+
+class _Column:
+    """A column of a known length whose items come from an iterator."""
+
+    def __init__(self, items, length):
+        self.items, self.length = items, length
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        return self.items
+
+
+# labels the constructor takes as any dict would: True, 1 and 1.0 are one
+_EQUAL_KEYS = {1: (1, True, 1.0), 0: (0, False, 0.0)}
+_any_labels = st.sampled_from([-3, -1, 0, 1, 2, 70, -(10**12), "a", "1", "01"])
+
+
+@given(_visit_lists(_any_labels), st.data())
+def test_the_constructor_numbers_labels_as_the_dict_reference(visits, data):
+    visits = [(data.draw(st.sampled_from(_EQUAL_KEYS.get(label, (label,)))), over, s)
+              for label, over, s in visits]
+    columns = [list(column) for column in zip(*visits)] or [[], [], []]
+    assert _built(GaussCode, *columns) == _built(reference_build_gauss, visits)
+    # no constructor label, negative ones included, ever indexes a list
+    lengths = []
+    _built(GaussCode, _Column(_watched(columns[0], lengths), len(columns[0])),
+           *columns[1:])
+    assert set(lengths) <= {-1}
+
+
+def test_the_constructor_keeps_the_first_of_equal_labels_in_messages():
+    assert _built(GaussCode, (True, 1, 1.0), (True, False, True), (0, 0, 0)) == \
+        (StructureError, "crossing True appears 3 time(s), expected 2")
+    assert _built(GaussCode, (-1, "x", -1, "x"), (True, True, False, True),
+                  (0, 0, 0, 0)) == (StructureError, "crossing x is over at both visits")
+    assert GaussCode((-5, 1.0, -5, True), (True, False, False, True),
+                     (PLUS, 0, 0, MINUS)) == parse_gauss("O1+U2U1O2-")
 
 
 def test_the_constructor_normalizes_as_the_parser_does():
@@ -878,6 +1051,15 @@ def test_every_legal_slots_form_makes_a_value_type(value, other, shown):
         assert type(twin) is type(value) and twin == value
     if isinstance(value, WeakDT):
         assert weakref.ref(value)() is value
+
+
+@pytest.mark.parametrize("slots", [("__note",), "__note", ["note", "__note"]])
+def test_a_private_slot_is_refused_by_name(slots):
+    # Python stores the slot as _T__note, so no field could be set by its name
+    with pytest.raises(TypeError) as info:
+        type("T", (DTCode,), {"__slots__": slots})
+    assert str(info.value) == ("T: private slot '__note' cannot be a field "
+                               "(Python stores it name-mangled)")
 
 
 def test_only_the_gauss_code_writes_its_own_constructor():

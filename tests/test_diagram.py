@@ -202,9 +202,9 @@ def test_moves_on_table_and_twist_diagrams_match_the_validating_path(table):
 def test_only_codes_from_outside_data_are_validated(monkeypatch):
     calls = []
 
-    def spy(raw):
+    def spy(raw, *limit):
         calls.append(1)
-        return _build_gauss(raw)
+        return _build_gauss(raw, *limit)
 
     monkeypatch.setattr(codes, "_build_gauss", spy)
     monkeypatch.setattr(oracle, "_build_gauss", spy)
