@@ -32,7 +32,8 @@ import argparse
 import gc
 import os
 import sys
-from pathlib import Path
+from collections.abc import Iterator
+from itertools import chain
 
 from .codes import (
     GaussCode,
@@ -47,7 +48,7 @@ from .codes import (
     serialize,
 )
 from .diagram import from_gauss
-from .errors import CapExceeded, WarpingError
+from .errors import CapExceeded, DataError, WarpingError
 from .warping import summary, warping_degree
 
 __all__ = ["main"]
@@ -76,12 +77,29 @@ def _record(obj: dict) -> str:
 
 def _read_input(value: str) -> str:
     """The argument itself, or the contents of the file it names."""
-    path = Path(value)
+    # False too for a name the OS refuses, e.g. one too long: then a code
+    return read_text(value) if os.path.isfile(value) else value
+
+
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file as ``text.splitlines()`` cuts its text.
+
+    The file is read once, one physical line at a time, so a pipe serves
+    as well as a file.  A leading byte-order mark is dropped.  No UTF-8
+    sequence holds the byte ``\\n``, so each physical line decodes alone, and
+    a decode fault is raised when the reading reaches it.
+    """
+    end = 0  # the file offset past the bytes read
     try:
-        is_file = path.is_file()
-    except OSError:  # e.g. a name too long for the file system: a code
-        return value
-    return read_text(path) if is_file else value
+        with open(path, "rb") as file:
+            first = file.readline()
+            if first.startswith(b"\xef\xbb\xbf"):
+                first, end = first[3:], 3
+            for line in chain((first,), file):
+                end += len(line)
+                yield from line.decode("utf-8").splitlines()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise DataError.reading(path, exc, end) from None
 
 
 def _parse_code(text: str, notation: str | None) -> GaussCode:
@@ -231,9 +249,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    lines = read_text(Path(args.file)).splitlines()
     failures = 0
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(_lines(args.file), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

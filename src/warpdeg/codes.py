@@ -544,23 +544,16 @@ def detect_notation(text: str) -> str:
 def read_text(path: str | os.PathLike[str], get_data=None) -> str:
     """The UTF-8 text of a file; an unreadable file is a DataError.
 
-    A leading byte-order mark is dropped.  ``get_data``, given the path as
-    a string, reads its bytes instead.
+    A leading byte-order mark is dropped; line ends are kept as they are.
+    ``get_data``, given the path as a string, reads its bytes instead.
     """
+    data = b""
     try:
         if get_data is not None:
-            return get_data(str(path)).decode("utf-8-sig")
-        with open(path, encoding="utf-8-sig") as file:
-            return file.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-        if get_data is not None and isinstance(exc, OSError) and not exc.errno:
-            # zipimporter.get_data raises OSError(0, "", name) for a name
-            # that the archive does not hold
-            reason = "member missing from the archive"
+            data = get_data(str(path))
         else:
-            reason = getattr(exc, "strerror", None) or exc
-        raise DataError(f"cannot read {path}: {reason}") from None
+            with open(path, "rb") as file:
+                data = file.read()
+        return data.decode("utf-8-sig")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise DataError.reading(path, exc, len(data)) from None

@@ -70,3 +70,19 @@ class InternalInconsistency(WarpingError):
 class DataError(WarpingError):
     """A bundled or user-supplied data file is unreadable, malformed or
     inconsistent."""
+
+    @classmethod
+    def reading(cls, path, exc: OSError | ValueError, end: int = 0) -> DataError:
+        """The error for ``exc``, raised while reading the file ``path``.
+
+        A decode fault names its file offset, ``end`` being the offset just
+        past the bytes that ``exc`` decoded.  An OSError without an errno is
+        zipimporter.get_data's, for a name that the archive does not hold.
+        """
+        if isinstance(exc, UnicodeDecodeError):
+            offset = end - len(exc.object) + exc.start
+            return cls(f"{path} is not UTF-8 text ({exc.reason} at byte {offset})")
+        if isinstance(exc, OSError) and not exc.errno:
+            return cls(f"cannot read {path}: member missing from the archive")
+        reason = getattr(exc, "strerror", None) or exc  # ValueError: a NUL
+        return cls(f"cannot read {path}: {reason}")

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -102,14 +103,35 @@ def test_analyze_treats_an_overlong_argument_as_a_code(capsys):
     assert out == f"d(D)={s.d_forward} d(-D)={s.d_reverse} e={s.warping_sum} spn={s.span}\n"
 
 
+@pytest.mark.parametrize("head, offset", [(b"", 24), (b"\xef\xbb\xbf", 27)],
+                         ids=["plain", "marked"])
 @pytest.mark.parametrize("command", ["analyze", "batch", "verify --table"])
-def test_non_utf8_files_are_input_errors(capsys, tmp_path, command):
+def test_non_utf8_files_are_input_errors(capsys, tmp_path, command, head,
+                                         offset):
+    # the offset is the bad byte's in the file, byte-order mark included
     path = tmp_path / "latin1.txt"
-    path.write_bytes(TREFOIL.encode() + b" # caf\xe9\n")
+    path.write_bytes(head + TREFOIL.encode() + b" # caf\xe9\n")
     code, out, err = run(capsys, *command.split(), str(path))
     assert (code, out) == (2, "")
     assert err == (f"error: {path} is not UTF-8 text "
-                   "(invalid continuation byte at byte 24)\n")
+                   f"(invalid continuation byte at byte {offset})\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("analyze", "./latin1.txt"), "./latin1.txt is not UTF-8 text "
+     "(invalid continuation byte at byte 3)"),
+    (("batch", "./latin1.txt"), "./latin1.txt is not UTF-8 text "
+     "(invalid continuation byte at byte 3)"),
+    (("batch", ".//absent.txt"),
+     "cannot read .//absent.txt: No such file or directory"),
+], ids=["analyze", "batch", "batch-absent"])
+def test_a_file_is_named_in_errors_as_it_was_typed(capsys, tmp_path,
+                                                  monkeypatch, argv, err):
+    # deliberately not normalized: "./latin1.txt" is not shortened to
+    # "latin1.txt", nor ".//absent.txt" to "absent.txt"
+    (tmp_path / "latin1.txt").write_bytes(b"caf\xe9\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -347,6 +369,95 @@ def test_batch_records_on_a_seeded_corpus_are_pinned(capsys, tmp_path):
     assert len(out.splitlines()) == 2001
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         BATCH_RECORDS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the batch reader
+# ---------------------------------------------------------------------------
+
+_PIECES = ("a", "O1+", "#", "\u00e9", "\U0001f600", "\r", "\n", "\r\n", "\v",
+           "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\ufeff")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(_PIECES), max_size=20).map("".join),
+       head=st.sampled_from((b"", b"\xef\xbb\xbf")))
+def test_batch_numbers_the_lines_that_splitlines_cuts(text, head):
+    data = head + text.encode("utf-8")
+    expected = data.decode("utf-8-sig").splitlines()  # all of the file at once
+    with tempfile.TemporaryDirectory() as tmp:
+        drawn, plain = Path(tmp, "drawn.txt"), Path(tmp, "plain.txt")
+        drawn.write_bytes(data)
+        # the same lines, each ended by "\n" alone; a leading mark, so that
+        # a U+FEFF starting the first line is kept
+        plain.write_bytes(b"\xef\xbb\xbf" + "\n".join(expected).encode("utf-8"))
+        assert list(cli._lines(str(drawn))) == expected
+        outputs = []
+        for path in (drawn, plain):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                status = main(["batch", str(path), "--output", "records"])
+            outputs.append((status, out.getvalue()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("tail, err", [
+    (b"x\xe9y\n", "invalid continuation byte at byte 43"),
+    (b"O1+U1+ \xe2\x82", "unexpected end of data at byte 49"),
+], ids=["invalid", "truncated"])
+def test_batch_reports_a_late_decode_fault_where_the_reader_meets_it(
+        capsys, tmp_path, tail, err):
+    # the mark, the first line and the blank one take 23 bytes, the third 19
+    path = tmp_path / "late.txt"
+    path.write_bytes(f"\ufeff{TREFOIL}\n\n{TREFOIL}\n".encode() + tail)
+    code, out, got = run(capsys, "batch", str(path))
+    assert code == 2
+    assert out == ("line 1: d(D)=1 d(-D)=1 e=2 spn=1\n"
+                   "line 3: d(D)=1 d(-D)=1 e=2 spn=1\n")
+    assert got == f"error: {path} is not UTF-8 text ({err})\n"
+
+
+def test_batch_reads_a_pipe_as_it_reads_a_file(tmp_path):
+    data = (f"\ufeff# codes\r\n{TREFOIL}\r\nO1+U2+\n4 6 2\r"
+            f"{FIGURE8}\u2028X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)").encode()
+    path = tmp_path / "codes.txt"
+    path.write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    outputs = []
+    for name, given_input in ((str(path), None), ("/dev/stdin", data)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "warpdeg.cli", "batch", name,
+             "--output", "records"],
+            input=given_input, capture_output=True, env=env)
+        outputs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and outputs[0][1].count(b"\n") == 5
+
+
+def _batch_peak(path: Path) -> int:
+    """The tracemalloc peak of a records batch over ``path``."""
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            main(["batch", str(path), "--output", "records"])
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+
+def test_batch_memory_does_not_grow_with_the_number_of_lines(tmp_path):
+    # reading the whole file and its list of lines, the peaks read 0.38 MB
+    # on 2k lines and 3.35 MB on 20k; one physical line at a time, 0.10
+    # and 0.07 MB
+    short, long = tmp_path / "short.txt", tmp_path / "long.txt"
+    short.write_text(_mixed_batch_text(2_000), encoding="utf-8")
+    long.write_text(_mixed_batch_text(20_000), encoding="utf-8")
+    _batch_peak(short)  # the encoder and the pattern caches, made once
+    small, large = _batch_peak(short), _batch_peak(long)
+    assert large < 500_000
+    assert large - small < 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +854,7 @@ def test_analyze_and_batch_load_neither_the_table_nor_dataclasses(tmp_path):
         f"assert cli.main(['batch', {str(empty)!r}, '--output', 'records']) == 0\n"
         "assert cli.main(['analyze', 'O1-U1-']) == 0\n"
         "heavy = ('dataclasses', 'inspect', 'warpdeg.table', 'warpdeg.bracket',\n"
-        "         'warpdeg.oracle')\n"
+        "         'warpdeg.oracle', 'pathlib')\n"
         "print('loaded:', [name for name in heavy if name in sys.modules])\n"
     )
     proc = _fresh_python("-c", script)

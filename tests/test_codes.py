@@ -1063,6 +1063,7 @@ def test_a_private_slot_is_refused_by_name(slots):
 
 
 def test_only_the_gauss_code_writes_its_own_constructor():
+    import gc
     import importlib
     import pkgutil
 
@@ -1071,6 +1072,7 @@ def test_only_the_gauss_code_writes_its_own_constructor():
 
     for module in pkgutil.iter_modules(warpdeg.__path__):
         importlib.import_module(f"warpdeg.{module.name}")
+    gc.collect()  # frees the classes that a test refused while being made
     classes, todo = [], [_Value]
     while todo:
         subclasses = todo.pop().__subclasses__()
