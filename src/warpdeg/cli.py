@@ -33,7 +33,6 @@ import gc
 import os
 import sys
 from collections.abc import Iterator
-from itertools import chain
 
 from .codes import (
     GaussCode,
@@ -61,18 +60,29 @@ def _emit(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
-_encoder = None
+_encoder = None  # _record's encoder, built on first use
 
 
 def _record(obj: dict) -> str:
-    """One compact JSON record, keys sorted, by one encoder per process."""
+    """One compact JSON record, keys sorted, by one encoder per process.
+
+    ``JSONEncoder.encode`` builds a new C encoder on every call; this one is
+    built once, from the arguments that ``encode`` would pass it.
+    """
     global _encoder
     if _encoder is None:
-        import json
+        import json.encoder as js
 
-        _encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                    check_circular=False)  # records are flat
-    return _encoder.encode(obj)
+        options = js.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                 check_circular=False)  # records are flat
+        if js.c_make_encoder is None:
+            _encoder = lambda obj, _: (options.encode(obj),)
+        else:
+            _encoder = js.c_make_encoder(
+                None, options.default, js.encode_basestring_ascii, None,
+                options.key_separator, options.item_separator,
+                options.sort_keys, options.skipkeys, options.allow_nan)
+    return "".join(_encoder(obj, 0))
 
 
 def _read_input(value: str) -> str:
@@ -84,20 +94,36 @@ def _read_input(value: str) -> str:
 def _lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 file as ``text.splitlines()`` cuts its text.
 
-    The file is read once, one physical line at a time, so a pipe serves
-    as well as a file.  A leading byte-order mark is dropped.  No UTF-8
-    sequence holds the byte ``\\n``, so each physical line decodes alone, and
-    a decode fault is raised when the reading reaches it.
+    The file is read once, in blocks cut after their last ``\\n`` (a line
+    longer than a block gathers all of its blocks), so a pipe serves as well
+    as a file and memory holds a block, not the file.  A leading byte-order
+    mark is dropped.  No UTF-8 sequence holds the byte ``\\n``, so each cut
+    decodes alone, and a decode fault is raised when the reading reaches
+    it, after the lines before it.
     """
-    end = 0  # the file offset past the bytes read
+    end = 0  # the file offset past the bytes decoded
     try:
         with open(path, "rb") as file:
-            first = file.readline()
-            if first.startswith(b"\xef\xbb\xbf"):
-                first, end = first[3:], 3
-            for line in chain((first,), file):
-                end += len(line)
-                yield from line.decode("utf-8").splitlines()
+            parts = []  # the bytes read since the last b"\n"
+            while True:
+                block = file.read1(8192)  # 64 KiB ran no faster, held more
+                cut = block.rfind(b"\n") + 1
+                if block and not cut:
+                    parts.append(block)
+                    continue
+                parts.append(block[:cut])
+                chunk, parts = b"".join(parts), [block[cut:]]
+                if not end and chunk.startswith(b"\xef\xbb\xbf"):  # first cut
+                    chunk, end = chunk[3:], 3
+                end += len(chunk)
+                try:
+                    yield from chunk.decode("utf-8").splitlines()
+                except UnicodeDecodeError as exc:  # the whole lines before it
+                    whole = chunk[:chunk.rfind(b"\n", 0, exc.start) + 1]
+                    yield from whole.decode("utf-8").splitlines()
+                    raise
+                if not block:
+                    return
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise DataError.reading(path, exc, end) from None
 

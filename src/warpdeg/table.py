@@ -202,7 +202,7 @@ def default_table_path() -> Path:
 
 def load_table(path: str | Path | None = None) -> KnotTable:
     """Load a table file, validating the header and every entry."""
-    location = Path(path) if path is not None else default_table_path()
+    location = default_table_path() if path is None else path  # as given
     # the package's loader reads the bundled table from a zip archive too
     get_data = __loader__.get_data if path is None else None
     lines = [

@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from warpdeg import cli
 from warpdeg.cli import main
@@ -124,12 +124,22 @@ def test_non_utf8_files_are_input_errors(capsys, tmp_path, command, head,
      "(invalid continuation byte at byte 3)"),
     (("batch", ".//absent.txt"),
      "cannot read .//absent.txt: No such file or directory"),
-], ids=["analyze", "batch", "batch-absent"])
+    (("verify", "--table", "./x"), "cannot read ./x: No such file or directory"),
+    (("verify", "--table", "./latin1.txt"), "./latin1.txt is not UTF-8 text "
+     "(invalid continuation byte at byte 3)"),
+    (("verify", "--table", "./bad.tbl"), "./bad.tbl: table entry '3_1': "
+     "crossings must be an integer, got '3'"),
+], ids=["analyze", "batch", "batch-absent", "verify-absent", "verify",
+        "verify-entry"])
 def test_a_file_is_named_in_errors_as_it_was_typed(capsys, tmp_path,
                                                   monkeypatch, argv, err):
     # deliberately not normalized: "./latin1.txt" is not shortened to
     # "latin1.txt", nor ".//absent.txt" to "absent.txt"
     (tmp_path / "latin1.txt").write_bytes(b"caf\xe9\n")
+    (tmp_path / "bad.tbl").write_text(
+        '{"format": "knots-table", "version": 1}\n'
+        + json.dumps({"name": "3_1", "crossings": "3"}) + "\n",
+        encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
@@ -379,11 +389,18 @@ _PIECES = ("a", "O1+", "#", "\u00e9", "\U0001f600", "\r", "\n", "\r\n", "\v",
            "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\ufeff")
 
 
+# Files past two 8 KiB blocks, so that a piece can straddle a cut and a line
+# can span several blocks; the examples put a "\r\n", a U+FEFF and a 4-byte
+# character across the cut at byte 8192, and one line across three blocks.
 @settings(max_examples=300, deadline=None)
 @given(text=st.lists(st.sampled_from(_PIECES), max_size=20).map("".join),
-       head=st.sampled_from((b"", b"\xef\xbb\xbf")))
-def test_batch_numbers_the_lines_that_splitlines_cuts(text, head):
-    data = head + text.encode("utf-8")
+       head=st.sampled_from((b"", b"\xef\xbb\xbf")),
+       copies=st.integers(1, 3000))
+@example(text="a\r\n", head=b"", copies=2731)
+@example(text="\ufeffa\n", head=b"", copies=4000)
+@example(text="\U0001f600", head=b"\xef\xbb\xbf", copies=5000)
+def test_batch_numbers_the_lines_that_splitlines_cuts(text, head, copies):
+    data = head + text.encode("utf-8") * copies
     expected = data.decode("utf-8-sig").splitlines()  # all of the file at once
     with tempfile.TemporaryDirectory() as tmp:
         drawn, plain = Path(tmp, "drawn.txt"), Path(tmp, "plain.txt")
@@ -401,19 +418,22 @@ def test_batch_numbers_the_lines_that_splitlines_cuts(text, head):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("tail, err", [
-    (b"x\xe9y\n", "invalid continuation byte at byte 43"),
-    (b"O1+U1+ \xe2\x82", "unexpected end of data at byte 49"),
-], ids=["invalid", "truncated"])
+@pytest.mark.parametrize("copies, tail, err", [
+    (1, b"x\xe9y\n", "invalid continuation byte at byte 43"),
+    (1, b"O1+U1+ \xe2\x82", "unexpected end of data at byte 49"),
+    (901, b"x\xe9y\n", "invalid continuation byte at byte 17143"),
+], ids=["invalid", "truncated", "third-block"])
 def test_batch_reports_a_late_decode_fault_where_the_reader_meets_it(
-        capsys, tmp_path, tail, err):
-    # the mark, the first line and the blank one take 23 bytes, the third 19
+        capsys, tmp_path, copies, tail, err):
+    # the mark, the first line and the blank one take 23 bytes, each further
+    # line 19; the third-block case's bad byte lies past 16 KiB
     path = tmp_path / "late.txt"
-    path.write_bytes(f"\ufeff{TREFOIL}\n\n{TREFOIL}\n".encode() + tail)
+    path.write_bytes(f"\ufeff{TREFOIL}\n\n".encode()
+                     + f"{TREFOIL}\n".encode() * copies + tail)
     code, out, got = run(capsys, "batch", str(path))
     assert code == 2
-    assert out == ("line 1: d(D)=1 d(-D)=1 e=2 spn=1\n"
-                   "line 3: d(D)=1 d(-D)=1 e=2 spn=1\n")
+    assert out == "".join(f"line {n}: d(D)=1 d(-D)=1 e=2 spn=1\n"
+                          for n in (1, *range(3, 3 + copies)))
     assert got == f"error: {path} is not UTF-8 text ({err})\n"
 
 
@@ -449,8 +469,8 @@ def _batch_peak(path: Path) -> int:
 
 def test_batch_memory_does_not_grow_with_the_number_of_lines(tmp_path):
     # reading the whole file and its list of lines, the peaks read 0.38 MB
-    # on 2k lines and 3.35 MB on 20k; one physical line at a time, 0.10
-    # and 0.07 MB
+    # on 2k lines and 3.35 MB on 20k; in 8 KiB blocks cut at a line end,
+    # 0.13 and 0.10 MB
     short, long = tmp_path / "short.txt", tmp_path / "long.txt"
     short.write_text(_mixed_batch_text(2_000), encoding="utf-8")
     long.write_text(_mixed_batch_text(20_000), encoding="utf-8")
@@ -807,6 +827,31 @@ def test_unknown_subcommands_exit_2(capsys):
 def test_records_mode_is_byte_identical_across_runs(capsys):
     argv = ("analyze", FIGURE8, "--output", "records")
     assert run(capsys, *argv) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
+def test_the_record_writer_writes_what_json_dumps_writes(
+        capsys, tmp_path, monkeypatch, c_encoder):
+    import _json
+    import json.encoder
+
+    if not c_encoder:  # an interpreter without the C accelerator
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_encoder", None)
+    written = []
+    record = cli._record
+    monkeypatch.setattr(cli, "_record",
+                        lambda obj: written.append(obj) or record(obj))
+    file = _lines_file(tmp_path, f"{TREFOIL}\nO\u00e91\n")  # a non-ASCII error
+    for argv in (("batch", file), ("analyze", TREFOIL), ("oracle", TREFOIL),
+                 ("oracle", "--random", "3"), ("verify",)):
+        run(capsys, *argv, "--output", "records")
+    assert isinstance(cli._encoder, _json.make_encoder) is c_encoder
+    assert len(written) == 2 + 1 + 1 + 3 + 335
+    assert "\u00e9" in written[1]["error"]
+    for obj in written:
+        assert record(obj) == json.dumps(obj, sort_keys=True,
+                                         separators=(",", ":"))
 
 
 def test_a_stdout_closed_by_its_reader_is_exit_2_without_a_traceback():
