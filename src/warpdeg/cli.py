@@ -388,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[outputs],
                        help="run the theorem suite over the knot table")
-    p.add_argument("--table", default=os.environ.get(_ENV_TABLE),
+    # an empty value counts as unset, as with CPython's own PYTHON* variables
+    p.add_argument("--table", default=os.environ.get(_ENV_TABLE) or None,
                    help=f"table file (overrides ${_ENV_TABLE})")
     p.set_defaults(func=_cmd_verify)
 

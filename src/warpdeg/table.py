@@ -217,10 +217,9 @@ def load_table(path: str | Path | None = None) -> KnotTable:
         raise DataError(f"{location}: bad header line: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _TABLE_FORMAT:
         raise DataError(f"{location}: not a {_TABLE_FORMAT} file")
-    if header.get("version") != _TABLE_VERSION:
-        raise DataError(
-            f"{location}: unsupported version {header.get('version')!r}"
-        )
+    version = header.get("version")
+    if type(version) is not int or version != _TABLE_VERSION:  # not true, not 1.0
+        raise DataError(f"{location}: unsupported version {version!r}")
 
     entries = []
     names = set()
@@ -285,6 +284,10 @@ class _EntryStats(_Value):
         entry = self.entry
         lower = 0 if entry.crossings == 0 else 2 if entry.twist is not None else 4
         return lower, min(s.warping_sum for s in self.summaries)
+
+    @property
+    def bound(self) -> int:  # c(K) - 1, the paper's upper bound for e(K)
+        return self.entry.crossings - 1
 
 
 def _stats(entry: KnotEntry) -> _EntryStats:
@@ -381,48 +384,6 @@ class VerificationReport(_Value):
         return "\n".join(lines)
 
 
-# Each check takes the stats of one entry and yields that entry's rows;
-# a failing row says why in its details.
-
-def _fact(check: str, st: _EntryStats, ok: bool, failure: str) -> CheckRow:
-    return CheckRow(check, st.entry.name, ok, "" if ok else failure)
-
-
-def _expected_values(st: _EntryStats) -> Iterator[CheckRow]:
-    """Computed aggregates match the reference values."""
-    exp = st.entry.expected
-    if exp.e is not None:
-        yield _fact("expected-e", st, st.e_value == exp.e,
-                    f"computed {st.e_value}, expected {exp.e}")
-    if exp.md is not None:
-        yield _fact("expected-md", st, st.md_value == exp.md,
-                    f"computed {st.md_value}, expected {exp.md}")
-
-
-def _upper_bound(st: _EntryStats) -> Iterator[CheckRow]:
-    """e(K) <= c(K) - 1 for nontrivial knots."""
-    c = st.entry.crossings
-    if c > 0:
-        yield _fact("e-upper-bound", st, st.e_value <= c - 1,
-                    f"e={st.e_value} exceeds c-1={c - 1}")
-
-
-def _prime_alternating(st: _EntryStats) -> Iterator[CheckRow]:
-    """Equality e(K) = c(K) - 1 for prime alternating knots."""
-    c = st.entry.crossings
-    if st.entry.prime and st.entry.alternating and c > 0:
-        yield _fact("e-prime-alternating", st, st.e_value == c - 1,
-                    f"e={st.e_value}, want {c - 1}")
-
-
-def _only_if(st: _EntryStats) -> Iterator[CheckRow]:
-    """Equality fails for every other knot; needs e(K), not a bound."""
-    c, e = st.entry.crossings, st.true_e
-    if c > 0 and not (st.entry.prime and st.entry.alternating) and e is not None:
-        yield _fact("e-only-if", st, e < c - 1,
-                    f"e={e} reaches c-1 without prime alternating")
-
-
 def _classification(st: _EntryStats) -> Iterator[CheckRow]:
     """Values 0, 2 and 3 pin the knot; value 1 never occurs."""
     e, name = st.e_value, st.entry.name
@@ -437,21 +398,6 @@ def _classification(st: _EntryStats) -> Iterator[CheckRow]:
     yield CheckRow("e-classification", name, not details, details)
 
 
-def _md_from_e(st: _EntryStats) -> Iterator[CheckRow]:
-    """Knots with e(K) in {4, 5} have md(K) = 2."""
-    if st.true_e in (4, 5):
-        yield _fact("md-from-e", st, st.md_value == 2,
-                    f"e={st.true_e} forces md=2, computed {st.md_value}")
-
-
-def _sum_four(check: str, names: tuple[str, ...]):
-    """A check that the named knots have e = 4."""
-    def run(st: _EntryStats) -> Iterator[CheckRow]:
-        if st.entry.name in names:
-            yield _fact(check, st, st.e_value == 4, f"e={st.e_value}, want 4")
-    return run
-
-
 _SPLITS = {"7_6": [{3}, {2, 4}], "8_12": [{3, 4}, {2, 5}]}
 
 
@@ -461,20 +407,9 @@ def _orientation_splits(st: _EntryStats) -> Iterator[CheckRow]:
     if want is not None:
         got = [set(pair) for pair in st.d_pairs]
         ok = (len(got) == len(want) and all(pair in got for pair in want)
-              and all(s.warping_sum == st.entry.crossings - 1 for s in st.minimal))
-        yield _fact("orientation-splits", st, ok,
-                    f"d-pairs {sorted(map(sorted, got))}")
-
-
-def _twist_formula(st: _EntryStats) -> Iterator[CheckRow]:
-    """(2, n) entries have d-pair {floor((n+1)/2), floor(n/2)+1},
-    md = floor((n+1)/2) and e = n+1."""
-    n, pairs = st.entry.twist, st.d_pairs
-    if n is not None:
-        ok = (len(pairs) == 1 and sorted(pairs[0]) == [(n + 1) // 2, n // 2 + 1]
-              and st.md_value == (n + 1) // 2 and st.e_value == n + 1)
-        yield _fact("twist-formula", st, ok,
-                    f"n={n}, d-pairs {pairs}, md={st.md_value}, e={st.e_value}")
+              and all(s.warping_sum == st.bound for s in st.minimal))
+        yield CheckRow("orientation-splits", st.entry.name, ok,
+                       "" if ok else f"d-pairs {sorted(map(sorted, got))}")
 
 
 def _alternating_span(st: _EntryStats) -> Iterator[CheckRow]:
@@ -484,8 +419,8 @@ def _alternating_span(st: _EntryStats) -> Iterator[CheckRow]:
              if is_alternating_diagram(d)]
     if spans:
         bad = [c for c, span in spans if span != 1]
-        yield _fact("alternating-span", st, not bad,
-                    f"alternating diagram with span != 1 (c={bad})")
+        details = f"alternating diagram with span != 1 (c={bad})" if bad else ""
+        yield CheckRow("alternating-span", st.entry.name, not bad, details)
 
 
 def _e_hat_window(st: _EntryStats) -> Iterator[CheckRow]:
@@ -497,13 +432,6 @@ def _e_hat_window(st: _EntryStats) -> Iterator[CheckRow]:
     elif e_hat is not None and not lower <= e_hat <= upper:
         details = f"expected e_hat {e_hat} outside [{lower}, {upper}]"
     yield CheckRow("e-hat-window", st.entry.name, not details, details)
-
-
-def _e_hat_twist(st: _EntryStats) -> Iterator[CheckRow]:
-    """A twist entry with its sum-2 diagram pins the bounds."""
-    if st.entry.twist is not None:
-        yield _fact("e-hat-twist", st, st.e_hat == (2, 2),
-                    f"bounds {st.e_hat}, want (2, 2)")
 
 
 def _e_hat_six_three(st: _EntryStats) -> Iterator[CheckRow]:
@@ -533,21 +461,55 @@ def _ordering(st: _EntryStats) -> Iterator[CheckRow]:
     yield CheckRow("ordering", st.entry.name, not details, details)
 
 
-# every check after entry-valid, in report order
+# Every check after entry-valid, in report order.  An element is either a
+# function that yields the rows of one entry's stats s, or a tuple of
+# rules (check, applies, holds, failure) run together on each entry in
+# turn, so that their rows interleave: where applies(s), a rule gives one
+# row that passes when holds(s) and otherwise says failure.format(s=s).
 CHECKS = (
-    _expected_values,
-    _upper_bound,
-    _prime_alternating,
-    _only_if,
+    (  # computed aggregates match the reference values
+        ("expected-e", lambda s: s.entry.expected.e is not None,
+         lambda s: s.e_value == s.entry.expected.e,
+         "computed {s.e_value}, expected {s.entry.expected.e}"),
+        ("expected-md", lambda s: s.entry.expected.md is not None,
+         lambda s: s.md_value == s.entry.expected.md,
+         "computed {s.md_value}, expected {s.entry.expected.md}"),
+    ),
+    # e(K) <= c(K) - 1 for nontrivial knots
+    (("e-upper-bound", lambda s: s.entry.crossings > 0,
+      lambda s: s.e_value <= s.bound, "e={s.e_value} exceeds c-1={s.bound}"),),
+    # equality e(K) = c(K) - 1 for prime alternating knots
+    (("e-prime-alternating",
+      lambda s: s.entry.prime and s.entry.alternating and s.entry.crossings > 0,
+      lambda s: s.e_value == s.bound, "e={s.e_value}, want {s.bound}"),),
+    # equality fails for every other knot; needs e(K), not a bound
+    (("e-only-if", lambda s: s.entry.crossings > 0 and s.true_e is not None
+      and not (s.entry.prime and s.entry.alternating),
+      lambda s: s.true_e < s.bound,
+      "e={s.true_e} reaches c-1 without prime alternating"),),
     _classification,
-    _md_from_e,
-    _sum_four("five-crossing-values", ("5_1", "5_2")),
+    # knots with e(K) in {4, 5} have md(K) = 2
+    (("md-from-e", lambda s: s.true_e in (4, 5), lambda s: s.md_value == 2,
+      "e={s.true_e} forces md=2, computed {s.md_value}"),),
+    # the five-crossing knots have e = 4
+    (("five-crossing-values", lambda s: s.entry.name in ("5_1", "5_2"),
+      lambda s: s.e_value == 4, "e={s.e_value}, want 4"),),
     _orientation_splits,
-    _sum_four("nonalternating-four", ("8_21", "granny")),
-    _twist_formula,
+    # the nonalternating 8_21 and the composite granny knot have e = 4
+    (("nonalternating-four", lambda s: s.entry.name in ("8_21", "granny"),
+      lambda s: s.e_value == 4, "e={s.e_value}, want 4"),),
+    # a (2, n) entry has the one d-pair {floor((n+1)/2), floor(n/2)+1},
+    # hence md = floor((n+1)/2), and e = n+1
+    (("twist-formula", lambda s: s.entry.twist is not None,
+      lambda s: [sorted(pair) for pair in s.d_pairs]
+      == [[(s.entry.twist + 1) // 2, s.entry.twist // 2 + 1]]
+      and s.e_value == s.entry.twist + 1,
+      "n={s.entry.twist}, d-pairs {s.d_pairs}, md={s.md_value}, e={s.e_value}"),),
     _alternating_span,
     _e_hat_window,
-    _e_hat_twist,
+    # a twist entry with its sum-2 diagram pins the e-hat bounds
+    (("e-hat-twist", lambda s: s.entry.twist is not None,
+      lambda s: s.e_hat == (2, 2), "bounds {s.e_hat}, want (2, 2)"),),
     _e_hat_six_three,
     _ordering,
 )
@@ -573,5 +535,12 @@ def verify_paper(table: KnotTable | Iterable[KnotEntry]) -> VerificationReport:
                              "; ".join(problems)))
     for check in CHECKS:
         for st in live:
-            rows.extend(check(st))
+            if callable(check):
+                rows.extend(check(st))
+                continue
+            for name, applies, holds, failure in check:
+                if applies(st):
+                    ok = holds(st)
+                    rows.append(CheckRow(name, st.entry.name, ok,
+                                         "" if ok else failure.format(s=st)))
     return VerificationReport(tuple(rows))

@@ -607,6 +607,17 @@ def test_verify_honors_the_table_environment_variable(capsys, tmp_path,
     assert "FAIL expected-e" in out
 
 
+def test_verify_treats_an_empty_table_variable_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("WARPDEG_TABLE", "")
+    code, out, _ = run(capsys, "verify", "--quiet")
+    assert code == 0
+    assert out.splitlines() == ["ALL CHECKS PASSED (335 checks)"]
+    # an empty flag still names no file
+    code, _, err = run(capsys, "verify", "--table", "")
+    assert code == 2
+    assert err == "error: cannot read : No such file or directory\n"
+
+
 def test_verify_table_flag_beats_the_environment(capsys, tmp_path,
                                                  monkeypatch):
     from warpdeg.table import default_table_path

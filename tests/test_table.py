@@ -164,67 +164,74 @@ def test_reaching_the_bound_without_prime_alternating_is_flagged(tmp_path):
 FIGURE8_EXTRA = "O1+O2-U3-O4-O5+U1+U4-O3-U2-U5+"  # 4_1's sum-2 diagram
 EIGHT_TWENTY = "O1+O2-U3-O4-O5-U6-U2-O3-U4-U7+O8+U1+O6-U5-O7+U8+"
 
-# (check, entry, mutation of its record, every (check, scope) that fails)
+# (check, entry, mutation of its record, every (check, scope) that fails,
+# the details of the named check's failing row)
 TABLE_FAULTS = [
     ("expected-e", "3_1", lambda o: o["expected"].update(e=3),
-     {("expected-e", "3_1")}),
+     {("expected-e", "3_1")}, "computed 2, expected 3"),
     ("expected-md", "3_1", lambda o: o["expected"].update(md=2),
-     {("expected-md", "3_1")}),
+     {("expected-md", "3_1")}, "computed 1, expected 2"),
     ("e-prime-alternating", "8_19", lambda o: o.update(alternating=True),
-     {("e-prime-alternating", "8_19")}),
+     {("e-prime-alternating", "8_19")}, "e=6, want 7"),
     ("e-only-if", "3_1", lambda o: o.update(prime=False),
-     {("e-only-if", "3_1")}),
+     {("e-only-if", "3_1")}, "e=2 reaches c-1 without prime alternating"),
     ("e-classification", "4_1",
      lambda o: o.update(minimal=["O1+U2+O3+U1+O2+U3+U4+O4+"]),
      {("e-classification", "4_1"), ("e-prime-alternating", "4_1"),
-      ("expected-e", "4_1"), ("twist-formula", "4_1")}),
+      ("expected-e", "4_1"), ("twist-formula", "4_1")},
+     "e=2 is reserved for 3_1"),
     ("md-from-e", "7_4", lambda o: o["expected"].update(e=5),
-     {("md-from-e", "7_4"), ("expected-e", "7_4")}),
+     {("md-from-e", "7_4"), ("expected-e", "7_4")},
+     "e=5 forces md=2, computed 3"),
     ("five-crossing-values", "5_1",
      lambda o: o.update(minimal=[FIGURE8_EXTRA]),
      {("five-crossing-values", "5_1"), ("e-classification", "5_1"),
       ("e-hat-window", "5_1"), ("e-prime-alternating", "5_1"),
       ("expected-e", "5_1"), ("expected-md", "5_1"), ("md-from-e", "5_1"),
-      ("ordering", "5_1")}),
+      ("ordering", "5_1")}, "e=2, want 4"),
     ("orientation-splits", "7_6", lambda o: o["minimal"].pop(0),
-     {("orientation-splits", "7_6")}),
+     {("orientation-splits", "7_6")}, "d-pairs [[2, 4]]"),
     ("nonalternating-four", "8_21", lambda o: o.update(minimal=[EIGHT_TWENTY]),
-     {("nonalternating-four", "8_21"), ("expected-e", "8_21")}),
+     {("nonalternating-four", "8_21"), ("expected-e", "8_21")}, "e=5, want 4"),
     ("twist-formula", "5_2", lambda o: o["minimal"].append(o["minimal"][0]),
-     {("twist-formula", "5_2")}),
+     {("twist-formula", "5_2")}, "n=3, d-pairs [(2, 2), (2, 2)], md=2, e=4"),
     ("e-hat-window", "3_1", lambda o: o["expected"].update(e_hat=3),
-     {("e-hat-window", "3_1")}),
+     {("e-hat-window", "3_1")}, "expected e_hat 3 outside [2, 2]"),
     ("e-hat-twist", "5_2", lambda o: o.pop("extra"),
-     {("e-hat-twist", "5_2")}),
+     {("e-hat-twist", "5_2")}, "bounds (2, 4), want (2, 2)"),
     ("e-hat-six-three", "6_3", lambda o: o.update(extra=o["minimal"]),
-     {("e-hat-six-three", "6_3")}),
+     {("e-hat-six-three", "6_3")}, "bounds (4, 5)"),
     ("ordering", "7_4", lambda o: o["expected"].update(unknotting=4),
-     {("ordering", "7_4")}),
+     {("ordering", "7_4")}, "unknotting 4 exceeds md 3"),
 ]
 
 # e(D) <= c(D) - 1 and span 1 on alternating diagrams hold for every
 # diagram, so no table fails these two; a faulty engine does.
 ENGINE_FAULTS = [
-    ("e-upper-bound", "8_20", {"warping_sum": 8}),
-    ("alternating-span", "3_1", {"span": 2}),
+    ("e-upper-bound", "8_20", {"warping_sum": 8}, "e=8 exceeds c-1=7"),
+    ("alternating-span", "3_1", {"span": 2},
+     "alternating diagram with span != 1 (c=[3])"),
 ]
 
 
 @pytest.mark.parametrize(
-    "check, name, mutate, failing", TABLE_FAULTS,
+    "check, name, mutate, failing, details", TABLE_FAULTS,
     ids=[case[0] for case in TABLE_FAULTS],
 )
 def test_each_check_fails_on_a_mutated_table(tmp_path, check, name, mutate,
-                                             failing):
+                                             failing, details):
     report = verify_paper(load_table(mutated_copy(tmp_path, name, mutate)))
     assert {(row.check, row.scope) for row in report.failures} == failing
+    assert [row.details for row in report.failures
+            if row.check == check] == [details]
 
 
 @pytest.mark.parametrize(
-    "check, name, fault", ENGINE_FAULTS, ids=[case[0] for case in ENGINE_FAULTS],
+    "check, name, fault, details", ENGINE_FAULTS,
+    ids=[case[0] for case in ENGINE_FAULTS],
 )
 def test_theorem_checks_fail_on_a_faulty_engine(monkeypatch, table, check,
-                                                name, fault):
+                                                name, fault, details):
     from warpdeg import table as table_module
 
     honest = table_module.summary
@@ -240,6 +247,8 @@ def test_theorem_checks_fail_on_a_faulty_engine(monkeypatch, table, check,
     monkeypatch.setattr(table_module, "summary", faulty)
     report = verify_paper(table)
     assert {(row.check, row.scope) for row in report.failures} == {(check, name)}
+    assert [row.details for row in report.failures
+            if row.check == check] == [details]
 
 
 def test_every_check_has_a_failing_case(table):
@@ -371,10 +380,14 @@ def test_loader_rejects_missing_or_foreign_headers(tmp_path):
 
 
 def test_loader_rejects_unsupported_versions(tmp_path):
-    with pytest.raises(DataError, match="unsupported version"):
-        load_table(write_table(
-            tmp_path, '{"format": "knots-table", "version": 99}'
-        ))
+    # true and 1.0 compare equal to 1 but are not the integer 1
+    for version, shown in (("99", "99"), ("true", "True"), ("1.0", "1.0")):
+        path = write_table(
+            tmp_path, f'{{"format": "knots-table", "version": {version}}}'
+        )
+        with pytest.raises(DataError) as info:
+            load_table(path)
+        assert str(info.value) == f"{path}: unsupported version {shown}"
 
 
 def test_loader_rejects_broken_records(tmp_path):

@@ -46,7 +46,8 @@ from warpdeg.bracket import (
 from warpdeg.codes import GaussCode, parse_gauss, pd_to_gauss, serialize
 from warpdeg.diagram import from_gauss
 from warpdeg.families import _continued_fraction_pd, ozawa_twist
-from warpdeg.table import is_alternating_diagram, load_table, verify_paper
+from warpdeg.table import (_TABLE_FORMAT, _TABLE_VERSION, is_alternating_diagram,
+                           load_table, verify_paper)
 from warpdeg.warping import summary
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "warpdeg" / "data" / "knots.tbl"
@@ -462,7 +463,7 @@ def render_table(records: list[dict]) -> str:
     lines = [
         "# knot table: prime knots through 8 crossings plus the granny knot",
         "# regenerate with: python3 tools/build_table.py",
-        json.dumps({"format": "knots-table", "version": 1}),
+        json.dumps({"format": _TABLE_FORMAT, "version": _TABLE_VERSION}),
     ]
     lines += [json.dumps(record) for record in records]
     return "\n".join(lines) + "\n"
