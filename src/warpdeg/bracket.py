@@ -1,8 +1,10 @@
 """Kauffman bracket of a signed Gauss sequence, by crossing contraction.
 
 The bracket needs no planar embedding beyond what a signed Gauss code
-carries.  Cut the curve at every visit: 2c arcs remain.  A smoothing of a
-crossing reconnects the four arc ends that meet there in one of two ways:
+carries.  Cut the curve at every visit: 2c arcs remain.  Arc i runs from
+visit i to visit i + 1; end 2i is its tail, end 2i + 1 its head, so the
+ends at visit p are 2p - 1 (in) and 2p (out), modulo 4c.  A smoothing of
+a crossing reconnects the four arc ends that meet there in one of two ways:
 
 * oriented: each incoming arc continues into the outgoing arc of the
   other strand (the Seifert smoothing);
@@ -29,12 +31,9 @@ diagrams have constant width.  Planarity is not assumed, so virtual codes
 get the state sum's value too.  ``BRACKET_CAP`` stays the default guard:
 a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
 
-``is_classical`` decides planarity in O(c).  The signs fix the cyclic
-order of the four arc ends at each crossing, so a signed code is a
-4-valent graph embedded in some closed surface (its Carter surface).
-Tracing the faces of that embedding gives F, and with c vertices and 2c
-edges the surface is a sphere exactly when F = c + 2 (Kauffman,
-"Virtual knot theory", 1999).
+``is_classical`` decides planarity in O(c): the F faces that ``_faces``
+traces, with c vertices and 2c edges, make a sphere exactly when
+F = c + 2 (Kauffman, "Virtual knot theory", 1999).
 
 ``determinant`` does not go through the bracket.  On a classical
 diagram it is |det| of the coloring matrix with one row and one column
@@ -44,7 +43,7 @@ Comp. 1968): O(c^3), with no cap.
 
 from __future__ import annotations
 
-from .codes import GaussCode, _Value
+from .codes import GaussCode, _partners, _Value
 from .errors import (CapExceeded, InternalInconsistency, InvalidParam,
                      NotClassical, UnknownSigns)
 
@@ -102,7 +101,7 @@ class BracketPolynomial(_Value):
 
 
 def _contraction_order(
-    labels: tuple[int, ...], crossings: list[list[int]]
+    labels: tuple[int, ...], crossings: list[tuple[int, int]]
 ) -> list[int]:
     """Greedy order: next, the crossing most joined to those already done."""
     n = len(labels)
@@ -158,15 +157,12 @@ def kauffman_bracket(
 
     labels = diagram.labels
     n = 2 * c
-    positions: list[list[int]] = [[] for _ in range(c + 1)]
-    for pos, label in enumerate(labels):
-        positions[label].append(pos)
-    crossings = positions[1:]
+    # crossings[k] is label k + 1: first visits come in label order
+    crossings = [(p, q) for p, q in enumerate(_partners(labels)) if p < q]
     signs = [diagram.signs[p] for p, _ in crossings]
     writhe = sum(signs)
 
-    # Arc i runs from visit i to visit i + 1: end 2i is its tail, 2i + 1
-    # its head.  A state maps each open end to the end it is joined to.
+    # a state maps each open arc end to the end it is joined to
     states: dict[tuple, Laurent] = {(): {0: 1}}
     for idx in _contraction_order(labels, crossings):
         p, q = crossings[idx]
@@ -203,44 +199,40 @@ def kauffman_bracket(
     )
 
 
-def is_classical(diagram: GaussCode) -> bool:
-    """Whether the signed code is a planar (classical) knot diagram.
+def _faces(diagram: GaussCode) -> list[int]:
+    """The face of each arc end, named by the least end on that face.
 
-    Arc i runs from visit i to visit i + 1; end 2i is its tail, 2i + 1
-    its head.  Counterclockwise around a positive crossing the ends are
-    under in, over out, under out, over in; a negative crossing takes
-    the mirror order.  A face is an orbit of "cross the arc, then turn
-    to the next end counterclockwise", and the code is classical exactly
-    when there are c + 2 faces.
+    The signs embed the code in a closed surface (its Carter surface):
+    counterclockwise around a positive crossing its ends are under in,
+    over out, under out, over in, and a negative crossing takes the
+    mirror order.  A face is an orbit of "cross the arc, then turn to the
+    next end counterclockwise"; the four ends at a crossing lie on its
+    four corners, one each.  Every sign must be known.
     """
+    m = 2 * len(diagram.labels)  # arc ends
+    turn = [0] * m
+    for p, q in enumerate(_partners(diagram.labels)):
+        if diagram.overs[p]:  # each crossing once, p its overpass
+            ends = [2 * q - 1, 2 * p, 2 * q, 2 * p - 1]  # counterclockwise if +
+            if diagram.signs[p] < 0:
+                ends.reverse()
+            for k in range(4):
+                turn[ends[k] % m] = ends[(k + 1) % 4] % m
+    face = [-1] * m
+    for start in range(m):
+        end = start
+        while face[end] < 0:
+            face[end] = start
+            end = turn[end ^ 1]
+    return face
+
+
+def is_classical(diagram: GaussCode) -> bool:
+    """Whether the signed code is planar (classical): its faces number c + 2."""
     if not diagram.has_all_signs():
         raise UnknownSigns("planarity needs a sign at every crossing")
-    n = len(diagram.labels)
-    if n == 0:
-        return True
-    first: dict[int, int] = {}
-    turn = [0] * (2 * n)
-    for q, label in enumerate(diagram.labels):
-        p = first.setdefault(label, q)
-        if p == q:
-            continue
-        if not diagram.overs[p]:
-            p, q = q, p  # p is the overpass, q the underpass
-        ends = [2 * q - 1, 2 * p, 2 * q, 2 * p - 1]  # under in, over out, ...
-        if diagram.signs[p] < 0:
-            ends.reverse()
-        for k in range(4):
-            turn[ends[k] % (2 * n)] = ends[(k + 1) % 4] % (2 * n)
-    faces = 0
-    unseen = [True] * (2 * n)
-    for start in range(2 * n):
-        if unseen[start]:
-            faces += 1
-            end = start
-            while unseen[end]:
-                unseen[end] = False
-                end = turn[end ^ 1]
-    return faces == diagram.crossings + 2
+    c = diagram.crossings
+    return c == 0 or len(set(_faces(diagram))) == c + 2
 
 
 def determinant(diagram: GaussCode) -> int:

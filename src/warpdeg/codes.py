@@ -35,7 +35,8 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress
 
-from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
+from .errors import (CodeSyntaxError, DataError, NotClassical, StructureError,
+                     UnknownCrossing)
 from .values import _Value  # the other modules import it from here
 
 __all__ = [
@@ -310,6 +311,19 @@ def _relabel(labels: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _partners(labels: Sequence[int]) -> list[int]:
+    """Each visit's partner position, for labels 1..c by first appearance."""
+    first: list[int] = []  # first[k - 1]: position of label k's first visit
+    partner = [0] * len(labels)
+    for q, label in enumerate(labels):
+        if label > len(first):
+            first.append(q)
+        else:
+            p = first[label - 1]
+            partner[p], partner[q] = q, p
+    return partner
+
+
 def _rotated(code: GaussCode, k: int) -> GaussCode:
     """``code`` re-anchored at position ``k`` (0 <= k < 2c) and relabelled."""
     labels, overs, signs = code.labels, code.overs, code.signs
@@ -337,6 +351,7 @@ def _least_rotation(code: GaussCode) -> int:
     # symbol = (role * n + distance) * 3 + sign rank, with 0 < distance < n
     word = [(0 if over else 3 * n) + _SIGN_RANK[sign]
             for over, sign in zip(code.overs, code.signs)]
+    # inline: _partners' extra list slows batch --output records by 2-3%
     first = [-1] * (n // 2 + 1)  # label -> position of its first visit
     for p, label in enumerate(code.labels):
         q = first[label]
@@ -418,19 +433,15 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
     parity, which happens exactly for codes that DT notation cannot
     express.
     """
-    positions: dict[int, list[int]] = {}
-    for pos, label in enumerate(code.labels):
-        positions.setdefault(label, []).append(pos + 1)  # 1-based
     evens: list[int] = [0] * code.crossings
-    for label, (p, q) in positions.items():
-        if p % 2 == q % 2:
+    for p, q in enumerate(_partners(code.labels)):  # 0-based positions
+        if p % 2 == q % 2:  # met first at the crossing's first visit: p < q
             raise StructureError(
-                f"crossing {label} is visited at positions {p} and {q}; "
-                "equal parity cannot be written in DT notation"
+                f"crossing {code.labels[p]} is visited at positions {p + 1} "
+                f"and {q + 1}; equal parity cannot be written in DT notation"
             )
-        odd_pos, even_pos = (p, q) if p % 2 == 1 else (q, p)
-        over_at_odd = code.overs[odd_pos - 1]
-        evens[(odd_pos - 1) // 2] = even_pos if over_at_odd else -even_pos
+        if p % 2 == 0:  # visit number p + 1 is odd
+            evens[p // 2] = q + 1 if code.overs[p] else -q - 1
     return DTCode(tuple(evens))
 
 
@@ -473,8 +484,11 @@ def pd_to_gauss(pd: PDCode) -> GaussCode:
     entry of its quadruple; following those directions around the diagram
     determines the over-strand directions and hence every crossing sign.
     Raises StructureError if the quadruples do not close into a single
-    consistently-oriented curve.
+    consistently-oriented curve, and NotClassical, a StructureError, if
+    that curve's faces do not make a sphere: PD names a planar diagram.
     """
+    from .bracket import is_classical  # here, off the Gauss cold start
+
     incidence: dict[int, list[tuple[int, int]]] = {}
     for ci, quad in enumerate(pd.quads):
         for slot, edge in enumerate(quad):
@@ -505,7 +519,10 @@ def pd_to_gauss(pd: PDCode) -> GaussCode:
         raise StructureError("PD traversal does not close up; not a knot")
     if len({ci for ci, _ in seen}) != c:
         raise StructureError("PD code describes more than one component")
-    return _build_gauss(raw, len(raw))
+    code = _build_gauss(raw, len(raw))
+    if not is_classical(code):
+        raise NotClassical("PD code is not planar: its faces do not make a sphere")
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,8 @@ def default_table_path() -> Path:
 
 def load_table(path: str | Path | None = None) -> KnotTable:
     """Load a table file, validating the header and every entry."""
+    if path == "":
+        raise DataError("the table path is empty")
     location = default_table_path() if path is None else path  # as given
     # the package's loader reads the bundled table from a zip archive too
     get_data = __loader__.get_data if path is None else None
@@ -220,6 +222,9 @@ def load_table(path: str | Path | None = None) -> KnotTable:
     version = header.get("version")
     if type(version) is not int or version != _TABLE_VERSION:  # not true, not 1.0
         raise DataError(f"{location}: unsupported version {version!r}")
+    unknown = [key for key in header if key not in ("format", "version")]
+    if unknown:
+        raise DataError(f"{location}: table header: unknown key {unknown[0]!r}")
 
     entries = []
     names = set()

@@ -93,6 +93,15 @@ def test_analyze_rejects_garbage_with_exit_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("fmt", ["pd", "auto"])
+def test_analyze_refuses_a_pd_code_that_is_not_planar(capsys, fmt):
+    # the virtual code O1+O2+U1+U2+ written as PD
+    code, out, err = run(capsys, "analyze", "X(2,1,3,4) X(3,2,4,1)",
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: PD code is not planar: its faces do not make a sphere\n"
+
+
 def test_analyze_treats_an_overlong_argument_as_a_code(capsys):
     diagram = twist_minimal(60)
     text = serialize(diagram)
@@ -615,7 +624,7 @@ def test_verify_treats_an_empty_table_variable_as_unset(capsys, monkeypatch):
     # an empty flag still names no file
     code, _, err = run(capsys, "verify", "--table", "")
     assert code == 2
-    assert err == "error: cannot read : No such file or directory\n"
+    assert err == "error: the table path is empty\n"
 
 
 def test_verify_table_flag_beats_the_environment(capsys, tmp_path,

@@ -35,7 +35,7 @@ from warpdeg.codes import (
     serialize,
 )
 from warpdeg.diagram import reverse
-from warpdeg.errors import CodeSyntaxError, StructureError
+from warpdeg.errors import CodeSyntaxError, NotClassical, StructureError
 from warpdeg.warping import (
     is_monotone,
     profile,
@@ -858,6 +858,19 @@ def test_dt_cannot_express_equal_parity_visits():
         gauss_to_dt(parse_gauss("O1U2U1O2"))
 
 
+
+@pytest.mark.parametrize("text, fault", [
+    ("O1+O2+U1+U2+", "crossing 1 is visited at positions 1 and 3"),
+    # crossings 2 and 3 both fault; the first by label is named
+    ("O1U2O3O2U3U1", "crossing 2 is visited at positions 2 and 4"),
+])
+def test_dt_names_the_first_crossing_of_equal_parity(text, fault):
+    with pytest.raises(StructureError) as info:
+        gauss_to_dt(parse_gauss(text))
+    assert str(info.value) == (f"{fault}; equal parity cannot be written "
+                               "in DT notation")
+
+
 # ---------------------------------------------------------------------------
 # PD codes
 # ---------------------------------------------------------------------------
@@ -915,6 +928,12 @@ def test_pd_single_kink_traces_to_a_one_crossing_code():
 def test_pd_rejects_a_two_component_link():
     with pytest.raises(StructureError):
         pd_to_gauss(parse_pd("X(1,4,2,3) X(3,2,4,1)"))
+
+
+def test_pd_rejects_a_code_whose_faces_do_not_make_a_sphere():
+    # one closed curve with consistent strands, but the virtual O1+O2+U1+U2+
+    with pytest.raises(NotClassical, match="PD code is not planar"):
+        pd_to_gauss(parse_pd("X(2,1,3,4) X(3,2,4,1)"))
 
 
 def test_pd_rejects_inconsistent_strand_orientations():

@@ -377,6 +377,9 @@ def test_loader_rejects_missing_or_foreign_headers(tmp_path):
         load_table(write_table(tmp_path, "# nothing else"))
     with pytest.raises(DataError, match="not a knots-table"):
         load_table(write_table(tmp_path, '{"format": "something"}'))
+    with pytest.raises(DataError, match="table header: unknown key 'verison'"):
+        load_table(write_table(
+            tmp_path, '{"format": "knots-table", "version": 1, "verison": 2}'))
 
 
 def test_loader_rejects_unsupported_versions(tmp_path):
