@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress
 
@@ -126,9 +126,18 @@ class GaussCode(_Value):
 
 
 class DTCode(_Value):
-    """Dowker-Thistlethwaite code: the signed even partner of 1,3,5,..."""
+    """Dowker-Thistlethwaite code: the signed even partner of 1,3,5,...
+
+    Invariant: the magnitudes of the entries are 2, 4, ..., 2c in some
+    order, or the constructor raises StructureError.
+    """
 
     __slots__ = ("evens",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if sorted(map(abs, self.evens)) != list(range(2, 2 * len(self.evens) + 1, 2)):
+            raise StructureError("DT entries are not a permutation of 2,4,...,2c")
 
     @property
     def crossings(self) -> int:
@@ -136,9 +145,23 @@ class DTCode(_Value):
 
 
 class PDCode(_Value):
-    """Planar diagram code: one edge quadruple per crossing."""
+    """Planar diagram code: one edge quadruple per crossing.
+
+    Invariant: each quadruple holds four edge labels, and the labels are
+    1..2c, each used twice, or the constructor raises StructureError.
+    """
 
     __slots__ = ("quads",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        for quad in self.quads:
+            if len(quad) != 4:
+                raise StructureError(f"PD quadruple {quad!r} does not hold "
+                                     "four edge labels")
+        edges = sorted(chain.from_iterable(self.quads))
+        if not edges[::2] == edges[1::2] == list(range(1, len(edges) // 2 + 1)):
+            raise StructureError("PD edge labels must be 1..2c, each used twice")
 
     @property
     def crossings(self) -> int:
@@ -406,9 +429,6 @@ def parse_dt(text: str) -> DTCode:
         if value == 0 or value % 2 != 0:
             raise CodeSyntaxError(f"DT entry {value} is not a nonzero even number")
         evens.append(value)
-    c = len(evens)
-    if sorted(abs(v) for v in evens) != list(range(2, 2 * c + 1, 2)):
-        raise StructureError("DT entries are not a permutation of 2,4,...,2c")
     return DTCode(tuple(evens))
 
 
@@ -458,8 +478,6 @@ _PD_BRACKET = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 def parse_pd(text: str) -> PDCode:
     """Parse PD notation.  Raises CodeSyntaxError / StructureError."""
     cleaned = _strip_comments(text)
-    if not cleaned.strip():
-        raise StructureError("empty PD code")
     pattern = _PD_QUAD if re.search(r"[Xx]\s*\(", cleaned) else _PD_BRACKET
     quads = [
         (int(a), int(b), int(c), int(d))
@@ -470,11 +488,25 @@ def parse_pd(text: str) -> PDCode:
         raise CodeSyntaxError(f"unrecognized PD text near {leftover.strip()!r}")
     if not quads:
         raise StructureError("empty PD code")
-    c = len(quads)
-    counts = Counter(chain.from_iterable(quads))
-    if sorted(counts) != list(range(1, 2 * c + 1)) or set(counts.values()) != {2}:
-        raise StructureError("PD edge labels must be 1..2c, each used twice")
     return PDCode(tuple(sorted(quads)))
+
+
+def _trace(links: dict[tuple[int, int], tuple[int, int]],
+           start: tuple[int, int]) -> list[tuple[int, int]]:
+    """The ports a curve enters, from ``start`` until it comes back there.
+
+    A port is (crossing, slot), slots 0..3 counterclockwise; the curve
+    leaves by the slot opposite its entry and follows ``links``, which
+    pairs the two ports of each edge.  That step is a bijection on ports
+    and no entered port is an exit, so a trace holds at most 2c ports,
+    exactly 2c when it is the whole diagram.
+    """
+    ports = [start]
+    here = links[start[0], start[1] ^ 2]
+    while here != start:
+        ports.append(here)
+        here = links[here[0], here[1] ^ 2]
+    return ports
 
 
 def pd_to_gauss(pd: PDCode) -> GaussCode:
@@ -483,43 +515,30 @@ def pd_to_gauss(pd: PDCode) -> GaussCode:
     The under-strand of each crossing runs from the first to the third
     entry of its quadruple; following those directions around the diagram
     determines the over-strand directions and hence every crossing sign.
-    Raises StructureError if the quadruples do not close into a single
-    consistently-oriented curve, and NotClassical, a StructureError, if
-    that curve's faces do not make a sphere: PD names a planar diagram.
+    Raises StructureError if the curve from the first quadruple enters
+    some crossing by its outgoing under-strand or misses some crossing,
+    and NotClassical, a StructureError, if the curve's faces do not make
+    a sphere: PD names a planar diagram.
     """
     from .bracket import is_classical  # here, off the Gauss cold start
 
-    incidence: dict[int, list[tuple[int, int]]] = {}
+    ends = defaultdict(list)
     for ci, quad in enumerate(pd.quads):
         for slot, edge in enumerate(quad):
-            incidence.setdefault(edge, []).append((ci, slot))
-
-    c = pd.crossings
-    raw: list[tuple[int, bool, int]] = []
-    seen: set[tuple[int, int]] = set()
-    here = (0, 0)  # enter crossing 0 along its incoming under-strand
-    for _ in range(2 * c):
-        ci, slot = here
-        if here in seen:
-            raise StructureError("PD traversal revisits a strand; not a knot")
-        seen.add(here)
-        over = slot in (1, 3)
-        # the sign shows at the overpass; _build_gauss spreads it to both visits
-        raw.append((ci + 1, over, (PLUS if slot == 3 else MINUS) if over else UNSIGNED))
-        exit_slot = (slot + 2) % 4
-        edge = pd.quads[ci][exit_slot]
-        ends = incidence[edge]
-        nxt = ends[0] if ends[0] != (ci, exit_slot) else ends[1]
-        if nxt[1] == 2:
+            ends[edge].append((ci, slot))
+    links = {a: b for a, b in ends.values()} | {b: a for a, b in ends.values()}
+    trace = _trace(links, (0, 0)) if pd.quads else []
+    for ci, slot in trace:
+        if slot == 2:
             raise StructureError(
-                f"edge {edge} runs against the under-strand orientation"
+                f"edge {pd.quads[ci][2]} runs against the under-strand orientation"
             )
-        here = nxt
-    if here != (0, 0):
-        raise StructureError("PD traversal does not close up; not a knot")
-    if len({ci for ci, _ in seen}) != c:
+    if len(trace) != 2 * pd.crossings:
         raise StructureError("PD code describes more than one component")
-    code = _build_gauss(raw, len(raw))
+    # the sign shows at the overpass; _build_gauss spreads it to both visits
+    sign = (UNSIGNED, MINUS, None, PLUS)  # by the slot the curve enters
+    code = _build_gauss([(ci + 1, slot != 0, sign[slot]) for ci, slot in trace],
+                        len(trace))
     if not is_classical(code):
         raise NotClassical("PD code is not planar: its faces do not make a sphere")
     return code

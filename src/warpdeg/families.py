@@ -1,13 +1,13 @@
 """Generators for the diagram families used throughout the package.
 
-Diagrams are assembled as planar port graphs.  A crossing is a square
-with ports SW, SE, NE, NW (counterclockwise, slots 0..3); its strands run
-along the diagonals SW-NE and SE-NW, and SW-NE is always the overpass.
-Twist regions are grown one crossing at a time: a right twist hooks a
-new crossing onto the NE/SE corners of the tangle, a bottom twist onto
-SW/SE.  Closing the tangle (NW to NE, SW to SE) and walking the
-curve yields a PD code whose edge numbering follows the traversal; the
-shared PD-to-Gauss converter then produces the signed Gauss code.
+Every diagram is built once as a planar port graph: a crossing has
+ports 0..3 counterclockwise, 0 and 2 on its overpass.  ``_closed_pd``
+traces it with ``codes._trace``, the curve walk of ``pd_to_gauss``, into
+a PD code whose edges are numbered in traversal order.  In a rational
+tangle the ports are SW, SE, NE, NW.  Twist regions are grown one
+crossing at a time: a right twist hooks a new crossing onto the NE/SE
+corners of the tangle, a bottom twist onto SW/SE, and the closure joins
+NW to NE and SW to SE.
 
 The two-parameter family ``rational_pq(p, q)``: p bottom twists applied
 to the vertical (infinity) tangle followed by q right twists realize the
@@ -24,7 +24,7 @@ except at a single clasp crossing.
 
 from __future__ import annotations
 
-from .codes import GaussCode, PDCode, pd_to_gauss
+from .codes import GaussCode, PDCode, _trace, pd_to_gauss
 from .diagram import from_gauss
 from .errors import InternalInconsistency, InvalidParam, NotAKnot
 
@@ -76,41 +76,36 @@ class _Tangle:
             self.corners[corner] = (cid, slot)
 
     def close_numerator(self) -> PDCode:
-        """Join NW to NE and SW to SE, walk the curve and emit PD quadruples.
+        """Join NW to NE and SW to SE and emit the closure's PD code.
 
-        Edges are numbered 1..2c in traversal order.  Raises NotAKnot if
-        the closure has more than one component.
+        Raises NotAKnot if the closure has more than one component.
         """
         for a, b in (("nw", "ne"), ("sw", "se")):
             pa, pb = self.corners[a], self.corners[b]
             if isinstance(pa, str) or isinstance(pb, str):
                 raise InternalInconsistency("closing an unbuilt tangle")
             self._connect(pa, pb)
-        c = self.crossings
-        if len(self.links) != 4 * c:
+        if len(self.links) != 4 * self.crossings:
             raise InternalInconsistency("construction left dangling ports")
-        edge_at: dict[Port, int] = {}
-        entered: set[Port] = set()
-        start = (0, 0)
-        here = start
-        for edge in range(1, 2 * c + 1):
-            # arrive via the link into ``here``, pass through the crossing
-            entered.add(here)
-            edge_at[here] = edge
-            out = (here[0], (here[1] + 2) % 4)
-            edge_at[out] = edge % (2 * c) + 1
-            here = self.links[out]
-        if here != start or len(entered) != 2 * c:
-            raise NotAKnot("closure has more than one component")
+        return _closed_pd(self.links, self.crossings)
 
-        quads = []
-        for cid in range(c):
-            # the under-strand runs SE-NW: it enters at slot 1 or slot 3
-            under_in = 1 if (cid, 1) in entered else 3
-            quads.append(tuple(
-                edge_at[(cid, (under_in + k) % 4)] for k in range(4)
-            ))
-        return PDCode(tuple(sorted(quads)))
+
+def _closed_pd(links: dict[Port, Port], c: int) -> PDCode:
+    """PD code of a closed port graph whose slots 0 and 2 are the overpass.
+
+    Edges are numbered 1..2c along the trace from port (0, 0).  Raises
+    NotAKnot if the graph has more than one component.
+    """
+    trace = _trace(links, (0, 0))
+    if len(trace) != 2 * c:
+        raise NotAKnot("closure has more than one component")
+    edge_at: dict[Port, int] = {}
+    for edge, (cid, slot) in enumerate(trace, 1):
+        edge_at[cid, slot] = edge
+        edge_at[cid, slot ^ 2] = edge % (2 * c) + 1
+    quads = [tuple(edge_at[cid, (slot + k) % 4] for k in range(4))
+             for cid, slot in trace if slot % 2]
+    return PDCode(tuple(sorted(quads)))
 
 
 def _continued_fraction_pd(entries: list[int]) -> PDCode:
@@ -176,24 +171,16 @@ def ozawa_pd(n: int) -> PDCode:
     if n < 1:
         raise InvalidParam(f"twist parameter must be >= 1, got {n}")
     c = 2 * n + 1
-    order = [m if m % 2 else c + 1 - m for m in range(1, c + 1)]
-    visit = {s: m for m, s in enumerate(order, 1)}
-    quads = []
-    for s in range(1, c + 1):
-        west, east = s, (s + 1 if s < c else c + 1)
-        m = visit[s]
-        ret_in = c + m
-        ret_out = c + m + 1 if m < c else 1
-        if s != n + 1:  # horizontal arc on top; return arc goes under
-            if m % 2:   # arrives from the south: ccw reads S, E, N, W
-                quads.append((ret_in, east, ret_out, west))
-            else:       # arrives from the north: ccw reads N, W, S, E
-                quads.append((ret_in, west, ret_out, east))
-        elif m % 2:     # clasp station, horizontal arc under: W, S, E, N
-            quads.append((west, ret_in, east, ret_out))
-        else:
-            quads.append((west, ret_out, east, ret_in))
-    return PDCode(tuple(sorted(quads)))
+    # each visit as (station, side it enters by, side it leaves by)
+    visits = [(s, "W", "E") for s in range(1, c + 1)]
+    visits += [(m, "S", "N") if m % 2 else (c + 1 - m, "N", "S")
+               for m in range(1, c + 1)]
+    # slots counterclockwise from W, so that W-E is the overpass; at the
+    # clasp the return arc is over, so its slots turn a quarter, from S
+    ports = [(s - 1, ("WSEN" if s != n + 1 else "SENW").index(side))
+             for s, enter, leave in visits for side in (enter, leave)]
+    links = dict(zip(ports[1::2], ports[2::2] + ports[:1]))  # exit -> entry
+    return _closed_pd(links | {b: a for a, b in links.items()}, c)
 
 
 def ozawa_twist(n: int) -> GaussCode:

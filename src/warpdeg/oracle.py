@@ -147,12 +147,12 @@ def random_codes(count: int, max_crossings: int, seed: int) -> list[GaussCode]:
         c = rng.randint(1, max_crossings)
         slots = list(range(2 * c))
         rng.shuffle(slots)
-        visits: list[tuple[int, bool, int] | None] = [None] * (2 * c)
+        visits: list = [None] * (2 * c)  # every slot is filled below
         for label in range(1, c + 1):
             p, q = slots[2 * label - 2], slots[2 * label - 1]
             over_first = rng.random() < 0.5
             sign = PLUS if rng.random() < 0.5 else MINUS
             visits[p] = (label, over_first, sign)
             visits[q] = (label, not over_first, sign)
-        out.append(_build_gauss([v for v in visits if v is not None], 2 * c))
+        out.append(_build_gauss(visits, 2 * c))
     return out

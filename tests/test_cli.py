@@ -199,6 +199,26 @@ def test_oracle_random_batches_are_deterministic(capsys):
     assert all(record["agree"] for record in records)
 
 
+def test_oracle_random_text_ends_in_one_verdict_line(capsys):
+    code, out, err = run(capsys, "oracle", "--random", "12", "--max-crossings",
+                         "6", "--seed", "3")
+    assert (code, out, err) == (0, "verdict: 12 random codes, all agree\n", "")
+
+
+def test_oracle_random_text_prints_each_disagreement(capsys, monkeypatch):
+    # a faulty engine, off by one on the 4-crossing code only
+    honest = cli.warping_degree
+    monkeypatch.setattr(cli, "warping_degree",
+                        lambda d: honest(d) + (d.crossings == 4))
+    code, out, err = run(capsys, "oracle", "--random", "3", "--max-crossings",
+                         "4", "--seed", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "DISAGREE O1-O2-U3-U1-O3-U4+O4+U2-: oracle=2 engine=3",
+        "verdict: 3 random codes, 1 disagreement(s)",
+    ]
+
+
 def test_oracle_needs_a_code_or_a_random_count(capsys):
     assert run(capsys, "oracle")[0] == 2
 

@@ -889,10 +889,12 @@ def test_pd_quads_are_stored_sorted():
     assert serialize(shuffled) == TREFOIL_PD
 
 
-@pytest.mark.parametrize("bad", ["", "   ", "# only a comment"])
+@pytest.mark.parametrize("bad", ["", "   ", "# only a comment",
+                                 "  ", "[ ]", ",", "# c"])
 def test_pd_rejects_empty_input(bad):
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError) as info:
         parse_pd(bad)
+    assert str(info.value) == "empty PD code"
 
 
 @pytest.mark.parametrize("bad", ["X(1,2,3)", "hello", "X(1,4,2,5) junk"])
@@ -926,20 +928,56 @@ def test_pd_single_kink_traces_to_a_one_crossing_code():
 
 
 def test_pd_rejects_a_two_component_link():
-    with pytest.raises(StructureError):
-        pd_to_gauss(parse_pd("X(1,4,2,3) X(3,2,4,1)"))
+    # the curve through the first quadruple closes up before it has met
+    # every crossing twice
+    for text in ("X(1,4,2,3) X(3,2,4,1)", "X(1,2,1,2)"):
+        with pytest.raises(StructureError) as info:
+            pd_to_gauss(parse_pd(text))
+        assert str(info.value) == "PD code describes more than one component"
 
 
 def test_pd_rejects_a_code_whose_faces_do_not_make_a_sphere():
     # one closed curve with consistent strands, but the virtual O1+O2+U1+U2+
-    with pytest.raises(NotClassical, match="PD code is not planar"):
+    with pytest.raises(NotClassical) as info:
         pd_to_gauss(parse_pd("X(2,1,3,4) X(3,2,4,1)"))
+    assert str(info.value) == "PD code is not planar: its faces do not make a sphere"
 
 
 def test_pd_rejects_inconsistent_strand_orientations():
-    # last quad rotated by two: its under-strand runs backwards
-    with pytest.raises(StructureError):
+    # last quad rotated by two: its under-strand runs backwards, and the
+    # curve enters it along edge 5, its outgoing under-strand
+    with pytest.raises(StructureError) as info:
         pd_to_gauss(parse_pd("X(1,4,2,5) X(3,6,4,1) X(6,3,5,2)"))
+    assert str(info.value) == "edge 5 runs against the under-strand orientation"
+
+
+# ---------------------------------------------------------------------------
+# DT and PD values check their own invariant
+# ---------------------------------------------------------------------------
+
+DT_FAULT = "DT entries are not a permutation of 2,4,...,2c"
+PD_FAULT = "PD edge labels must be 1..2c, each used twice"
+
+
+@pytest.mark.parametrize("convert, build, message", [
+    (pd_to_gauss, lambda: PDCode(((1, 2, 3, 5),)), PD_FAULT),
+    (dt_to_gauss, lambda: DTCode((4,)), DT_FAULT),
+    (dt_to_gauss, lambda: DTCode((2, 2)), DT_FAULT),
+    (dt_to_gauss, lambda: DTCode((0,)), DT_FAULT),
+    (pd_to_gauss, lambda: PDCode(((1, 1, 2, 2), (3, 3, 4))),
+     "PD quadruple (3, 3, 4) does not hold four edge labels"),
+    (pd_to_gauss, lambda: PDCode(((1, 1, 2, 2), (3, 3, 5, 5))), PD_FAULT),
+], ids=["pd-label-5", "dt-4", "dt-2-2", "dt-0", "pd-three-labels", "pd-gap"])
+def test_hand_built_codes_are_refused_before_any_conversion(convert, build,
+                                                            message):
+    with pytest.raises(StructureError) as info:
+        convert(build())
+    assert str(info.value) == message
+
+
+def test_the_zero_crossing_dt_and_pd_codes_are_valid():
+    assert DTCode(()).crossings == PDCode(()).crossings == 0
+    assert dt_to_gauss(DTCode(())) == pd_to_gauss(PDCode(())) == parse_gauss("")
 
 
 # ---------------------------------------------------------------------------
@@ -1081,7 +1119,7 @@ def test_a_private_slot_is_refused_by_name(slots):
                                "(Python stores it name-mangled)")
 
 
-def test_only_the_gauss_code_writes_its_own_constructor():
+def test_only_the_code_types_write_their_own_constructor():
     import gc
     import importlib
     import pkgutil
@@ -1098,7 +1136,9 @@ def test_only_the_gauss_code_writes_its_own_constructor():
         classes += subclasses
         todo += subclasses
     assert {"DTCode", "KnotEntry", "WarpingSummary"} <= {c.__name__ for c in classes}
-    assert [c for c in classes if "__init__" in vars(c)] == [GaussCode]
+    # each checks its invariant; every other value type binds its fields only
+    assert {c for c in classes if "__init__" in vars(c)} == {GaussCode, DTCode,
+                                                              PDCode}
     # each class sets its slots through its own descriptors, in field order
     for cls in [_Value, *classes]:
         assert [setter.__self__ for setter in cls._setters] == \
@@ -1144,7 +1184,7 @@ def test_positional_and_keyword_values_are_equal():
 
     assert OracleResult(1, (2,), 3) == OracleResult(nodes_searched=3, changes=1,
                                                     witness=(2,))
-    assert PDCode(((1, 4, 2, 5),)) == PDCode(quads=((1, 4, 2, 5),))
+    assert PDCode(((1, 2, 2, 1),)) == PDCode(quads=((1, 2, 2, 1),))
     summed = summary(parse_gauss(TREFOIL))
     assert type(summed)(*summed._values()) == summed == type(summed)(
         **{name: getattr(summed, name) for name in summed._fields})

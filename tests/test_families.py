@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -13,9 +14,12 @@ from warpdeg.codes import parse_pd, pd_to_gauss, serialize
 from warpdeg.errors import InvalidParam, NotAKnot
 from warpdeg.families import (
     _continued_fraction_pd,
+    ozawa_pd,
     ozawa_twist,
+    rational_pd,
     rational_pq,
     twist_minimal,
+    twist_pd,
 )
 from warpdeg.table import is_alternating_diagram
 from warpdeg.warping import summary
@@ -140,3 +144,19 @@ def test_generate_pd_matches_the_gauss_builders(capsys):
         assert main(["generate", *argv, "--format", "pd"]) == 0
         via_pd = pd_to_gauss(parse_pd(capsys.readouterr().out))
         assert serialize(via_pd) == serialize(built)
+
+
+def test_family_pd_text_is_pinned():
+    # SHA-256 of every family's PD text, and of the message of each
+    # two-component closure, as first built by per-family curve walks
+    lines = [f"twist {n} {serialize(twist_pd(n))}" for n in range(1, 14)]
+    lines += [f"ozawa {n} {serialize(ozawa_pd(n))}" for n in range(1, 14)]
+    for p, q in itertools.product(range(1, 9), repeat=2):
+        try:
+            lines.append(f"rational {p} {q} {serialize(rational_pd(p, q))}")
+        except NotAKnot as exc:
+            lines.append(f"rational {p} {q} NotAKnot: {exc}")
+    assert lines[0] == "twist 1 X(2,6,3,5) X(4,2,5,1) X(6,4,1,3)"
+    assert lines[26] == "rational 1 1 NotAKnot: closure has more than one component"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "6c84bee7d2a8e49d949b5bf5c534f9a9819903b9f1ec75f9ed921250cb62665a"

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from warpdeg.bracket import BracketPolynomial
-from warpdeg.errors import DataError
+from warpdeg.codes import parse_gauss
+from warpdeg.errors import DataError, InternalInconsistency
 from warpdeg.table import (
     CheckRow,
     ExpectedValues,
@@ -25,6 +26,7 @@ from warpdeg.table import (
     knot_e,
     knot_md,
     load_table,
+    validate_entry,
     verify_paper,
 )
 from warpdeg.warping import WarpingSummary
@@ -273,6 +275,74 @@ def test_broken_entries_opt_out_instead_of_crashing_the_run(table):
     assert verify_paper([table["3_1"]]).passed
 
 
+def with_fields(entry: KnotEntry, **changes) -> KnotEntry:
+    return KnotEntry(**{**dict(zip(entry._fields, entry._values())), **changes})
+
+
+@pytest.mark.parametrize("changes, problems", [
+    ({"name": ""}, ["empty name"]),
+    ({"crossings": -1}, ["negative crossing number",
+                         "minimal diagram has 3 crossings, entry says -1",
+                         "twist parameter inconsistent with crossing number"]),
+    ({"minimal_diagrams": ()}, ["no minimal diagrams"]),
+    ({"minimal_diagrams": (parse_gauss("O1+U2-O3-U1+O4+U3-O2-U4+"),)},
+     ["minimal diagram has 4 crossings, entry says 3"]),
+    ({"twist": 0}, ["twist parameter below 1"]),
+], ids=["name", "crossings", "no-minimal", "crossing-mismatch", "twist"])
+def test_validate_entry_names_each_structural_problem(table, changes, problems):
+    assert validate_entry(table["3_1"]) == []
+    assert validate_entry(with_fields(table["3_1"], **changes)) == problems
+
+
+def test_a_diagram_that_fails_to_summarize_fails_its_entry_valid_row(
+        monkeypatch, table):
+    from warpdeg import table as table_module
+
+    honest = table_module.summary
+    target = table["4_1"].minimal_diagrams[0]
+
+    def faulty(d):
+        if d == target:
+            raise InternalInconsistency("d(-D)=2 but c - max(profile)=1")
+        return honest(d)
+
+    monkeypatch.setattr(table_module, "summary", faulty)
+    report = verify_paper([table["3_1"], table["4_1"]])
+    assert report.failures == (CheckRow("entry-valid", "4_1", False,
+                                        "d(-D)=2 but c - max(profile)=1"),)
+    assert {row.scope for row in report.rows if row.check != "entry-valid"} == {"3_1"}
+
+
+@pytest.mark.parametrize("name, crossings, code, details", [
+    ("2_x", 2, "O1+U1+O2-U2-", "warping sum 1 is impossible"),
+    # a 5-crossing diagram of sum 4 filed under 3_1, whose sum is 2
+    ("3_1", 5, "O1+U2+O3+U4+O5+U1+O2+U3+O4+U5+", "e=4, want 2"),
+], ids=["sum-one", "want"])
+def test_classification_names_its_fault(name, crossings, code, details):
+    entry = KnotEntry(name, crossings, True, True, None, (parse_gauss(code),), True)
+    rows = [row for row in verify_paper([entry]).rows
+            if row.check == "e-classification"]
+    assert rows == [CheckRow("e-classification", name, False, details)]
+
+
+def test_six_three_without_its_extra_diagram_passes_as_a_gap(table):
+    entry = with_fields(table["6_3"], extra_diagrams=())
+    rows = [row for row in verify_paper([entry]).rows
+            if row.check == "e-hat-six-three"]
+    assert rows == [CheckRow("e-hat-six-three", "6_3", True,
+                             "gap: bounds (4, 5); no sum-4 diagram bundled")]
+
+
+def test_true_e_comes_from_a_complete_minimal_set(table):
+    # 7_4's bundled minimal set is not known to be complete; its e is a
+    # reference value
+    entry = table["7_4"]
+    assert (entry.minimal_complete, _stats(entry).true_e) == (False, 6)
+    unknown = with_fields(entry, expected=ExpectedValues())
+    assert _stats(unknown).true_e is None
+    assert _stats(with_fields(unknown, minimal_complete=True)).true_e == 6
+
+
 # Per value type: a value, an equal one built apart, and a different one.
 VALUES = {
     ExpectedValues: lambda t: (ExpectedValues(e=2, md=1), ExpectedValues(2, 1),
@@ -380,6 +450,15 @@ def test_loader_rejects_missing_or_foreign_headers(tmp_path):
     with pytest.raises(DataError, match="table header: unknown key 'verison'"):
         load_table(write_table(
             tmp_path, '{"format": "knots-table", "version": 1, "verison": 2}'))
+
+
+def test_loader_rejects_a_header_that_is_not_json(tmp_path):
+    path = write_table(tmp_path, "{broken")
+    with pytest.raises(DataError) as info:
+        load_table(path)
+    assert str(info.value) == (f"{path}: bad header line: Expecting property "
+                               "name enclosed in double quotes: line 1 column 2 "
+                               "(char 1)")
 
 
 def test_loader_rejects_unsupported_versions(tmp_path):
