@@ -18,7 +18,6 @@ fix the knot.
 from __future__ import annotations
 
 from warpdeg.codes import parse_gauss
-from warpdeg.diagram import from_gauss, reverse
 from warpdeg.warping import profile, summary
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
@@ -37,7 +36,7 @@ def sparkline(degrees: tuple[int, ...]) -> str:
 
 
 def tour(name: str, code: str) -> None:
-    d = from_gauss(parse_gauss(code))
+    d = parse_gauss(code)
     s = summary(d)
     print(f"--- {name} ({s.crossings} crossings) ---")
     print(f"profile, one value per base point:")
@@ -54,8 +53,8 @@ def main() -> None:
     tour("trefoil", TREFOIL)
     tour("7_6, table diagram", SEVEN_SIX_A)
     tour("7_6, after one flype", SEVEN_SIX_B)
-    a = summary(from_gauss(parse_gauss(SEVEN_SIX_A)))
-    b = summary(from_gauss(parse_gauss(SEVEN_SIX_B)))
+    a = summary(parse_gauss(SEVEN_SIX_A))
+    b = summary(parse_gauss(SEVEN_SIX_B))
     print("the flype kept e =", a.warping_sum, "==", b.warping_sum,
           "but moved the orientation pair",
           (a.d_forward, a.d_reverse), "->", (b.d_forward, b.d_reverse))

@@ -175,6 +175,10 @@ def _print_analysis(diagram: GaussCode, args) -> None:
     if not args.quiet:
         _emit("profile: " + " ".join(str(x) for x in s.profile))
         _emit("polynomial: " + _poly_text(s.polynomial))
+        if diagram.has_all_signs():
+            from .bracket import is_classical
+            if not is_classical(diagram):
+                _emit("classical: no")
         _emit(f"monotone: {'yes' if s.d_forward == 0 else 'no'}")
 
 

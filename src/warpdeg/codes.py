@@ -75,8 +75,8 @@ class GaussCode(_Value):
 
     Invariant: the labels are 1..c in order of first appearance, and both
     visits of a crossing carry its sign.  The constructor enforces it as the
-    parsers do: the three columns must be of one length, the roles True or
-    False and the signs PLUS, MINUS or UNSIGNED; each label must appear
+    parsers do: the three columns must be of one length, the roles bools
+    and the signs the ints PLUS, MINUS or UNSIGNED; each label must appear
     exactly twice, over at one visit and under at the other, without
     opposite signs, or StructureError names the first faulty label.  Any
     hashable labels are then renumbered 1..c by first appearance, a sign
@@ -94,9 +94,9 @@ class GaussCode(_Value):
                 f"{len(signs)} signs; expected one length"
             )
         for over, s in zip(overs, signs):
-            if s not in _MARK:
+            if type(s) is not int or s not in _MARK:  # not True, not 1.0
                 raise StructureError(f"sign {s!r} is not PLUS, MINUS or UNSIGNED")
-            if over not in (True, False):
+            if type(over) is not bool:  # not 1, not 1.0
                 raise StructureError(f"role {over!r} is not True or False")
         code = _build_gauss(zip(labels, overs, signs))
         super().__init__(*code._values())
@@ -128,14 +128,17 @@ class GaussCode(_Value):
 class DTCode(_Value):
     """Dowker-Thistlethwaite code: the signed even partner of 1,3,5,...
 
-    Invariant: the magnitudes of the entries are 2, 4, ..., 2c in some
-    order, or the constructor raises StructureError.
+    Invariant: the entries are ints whose magnitudes are 2, 4, ..., 2c in
+    some order, or the constructor raises StructureError.
     """
 
     __slots__ = ("evens",)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        for entry in self.evens:  # equal is not enough: not 2.0, not True
+            if type(entry) is not int:
+                raise StructureError(f"DT entry {entry!r} is not an int")
         if sorted(map(abs, self.evens)) != list(range(2, 2 * len(self.evens) + 1, 2)):
             raise StructureError("DT entries are not a permutation of 2,4,...,2c")
 
@@ -148,7 +151,7 @@ class PDCode(_Value):
     """Planar diagram code: one edge quadruple per crossing.
 
     Invariant: each quadruple holds four edge labels, and the labels are
-    1..2c, each used twice, or the constructor raises StructureError.
+    ints 1..2c, each used twice, or the constructor raises StructureError.
     """
 
     __slots__ = ("quads",)
@@ -159,6 +162,9 @@ class PDCode(_Value):
             if len(quad) != 4:
                 raise StructureError(f"PD quadruple {quad!r} does not hold "
                                      "four edge labels")
+        for label in chain.from_iterable(self.quads):  # not 1.0, not True
+            if type(label) is not int:
+                raise StructureError(f"PD label {label!r} is not an int")
         edges = sorted(chain.from_iterable(self.quads))
         if not edges[::2] == edges[1::2] == list(range(1, len(edges) // 2 + 1)):
             raise StructureError("PD edge labels must be 1..2c, each used twice")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .codes import GaussCode, PDCode, _trace, pd_to_gauss
 from .diagram import from_gauss
-from .errors import InternalInconsistency, InvalidParam, NotAKnot
+from .errors import InvalidParam, NotAKnot
 
 __all__ = ["twist_minimal", "rational_pq", "ozawa_twist",
            "twist_pd", "rational_pd", "ozawa_pd"]
@@ -39,55 +39,6 @@ _RIGHT = (("ne", 3, 2), ("se", 0, 1))
 _BOTTOM = (("sw", 3, 0), ("se", 2, 1))
 
 Port = tuple[int, int]  # (crossing id, slot)
-
-
-class _Tangle:
-    """A rational tangle under construction, wired as a planar port graph."""
-
-    def __init__(self, vertical: bool) -> None:
-        self.crossings = 0
-        self.links: dict[Port, Port] = {}
-        # corner -> the opposite corner's name while its strand is still
-        # bare, then its port once a crossing has been hooked on.
-        if vertical:  # infinity tangle: NW-SW and NE-SE strands
-            self.corners = {"nw": "sw", "sw": "nw", "ne": "se", "se": "ne"}
-        else:  # zero tangle: NW-NE and SW-SE strands
-            self.corners = {"nw": "ne", "ne": "nw", "sw": "se", "se": "sw"}
-
-    def _connect(self, a: Port, b: Port) -> None:
-        if a in self.links or b in self.links:
-            raise InternalInconsistency(f"port {a} or {b} wired twice")
-        self.links[a] = b
-        self.links[b] = a
-
-    def _consume(self, corner: str, port: Port) -> None:
-        held = self.corners[corner]
-        if isinstance(held, str):
-            self.corners[held] = port
-        else:
-            self._connect(held, port)
-
-    def twist(self, hooks: tuple[tuple[str, int, int], ...]) -> None:
-        cid = self.crossings
-        self.crossings += 1
-        for corner, slot, _ in hooks:
-            self._consume(corner, (cid, slot))
-        for corner, _, slot in hooks:
-            self.corners[corner] = (cid, slot)
-
-    def close_numerator(self) -> PDCode:
-        """Join NW to NE and SW to SE and emit the closure's PD code.
-
-        Raises NotAKnot if the closure has more than one component.
-        """
-        for a, b in (("nw", "ne"), ("sw", "se")):
-            pa, pb = self.corners[a], self.corners[b]
-            if isinstance(pa, str) or isinstance(pb, str):
-                raise InternalInconsistency("closing an unbuilt tangle")
-            self._connect(pa, pb)
-        if len(self.links) != 4 * self.crossings:
-            raise InternalInconsistency("construction left dangling ports")
-        return _closed_pd(self.links, self.crossings)
 
 
 def _closed_pd(links: dict[Port, Port], c: int) -> PDCode:
@@ -118,13 +69,29 @@ def _continued_fraction_pd(entries: list[int]) -> PDCode:
     if not entries or any(a < 1 for a in entries):
         raise InvalidParam("tangle entries must be integers >= 1")
     k = len(entries)
-    # the last entry must land on right twists; parity fixes the start
-    tangle = _Tangle(vertical=k % 2 == 0)
+    # One symmetric map pairs the two ports of every edge, and each corner
+    # with the far end of its strand: the opposite corner while the strand
+    # is bare, a port once a crossing is hooked on.  The start is vertical
+    # (infinity) when k is even, so that the last entry lands on right
+    # twists; either way the first twist meets both bare strands.
+    if k % 2:
+        links: dict = {"nw": "ne", "ne": "nw", "sw": "se", "se": "sw"}
+    else:
+        links = {"nw": "sw", "sw": "nw", "ne": "se", "se": "ne"}
+    c = 0
     for i, a in enumerate(entries):
-        bottoms = (k - i) % 2 == 0  # i counts from 0; last entry is rights
+        hooks = _BOTTOM if (k - i) % 2 == 0 else _RIGHT  # i = k - 1: rights
         for _ in range(a):
-            tangle.twist(_BOTTOM if bottoms else _RIGHT)
-    return tangle.close_numerator()
+            for corner, into, out in hooks:
+                end = links.pop(corner)
+                links[end], links[c, into] = (c, into), end
+                links[corner], links[c, out] = (c, out), corner
+            c += 1
+    # the closure joins NW to NE and SW to SE, leaving only ports
+    for a, b in (("nw", "ne"), ("sw", "se")):
+        end_a, end_b = links.pop(a), links.pop(b)
+        links[end_a], links[end_b] = end_b, end_a
+    return _closed_pd(links, c)
 
 
 def rational_pd(p: int, q: int) -> PDCode:

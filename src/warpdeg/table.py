@@ -29,8 +29,8 @@ over a table and reports every pass/fail as data rather than raising.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterable, Iterator
-from pathlib import Path
 
 from .codes import GaussCode, _Value, parse_gauss, read_text
 from .diagram import from_gauss
@@ -195,12 +195,12 @@ def validate_entry(entry: KnotEntry) -> list[str]:
     return problems
 
 
-def default_table_path() -> Path:
+def default_table_path() -> str:
     """The bundled table file; inside a zip archive, a member of the archive."""
-    return Path(__file__).parent / "data" / "knots.tbl"
+    return os.path.join(os.path.dirname(__file__), "data", "knots.tbl")
 
 
-def load_table(path: str | Path | None = None) -> KnotTable:
+def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
     """Load a table file, validating the header and every entry."""
     if path == "":
         raise DataError("the table path is empty")

@@ -54,6 +54,18 @@ def test_analyze_text_output(capsys):
     ]
 
 
+def test_analyze_text_notes_a_signed_code_that_is_not_classical(capsys):
+    virtual = "O1+O2+U1+U2+"  # its faces do not make a sphere
+    code, out, err = run(capsys, "analyze", virtual)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["classical: no", "monotone: yes"]
+    # unsigned, the code cannot tell; records, --quiet and batch are as before
+    assert "classical" not in run(capsys, "analyze", "O1O2U1U2")[1]
+    assert "classical" not in run(capsys, "analyze", virtual, "--quiet")[1]
+    code, out, _ = run(capsys, "analyze", virtual, "--output", "records")
+    assert (code, "classical" in out) == (0, False)
+
+
 def test_analyze_quiet_keeps_only_the_summary_line(capsys):
     code, out, _ = run(capsys, "analyze", TREFOIL, "--quiet")
     assert code == 0
@@ -162,7 +174,8 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, argv):
     from warpdeg.table import default_table_path
 
     if argv[0] == "verify":
-        text = default_table_path().read_bytes()
+        with open(default_table_path(), "rb") as table:
+            text = table.read()
     elif argv[0] == "analyze":
         text = f"# a figure eight\n{FIGURE8}\n".encode()
     else:  # a comment line, a failing line, and Gauss, DT and PD lines
@@ -617,7 +630,9 @@ def _broken_table(tmp_path: Path) -> Path:
     from warpdeg.table import default_table_path
 
     out = []
-    for line in default_table_path().read_text(encoding="utf-8").splitlines():
+    with open(default_table_path(), encoding="utf-8") as table:
+        lines = table.read().splitlines()
+    for line in lines:
         if '"name": "granny"' in line:
             obj = json.loads(line)
             obj["expected"]["e"] = 3
@@ -652,8 +667,8 @@ def test_verify_table_flag_beats_the_environment(capsys, tmp_path,
     from warpdeg.table import default_table_path
 
     monkeypatch.setenv("WARPDEG_TABLE", str(_broken_table(tmp_path)))
-    code, out, _ = run(capsys, "verify", "--table",
-                       str(default_table_path()), "--quiet")
+    code, out, _ = run(capsys, "verify", "--table", default_table_path(),
+                       "--quiet")
     assert code == 0
     assert out.splitlines() == ["ALL CHECKS PASSED (335 checks)"]
 
@@ -931,20 +946,43 @@ def _fresh_python(*args: str, pythonpath: str = str(SRC), cwd=None):
 
 
 def test_analyze_and_batch_load_neither_the_table_nor_dataclasses(tmp_path):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("", encoding="utf-8")
+    codes = tmp_path / "codes.txt"
+    codes.write_text(f"{TREFOIL}\nO1+O2+U1+U2+\n", encoding="utf-8")
     script = (
         "import sys\n"
         "from warpdeg import cli\n"
-        f"assert cli.main(['batch', {str(empty)!r}, '--output', 'records']) == 0\n"
-        "assert cli.main(['analyze', 'O1-U1-']) == 0\n"
         "heavy = ('dataclasses', 'inspect', 'warpdeg.table', 'warpdeg.bracket',\n"
         "         'warpdeg.oracle', 'pathlib')\n"
-        "print('loaded:', [name for name in heavy if name in sys.modules])\n"
+        "def loaded():\n"
+        "    print('loaded:', [name for name in heavy if name in sys.modules])\n"
+        f"assert cli.main(['batch', {str(codes)!r}, '--output', 'records']) == 0\n"
+        f"assert cli.main(['batch', {str(codes)!r}]) == 0\n"
+        "assert cli.main(['analyze', 'O1-U1-', '--quiet']) == 0\n"
+        "assert cli.main(['analyze', 'O1-U1-', '--output', 'records']) == 0\n"
+        "loaded()\n"
+        "assert cli.main(['analyze', 'O1-U1-']) == 0\n"
+        "loaded()\n"
     )
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded: []"
+    # only a signed code's text analysis asks is_classical
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("loaded:")] == ["loaded: []",
+                                               "loaded: ['warpdeg.bracket']"]
+
+
+def test_verify_leaves_pathlib_unimported():
+    script = (
+        "import sys\n"
+        "from warpdeg import cli\n"
+        "from warpdeg.table import load_table\n"
+        "assert len(load_table()) == 37\n"
+        "assert cli.main(['verify', '--quiet']) == 0\n"
+        "print('pathlib' in sys.modules)\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_certify_api_loads_none_of_dataclasses_inspect_and_typing():

@@ -577,6 +577,15 @@ def test_the_constructor_raises_what_the_parser_raises(text, message):
     (((1, 1), (2, 0), (1, 1)), "role 2 is not True or False"),
     (((1, 1), ("O", ""), (1, 1)), "role 'O' is not True or False"),
     (((1, 1), (True, None), (1, 1)), "role None is not True or False"),
+    # equal to a bool or an int is not enough: each would surface later
+    # as a TypeError, in profile for a float role, in serialize for a
+    # float sign; an int role is refused as well
+    (((1, 2, 3, 1, 2, 3), (1.0, 0.0) * 3, (1,) * 6),
+     "role 1.0 is not True or False"),
+    (((1, 1), (1, 0), (1, 1)), "role 1 is not True or False"),
+    (((1, 1), (True, False), (1.0, 1)), "sign 1.0 is not PLUS, MINUS or UNSIGNED"),
+    (((1, 1), (True, False), (True, True)),
+     "sign True is not PLUS, MINUS or UNSIGNED"),
 ])
 def test_the_constructor_rejects_columns_no_parser_could_give(columns, message):
     with pytest.raises(StructureError) as info:
@@ -967,7 +976,16 @@ PD_FAULT = "PD edge labels must be 1..2c, each used twice"
     (pd_to_gauss, lambda: PDCode(((1, 1, 2, 2), (3, 3, 4))),
      "PD quadruple (3, 3, 4) does not hold four edge labels"),
     (pd_to_gauss, lambda: PDCode(((1, 1, 2, 2), (3, 3, 5, 5))), PD_FAULT),
-], ids=["pd-label-5", "dt-4", "dt-2-2", "dt-0", "pd-three-labels", "pd-gap"])
+    # a float or a bool equal to a valid entry: dt_to_gauss would raise
+    # TypeError, and serialize would write X(1.0,2,1,2), which parse_pd
+    # refuses
+    (dt_to_gauss, lambda: DTCode((2.0,)), "DT entry 2.0 is not an int"),
+    (dt_to_gauss, lambda: DTCode((4, 2, True)), "DT entry True is not an int"),
+    (pd_to_gauss, lambda: PDCode(((1.0, 2, 1, 2),)), "PD label 1.0 is not an int"),
+    (pd_to_gauss, lambda: PDCode(((1, 2, 2, 1), (3, 4, True, 4))),
+     "PD label True is not an int"),
+], ids=["pd-label-5", "dt-4", "dt-2-2", "dt-0", "pd-three-labels", "pd-gap",
+        "dt-float", "dt-bool", "pd-float", "pd-bool"])
 def test_hand_built_codes_are_refused_before_any_conversion(convert, build,
                                                             message):
     with pytest.raises(StructureError) as info:

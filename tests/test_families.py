@@ -92,18 +92,28 @@ def test_continued_fraction_closure_realizes_its_numerator():
     vectors = [list(v) for k in range(1, 5)
                for v in itertools.product(range(1, 4), repeat=k)]
     assert len(vectors) == 120
+    lines = []
     for v in vectors:
         num, den = v[0], 1
         for a in v[1:]:
             num, den = a * num + den, num
         if num % 2 == 0:
-            with pytest.raises(NotAKnot):
+            with pytest.raises(NotAKnot) as info:
                 _continued_fraction_pd(v)
+            lines.append(f"{v} NotAKnot: {info.value}")
             continue
-        diagram = pd_to_gauss(_continued_fraction_pd(v))
+        pd = _continued_fraction_pd(v)
+        lines.append(f"{v} {serialize(pd)}")
+        diagram = pd_to_gauss(pd)
         assert diagram.crossings == sum(v), v
         assert is_alternating_diagram(diagram), v
         assert determinant(diagram) == num, v
+    # SHA-256 of the PD text of every vector, as first built by a tangle
+    # object that checked its own wiring
+    assert lines[:2] == ["[1] X(2,1,1,2)",
+                         "[2] NotAKnot: closure has more than one component"]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "3b57c96f71ded778beed30803ddf984eb84bb9378f53e2265041c0e8d7c45475"
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ def write_table(tmp_path: Path, *lines: str) -> Path:
 def mutated_copy(tmp_path: Path, name: str, mutate) -> Path:
     """The bundled table with one record rewritten by ``mutate(obj)``."""
     out = []
-    for line in default_table_path().read_text(encoding="utf-8").splitlines():
+    with open(default_table_path(), encoding="utf-8") as table:
+        lines = table.read().splitlines()
+    for line in lines:
         if line.startswith("{") and f'"name": "{name}"' in line:
             obj = json.loads(line)
             mutate(obj)

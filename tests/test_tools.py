@@ -25,7 +25,8 @@ def load_tool():
 def test_build_table_renders_the_bundled_table_byte_for_byte():
     tool = load_tool()
     rendered = tool.render_table(tool.build_entries()).encode("utf-8")
-    assert rendered == default_table_path().read_bytes()
+    with open(default_table_path(), "rb") as table:
+        assert rendered == table.read()
 
 
 def chord_is_reduced(diagram: GaussCode) -> bool:

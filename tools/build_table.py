@@ -45,7 +45,6 @@ from warpdeg.bracket import (
     kauffman_bracket,
 )
 from warpdeg.codes import GaussCode, parse_gauss, pd_to_gauss, serialize
-from warpdeg.diagram import from_gauss
 from warpdeg.families import _continued_fraction_pd, ozawa_twist
 from warpdeg.table import (_TABLE_FORMAT, _TABLE_VERSION, is_alternating_diagram,
                            load_table, verify_paper)
@@ -230,6 +229,10 @@ EXPECTED_UNKNOTTING: dict[str, int] = {
     "8_19": 3, "8_20": 1, "8_21": 1, "granny": 2,
 }
 
+# the record field of each reference table, in the order written
+EXPECTED = {"e": EXPECTED_E, "md": EXPECTED_MD, "e_hat": EXPECTED_E_HAT,
+            "ascending": EXPECTED_ASCENDING, "unknotting": EXPECTED_UNKNOTTING}
+
 ORDER = (
     ["0_1", "3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3"]
     + [f"7_{i}" for i in range(1, 8)]
@@ -342,54 +345,40 @@ def build_entries() -> list[dict]:
     extras: dict[str, list[str]] = {}
     twist_of: dict[str, int] = {}
 
-    # two-bridge constructions
-    for name, entries, det in RATIONAL:
-        diagram = from_gauss(pd_to_gauss(_continued_fraction_pd(entries)))
-        if diagram.crossings != sum(entries):
-            fail(f"{name}: twist vector {entries} lost a crossing")
-        fp[name] = certify_identity(name, diagram, det, [], fp, True)
-        codes[name] = [serialize(diagram)]
-        if len(entries) == 2 and entries[0] == 2:
-            twist_of[name] = entries[1]
+    # primaries from a continued fraction or a frozen Gauss code, then flype
+    # partners matched to them; exclusions name only entries certified before
+    sources = [(name, entries, det, []) for name, entries, det in RATIONAL]
+    sources += [(name, *spec) for name, spec
+                in (FROZEN_ALTERNATING | FROZEN_NONALTERNATING).items()]
+    sources += [("7_6", SEVEN_SIX_B, 19, []),
+                ("8_12", EIGHT_TWELVE_B, 29, [("8_13",)])]
+    for name, source, det, excluded in sources:
+        label = f"{name}-partner" if name in fp else name
+        if isinstance(source, str):
+            diagram = parse_gauss(source)
+        else:
+            diagram = pd_to_gauss(_continued_fraction_pd(source))
+            if diagram.crossings != sum(source):
+                fail(f"{name}: twist vector {source} lost a crossing")
+            if len(source) == 2 and source[0] == 2:
+                twist_of[name] = source[1]
+        poly = certify_identity(label, diagram, det, excluded, fp,
+                                name not in NON_ALTERNATING)
+        same_knot(label, poly, fp.setdefault(name, poly))
+        codes.setdefault(name, []).append(serialize(diagram))
 
-    # frozen alternating and non-alternating picks
-    for table, alternating in (
-        (FROZEN_ALTERNATING, True),
-        (FROZEN_NONALTERNATING, False),
-    ):
-        for name, (code, det, excluded) in table.items():
-            diagram = from_gauss(parse_gauss(code))
-            fp[name] = certify_identity(
-                name, diagram, det, excluded, fp, alternating
-            )
-            codes[name] = [serialize(diagram)]
-
-    # granny knot: both threadings must be the same-handed trefoil sum
+    # granny knot: both threadings must be one same-handed trefoil sum
     trefoil_sums = {p * p for p in chiral_set(fp["3_1"])}
     mixed = fp["3_1"] * mirror_poly(fp["3_1"])
     if mixed in trefoil_sums:
         fail("granny: trefoil bracket cannot separate handedness")
-    granny_polys = []
-    codes["granny"] = []
-    for code in GRANNY_CODES:
-        diagram = from_gauss(parse_gauss(code))
-        poly = kauffman_bracket(diagram)
-        if determinant(diagram) != 9 or poly not in trefoil_sums:
-            fail("granny: presentation is not a same-handed trefoil sum")
-        granny_polys.append(poly)
-        codes["granny"].append(serialize(diagram))
-    if granny_polys[0] != granny_polys[1]:
-        fail("granny: the two presentations differ in handedness")
-    fp["granny"] = granny_polys[0]
-
-    # flype partners: certified like the primaries, then bracket-matched
-    for name, code, det, excluded in (("7_6", SEVEN_SIX_B, 19, []),
-                                      ("8_12", EIGHT_TWELVE_B, 29, [("8_13",)])):
-        partner = from_gauss(parse_gauss(code))
-        poly = certify_identity(f"{name}-partner", partner, det, excluded,
-                                fp, True)
-        same_knot(f"{name}-partner", poly, fp[name])
-        codes[name].append(serialize(partner))
+    grannies = [parse_gauss(code) for code in GRANNY_CODES]
+    granny_polys = {kauffman_bracket(diagram) for diagram in grannies}
+    if ({determinant(diagram) for diagram in grannies} != {9}
+            or len(granny_polys) != 1 or not granny_polys <= trefoil_sums):
+        fail("granny: the presentations are not one same-handed trefoil sum")
+    fp["granny"] = granny_polys.pop()
+    codes["granny"] = [serialize(diagram) for diagram in grannies]
 
     # non-minimal presentations driving the reduced-sum upper bounds; the
     # trefoil's own 3-crossing diagram already has sum 2
@@ -403,7 +392,7 @@ def build_entries() -> list[dict]:
             fail(f"{name}: sum-2 presentation is a different knot")
         extras[name] = [serialize(diagram)]
 
-    diagram = from_gauss(parse_gauss(SIX_THREE_EXTRA))
+    diagram = parse_gauss(SIX_THREE_EXTRA)
     if summary(diagram).warping_sum != 4:
         fail("6_3: the 7-crossing presentation must have warping sum 4")
     if chiral_set(fp["6_3"]) & chiral_set(fp["7_3"]):
@@ -416,21 +405,20 @@ def build_entries() -> list[dict]:
     codes["0_1"] = [""]
 
     # no two entries may agree up to mirror image
-    names = list(ORDER)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
+    for i, a in enumerate(ORDER):
+        for b in ORDER[i + 1:]:
             if chiral_set(fp[a]) == chiral_set(fp[b]):
                 fail(f"{a} and {b} have identical bracket fingerprints")
 
-    for name in names:
+    for name in ORDER:
         for code in codes[name] + extras.get(name, []):
-            certify_planar(name, from_gauss(parse_gauss(code)))
+            certify_planar(name, parse_gauss(code))
 
     records = []
-    for name in names:
+    for name in ORDER:
         record: dict = {
             "name": name,
-            "crossings": from_gauss(parse_gauss(codes[name][0])).crossings,
+            "crossings": parse_gauss(codes[name][0]).crossings,
             "prime": name not in NON_PRIME,
             "alternating": name not in NON_ALTERNATING,
         }
@@ -440,16 +428,8 @@ def build_entries() -> list[dict]:
         record["minimal_complete"] = name in MINIMAL_COMPLETE
         if name in extras:
             record["extra"] = extras[name]
-        expected = {}
-        for key, source in (
-            ("e", EXPECTED_E),
-            ("md", EXPECTED_MD),
-            ("e_hat", EXPECTED_E_HAT),
-            ("ascending", EXPECTED_ASCENDING),
-            ("unknotting", EXPECTED_UNKNOTTING),
-        ):
-            if name in source:
-                expected[key] = source[name]
+        expected = {field: table[name] for field, table in EXPECTED.items()
+                    if name in table}
         if expected:
             record["expected"] = expected
         records.append(record)
