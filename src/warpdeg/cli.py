@@ -33,6 +33,7 @@ import gc
 import os
 import sys
 from collections.abc import Iterator
+from itertools import repeat
 
 from .codes import (
     GaussCode,
@@ -99,7 +100,9 @@ def _lines(path: str) -> Iterator[str]:
     as a file and memory holds a block, not the file.  A leading byte-order
     mark is dropped.  No UTF-8 sequence holds the byte ``\\n``, so each cut
     decodes alone, and a decode fault is raised when the reading reaches
-    it, after the lines before it.
+    it, after the lines before it.  A cut's bytes are dropped once decoded,
+    and each line is popped from the cut's list as it is handed out, so
+    that neither keeps a line alive after its caller has dropped it.
     """
     end = 0  # the file offset past the bytes decoded
     try:
@@ -117,11 +120,14 @@ def _lines(path: str) -> Iterator[str]:
                     chunk, end = chunk[3:], 3
                 end += len(chunk)
                 try:
-                    yield from chunk.decode("utf-8").splitlines()
+                    lines = chunk.decode("utf-8").splitlines()
                 except UnicodeDecodeError as exc:  # the whole lines before it
                     whole = chunk[:chunk.rfind(b"\n", 0, exc.start) + 1]
                     yield from whole.decode("utf-8").splitlines()
                     raise
+                del chunk
+                lines.reverse()  # popped from the end, in C, in file order
+                yield from map(list.pop, repeat(lines, len(lines)))
                 if not block:
                     return
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
@@ -138,15 +144,7 @@ def _parse_code(text: str, notation: str | None) -> GaussCode:
 
 
 def _summary_line(s) -> str:
-    return (
-        f"d(D)={s.d_forward} d(-D)={s.d_reverse} "
-        f"e={s.warping_sum} spn={s.span}"
-    )
-
-
-def _poly_text(coeffs: tuple[int, ...]) -> str:
-    terms = [f"{c}*t^{k}" for k, c in enumerate(coeffs) if c]
-    return " + ".join(terms) if terms else "0"
+    return f"d(D)={s.d_forward} d(-D)={s.d_reverse} e={s.warping_sum} spn={s.span}"
 
 
 def _analysis_record(diagram: GaussCode) -> dict:
@@ -174,7 +172,8 @@ def _print_analysis(diagram: GaussCode, args) -> None:
     _emit(_summary_line(s))
     if not args.quiet:
         _emit("profile: " + " ".join(str(x) for x in s.profile))
-        _emit("polynomial: " + _poly_text(s.polynomial))
+        _emit("polynomial: " + (" + ".join(
+            f"{c}*t^{k}" for k, c in enumerate(s.polynomial) if c) or "0"))
         if diagram.has_all_signs():
             from .bracket import is_classical
             if not is_classical(diagram):
@@ -212,11 +211,8 @@ def _cmd_oracle(args) -> int:
         }))
     else:
         if not args.quiet:
-            _emit(
-                f"oracle: min_changes={result.changes} "
-                f"witness={list(result.witness)} "
-                f"searched={result.nodes_searched}"
-            )
+            _emit(f"oracle: min_changes={result.changes} "
+                  f"witness={list(result.witness)} searched={result.nodes_searched}")
             _emit(f"engine: d(D)={degree}")
         _emit(f"verdict: {'AGREE' if agree else 'DISAGREE'}")
     return 0 if agree else 1
@@ -279,19 +275,23 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    failures = 0
-    for number, line in enumerate(_lines(args.file), start=1):
-        body = line.split("#", 1)[0].strip()
+    # One line and one diagram are alive at a time: each name is dropped at
+    # its last use, and the lines are counted here because ``enumerate``
+    # keeps its last (number, line) pair alive, for reuse, until the next.
+    failures = number = 0
+    for body in _lines(args.file):
+        number += 1
+        body = body.split("#", 1)[0].strip()
         if not body:
             continue
         try:
             diagram = from_gauss(_parse_code(body, args.format))
-            if args.output == "records":
-                record = _analysis_record(diagram)
-                record["line"] = number
-                _emit(_record(record))
+            del body
+            if args.output == "records":  # _record sorts the keys
+                _emit(_record({**_analysis_record(diagram), "line": number}))
             else:
                 _emit(f"line {number}: {_summary_line(summary(diagram))}")
+            del diagram
         except WarpingError as exc:
             failures += 1
             if args.output == "records":

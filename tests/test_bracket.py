@@ -415,6 +415,21 @@ def test_the_virtual_trefoil_is_not_classical():
     assert not is_classical(diagram("O1+O2+U1+U2+"))
 
 
+@pytest.mark.parametrize("text", [
+    "O1+O2+U1+U2+",
+    # Reidemeister I kinks of either sign, met over or under first
+    "O1+O3+U3+O2+U1+U2+", "O1+O3-U3-O2+U1+U2+",
+    "O1+U3+O3+O2+U1+U2+", "O1+U3-O3-O2+U1+U2+",
+    "O1+O2+O3+O4-U1+U2+U3+U4-",  # a Reidemeister II pair
+])
+def test_the_virtual_trefoil_has_a_bracket_that_the_moves_keep(text):
+    # the bracket is the state sum, which needs no planar diagram; the
+    # determinant refuses the same codes
+    assert str(kauffman_bracket(diagram(text))) == "-A^-10 + A^-6 + A^-4"
+    with pytest.raises(NotClassical):
+        determinant(diagram(text))
+
+
 def test_classical_codes_among_random_codes_are_pinned():
     codes = random_codes(2000, 10, 3)
     assert sum(is_classical(code) for code in codes) == 468

@@ -27,6 +27,8 @@ from warpdeg.codes import gauss_to_dt, parse_gauss, serialize
 from warpdeg.families import twist_minimal
 from warpdeg.warping import summary
 
+from test_codes import _seeded_text
+
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -411,6 +413,11 @@ def _mixed_batch_text(lines: int = 2000) -> str:
 BATCH_RECORDS_SHA256 = (
     "91d19e777f39c09989e48cb67e326cc0fd1eaf21928ee0a32037ccd9c2d67a9b"
 )
+# Its text output, footer included: the line numbers are counted by hand, so
+# a blank, comment or failed line that stopped counting changes the digest.
+BATCH_TEXT_SHA256 = (
+    "61329b8f8fb45f08e60eaab2a89e6afd0dae5434db09bd655b26eca618bcea8d"
+)
 
 
 def test_batch_records_on_a_seeded_corpus_are_pinned(capsys, tmp_path):
@@ -421,6 +428,16 @@ def test_batch_records_on_a_seeded_corpus_are_pinned(capsys, tmp_path):
     assert len(out.splitlines()) == 2001
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         BATCH_RECORDS_SHA256
+
+
+def test_batch_text_on_a_seeded_corpus_is_pinned(capsys, tmp_path):
+    path = tmp_path / "codes.txt"
+    path.write_text(_mixed_batch_text(), encoding="utf-8")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 1
+    assert out.splitlines()[-1] == "batch: 1 failed line(s)"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        BATCH_TEXT_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +513,14 @@ def test_batch_reads_a_pipe_as_it_reads_a_file(tmp_path):
     assert outputs[0][0] == 1 and outputs[0][1].count(b"\n") == 5
 
 
-def _batch_peak(path: Path) -> int:
-    """The tracemalloc peak of a records batch over ``path``."""
+def _batch_peak(path: Path, output: str = "records") -> int:
+    """The tracemalloc peak of a batch over ``path``."""
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            main(["batch", str(path), "--output", "records"])
+            main(["batch", str(path), "--output", output])
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -520,6 +537,26 @@ def test_batch_memory_does_not_grow_with_the_number_of_lines(tmp_path):
     small, large = _batch_peak(short), _batch_peak(long)
     assert large < 500_000
     assert large - small < 100_000
+
+
+@pytest.mark.parametrize("output, bound", [
+    ("text", 2_450_000),
+    ("records", 4_700_000),
+])
+def test_batch_holds_one_line_and_one_diagram_at_a_time(tmp_path, output,
+                                                        bound):
+    # two lines of 10⁴ crossings; when the reader's list of the cut and the
+    # loop's enumerate pair kept each line alive, with the cut's bytes, and
+    # the last diagram and record lived on through the next parse, the peaks
+    # read 2.88 MB (text) and 5.11 MB (records); with each dropped at its
+    # last use, 2.02 and 4.24 MB
+    text = _seeded_text()
+    path = tmp_path / "two.txt"
+    path.write_text(f"{text}\n{text}\n", encoding="utf-8")
+    small = tmp_path / "small.txt"
+    small.write_text(f"{TREFOIL}\n", encoding="utf-8")
+    _batch_peak(small, output)  # the encoder and the pattern caches
+    assert _batch_peak(path, output) < bound
 
 
 # ---------------------------------------------------------------------------
