@@ -19,7 +19,8 @@ import importlib
 # home module -> the names exported from it
 _EXPORTS = {
     "bracket": (
-        "BracketPolynomial", "determinant", "is_classical", "kauffman_bracket",
+        "BracketPolynomial", "determinant", "gauss_to_pd", "is_classical",
+        "kauffman_bracket",
     ),
     "codes": (
         "DTCode", "GaussCode", "PDCode", "canonical",

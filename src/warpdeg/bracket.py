@@ -33,7 +33,9 @@ a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
 
 ``is_classical`` decides planarity in O(c): the F faces that ``_faces``
 traces, with c vertices and 2c edges, make a sphere exactly when
-F = c + 2 (Kauffman, "Virtual knot theory", 1999).
+F = c + 2 (Kauffman, "Virtual knot theory", 1999).  ``gauss_to_pd``
+writes a classical code as PD text, each crossing in the corner order
+that the faces turn by.
 
 ``determinant`` does not go through the bracket.  On a classical
 diagram it is |det| of the coloring matrix with one row and one column
@@ -43,16 +45,17 @@ Comp. 1968): O(c^3), with no cap.
 
 from __future__ import annotations
 
-from .codes import GaussCode, _partners, _Value
+from .codes import PLUS, GaussCode, PDCode, _partners, _Value
 from .errors import (CapExceeded, InternalInconsistency, InvalidParam,
-                     NotClassical, UnknownSigns)
+                     NotClassical, StructureError, UnknownSigns)
 
 __all__ = [
     "BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "is_classical",
-    "determinant",
+    "determinant", "gauss_to_pd",
 ]
 
 BRACKET_CAP = 14
+_NOT_PLANAR = "not a classical knot diagram: its faces do not make a sphere"
 
 Laurent = dict[int, int]  # exponent of A -> integer coefficient
 DELTA: Laurent = {2: -1, -2: -1}  # the value of a closed loop
@@ -199,25 +202,32 @@ def kauffman_bracket(
     )
 
 
+def _corners(diagram: GaussCode) -> list[tuple[int, int, int, int]]:
+    """Each crossing's four arc ends, counterclockwise from the under-strand in.
+
+    The signs embed the code in a closed surface (its Carter surface): at
+    under-visit p and over-visit q a positive crossing has the ends
+    under in, over out, under out, over in (2p - 1, 2q, 2p, 2q - 1), and
+    a negative one the mirror order.  Every sign must be known.
+    """
+    overs, signs = diagram.overs, diagram.signs
+    return [(2 * p - 1, 2 * q, 2 * p, 2 * q - 1) if signs[p] == PLUS
+            else (2 * p - 1, 2 * q - 1, 2 * p, 2 * q)
+            for p, q in enumerate(_partners(diagram.labels)) if not overs[p]]
+
+
 def _faces(diagram: GaussCode) -> list[int]:
     """The face of each arc end, named by the least end on that face.
 
-    The signs embed the code in a closed surface (its Carter surface):
-    counterclockwise around a positive crossing its ends are under in,
-    over out, under out, over in, and a negative crossing takes the
-    mirror order.  A face is an orbit of "cross the arc, then turn to the
-    next end counterclockwise"; the four ends at a crossing lie on its
-    four corners, one each.  Every sign must be known.
+    A face is an orbit of "cross the arc, then turn to the next end
+    counterclockwise"; the four ends at a crossing lie on its four
+    corners, one each.
     """
     m = 2 * len(diagram.labels)  # arc ends
     turn = [0] * m
-    for p, q in enumerate(_partners(diagram.labels)):
-        if diagram.overs[p]:  # each crossing once, p its overpass
-            ends = [2 * q - 1, 2 * p, 2 * q, 2 * p - 1]  # counterclockwise if +
-            if diagram.signs[p] < 0:
-                ends.reverse()
-            for k in range(4):
-                turn[ends[k] % m] = ends[(k + 1) % 4] % m
+    for ends in _corners(diagram):
+        for k in range(4):
+            turn[ends[k] % m] = ends[(k + 1) % 4] % m
     face = [-1] * m
     for start in range(m):
         end = start
@@ -235,6 +245,26 @@ def is_classical(diagram: GaussCode) -> bool:
     return c == 0 or len(set(_faces(diagram))) == c + 2
 
 
+def gauss_to_pd(diagram: GaussCode) -> PDCode:
+    """The PD code of a classical diagram: edge v + 1 is the arc into visit v.
+
+    Each crossing lists its ``_corners``: at under-visit p and over-visit
+    q, (in p, out q, out p, in q) when positive and (in p, in q, out p,
+    out q) when negative.  Raises UnknownSigns, NotClassical, and
+    StructureError on the zero-crossing code, which PD text cannot write.
+    """
+    if not diagram.has_all_signs():
+        raise UnknownSigns("PD output needs a sign at every crossing")
+    if not is_classical(diagram):
+        raise NotClassical(_NOT_PLANAR)
+    n = len(diagram.labels)
+    if not n:
+        raise StructureError("the zero-crossing diagram has no PD code")
+    # end 2v - 1 comes into visit v on edge v + 1; end 2v leaves it on v + 2
+    return PDCode(tuple(sorted(tuple((end // 2 + 1) % n + 1 for end in ends)
+                               for ends in _corners(diagram))))
+
+
 def determinant(diagram: GaussCode) -> int:
     """The knot determinant |Delta(-1)| of a classical diagram.
 
@@ -245,8 +275,7 @@ def determinant(diagram: GaussCode) -> int:
     non-planar code, both through ``is_classical``.
     """
     if not is_classical(diagram):
-        raise NotClassical("not a classical knot diagram: its faces do not "
-                           "make a sphere")
+        raise NotClassical(_NOT_PLANAR)
     c = diagram.crossings
     if c == 0:
         return 1

@@ -262,15 +262,12 @@ def _oracle_random(args) -> int:
 def _cmd_generate(args) -> int:
     from . import families
 
-    build = getattr(families, f"{args.family}_pd")
-    pd = build(*(getattr(args, name) for name in args.params))
-    if args.format == "pd":
-        code = pd
-    elif args.format == "dt":
-        code = gauss_to_dt(pd_to_gauss(pd))
-    else:
-        code = pd_to_gauss(pd)
-    _emit(serialize(code))
+    # the family's trace code: PD text numbers its edges from the trace's
+    # anchor, Gauss and DT text start where the Gauss builders do
+    code = getattr(families, f"_{args.family}")(
+        *(getattr(args, name) for name in args.params))
+    _write(code if args.format == "pd" else families._first_under(code),
+           args.format)
     return 0
 
 
@@ -318,17 +315,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    gauss = _parse_code(_read_input(args.code), args.format)
-    if args.to == "gauss":
-        _emit(serialize(gauss))
-    elif args.to == "dt":
-        _emit(serialize(gauss_to_dt(gauss)))
-    else:
-        raise WarpingError(
-            "pd output needs planar embedding data; only the gauss and dt "
-            "targets are supported"
-        )
+    _write(_parse_code(_read_input(args.code), args.format), args.to)
     return 0
+
+
+def _write(code: GaussCode, notation: str) -> None:
+    """Print ``code`` in ``notation``: gauss, dt or pd."""
+    if notation == "pd":
+        from .bracket import gauss_to_pd  # here, off the batch cold start
+        _emit(serialize(gauss_to_pd(code)))
+    else:
+        _emit(serialize(gauss_to_dt(code) if notation == "dt" else code))
 
 
 # ---------------------------------------------------------------------------

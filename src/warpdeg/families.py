@@ -1,13 +1,14 @@
 """Generators for the diagram families used throughout the package.
 
 Every diagram is built once as a planar port graph: a crossing has
-ports 0..3 counterclockwise, 0 and 2 on its overpass.  ``_closed_pd``
-traces it with ``codes._trace``, the curve walk of ``pd_to_gauss``, into
-a PD code whose edges are numbered in traversal order.  In a rational
-tangle the ports are SW, SE, NE, NW.  Twist regions are grown one
-crossing at a time: a right twist hooks a new crossing onto the NE/SE
-corners of the tangle, a bottom twist onto SW/SE, and the closure joins
-NW to NE and SW to SE.
+ports 0..3 counterclockwise, 0 and 2 on its overpass.  ``_trace_code``
+reads its signed Gauss code off ``codes._trace``, the curve walk of
+``pd_to_gauss``, from port (0, 0).  The Gauss builders re-anchor it at
+its first under-visit; the PD builders write it with ``gauss_to_pd``,
+numbering the edges from port (0, 0).  In a rational tangle the ports
+are SW, SE, NE, NW.  Twist regions are grown one crossing at a time: a
+right twist hooks a new crossing onto the NE/SE corners of the tangle,
+a bottom twist onto SW/SE, and the closure joins NW to NE and SW to SE.
 
 The two-parameter family ``rational_pq(p, q)``: p bottom twists applied
 to the vertical (infinity) tangle followed by q right twists realize the
@@ -24,8 +25,8 @@ except at a single clasp crossing.
 
 from __future__ import annotations
 
-from .codes import GaussCode, PDCode, _trace, pd_to_gauss
-from .diagram import from_gauss
+from .bracket import gauss_to_pd
+from .codes import MINUS, PLUS, GaussCode, PDCode, _rotated, _trace
 from .errors import InvalidParam, NotAKnot
 
 __all__ = ["twist_minimal", "rational_pq", "ozawa_twist",
@@ -41,26 +42,34 @@ _BOTTOM = (("sw", 3, 0), ("se", 2, 1))
 Port = tuple[int, int]  # (crossing id, slot)
 
 
-def _closed_pd(links: dict[Port, Port], c: int) -> PDCode:
-    """PD code of a closed port graph whose slots 0 and 2 are the overpass.
+def _trace_code(links: dict[Port, Port], c: int) -> GaussCode:
+    """Gauss code of a closed port graph whose slots 0 and 2 are the overpass.
 
-    Edges are numbered 1..2c along the trace from port (0, 0).  Raises
-    NotAKnot if the graph has more than one component.
+    Visit v enters the trace's port v: its label is the crossing id + 1,
+    and it is over at an even slot.  A crossing is positive when its
+    over-strand leaves one slot counterclockwise from where its
+    under-strand enters.  Raises NotAKnot on more than one component.
     """
     trace = _trace(links, (0, 0))
     if len(trace) != 2 * c:
         raise NotAKnot("closure has more than one component")
-    edge_at: dict[Port, int] = {}
-    for edge, (cid, slot) in enumerate(trace, 1):
-        edge_at[cid, slot] = edge
-        edge_at[cid, slot ^ 2] = edge % (2 * c) + 1
-    quads = [tuple(edge_at[cid, (slot + k) % 4] for k in range(4))
-             for cid, slot in trace if slot % 2]
-    return PDCode(tuple(sorted(quads)))
+    # under enters odd slot s, over enters even u and leaves by u + 2; that
+    # is s + 1 (mod 4) exactly when s ^ u == 1, else s ^ u == 3
+    turn = [0] * c
+    for cid, slot in trace:
+        turn[cid] ^= slot
+    return GaussCode([cid + 1 for cid, _ in trace],
+                     [slot % 2 == 0 for _, slot in trace],
+                     [PLUS if turn[cid] == 1 else MINUS for cid, _ in trace])
 
 
-def _continued_fraction_pd(entries: list[int]) -> PDCode:
-    """PD code of the numerator closure of the tangle [a1, a2, ..., ak].
+def _first_under(code: GaussCode) -> GaussCode:
+    """``code`` re-anchored at its first under-visit."""
+    return _rotated(code, code.overs.index(False))
+
+
+def _continued_fraction(entries: list[int]) -> GaussCode:
+    """Trace code of the numerator closure of the tangle [a1, a2, ..., ak].
 
     The realized fraction is ak + 1/(a_{k-1} + 1/(... + 1/a1)).  Entries
     must all be >= 1.  Used with k = 2 by the public API; longer vectors
@@ -91,21 +100,19 @@ def _continued_fraction_pd(entries: list[int]) -> PDCode:
     for a, b in (("nw", "ne"), ("sw", "se")):
         end_a, end_b = links.pop(a), links.pop(b)
         links[end_a], links[end_b] = end_b, end_a
-    return _closed_pd(links, c)
+    return _trace_code(links, c)
 
 
-def rational_pd(p: int, q: int) -> PDCode:
-    """PD code of ``rational_pq(p, q)``, the one source of its Gauss code."""
+def _rational(p: int, q: int) -> GaussCode:
     if p < 1 or q < 1:
         raise InvalidParam(f"twist counts must be >= 1, got ({p}, {q})")
-    return _continued_fraction_pd([p, q])
+    return _continued_fraction([p, q])
 
 
-def twist_pd(n: int) -> PDCode:
-    """PD code of ``twist_minimal(n)``, the one source of its Gauss code."""
+def _twist(n: int) -> GaussCode:
     if n < 1:
         raise InvalidParam(f"twist parameter must be >= 1, got {n}")
-    return _continued_fraction_pd([2, n])
+    return _continued_fraction([2, n])
 
 
 def rational_pq(p: int, q: int) -> GaussCode:
@@ -115,25 +122,34 @@ def rational_pq(p: int, q: int) -> GaussCode:
     Raises NotAKnot when the closure has two components, which happens
     exactly when pq is odd (the fraction numerator pq+1 is even).
     """
-    return from_gauss(pd_to_gauss(rational_pd(p, q)))
+    return _first_under(_rational(p, q))
 
 
 def twist_minimal(n: int) -> GaussCode:
     """Minimal (n+2)-crossing twist knot diagram: a clasp plus n twists."""
-    return from_gauss(pd_to_gauss(twist_pd(n)))
+    return _first_under(_twist(n))
 
 
-def ozawa_pd(n: int) -> PDCode:
-    """PD code of the (2n+1)-crossing both-ways-almost-descending diagram.
+def rational_pd(p: int, q: int) -> PDCode:
+    """PD code of ``rational_pq(p, q)``, its edges numbered along the trace."""
+    return gauss_to_pd(_rational(p, q))
+
+
+def twist_pd(n: int) -> PDCode:
+    """PD code of ``twist_minimal(n)``, its edges numbered along the trace."""
+    return gauss_to_pd(_twist(n))
+
+
+def _ozawa(n: int) -> GaussCode:
+    """Trace code of the (2n+1)-crossing both-ways-almost-descending diagram.
 
     Layout: a horizontal arc passes over stations 1..2n+1 from west to
     east; the return arc comes back under it, visiting the stations in
     the nested zigzag order 1, 2n, 3, 2n-2, 5, ... (odd stations
     ascending interleaved with even stations descending) and arriving
     from the south on odd visits.  The horizontal arc yields only at the
-    middle station n+1.  Edge numbering follows the traversal: edge s
-    enters station s from the west, and the return arc's m-th visit
-    arrives on edge c+m.
+    middle station n+1.  The trace enters station s from the west at
+    visit s - 1, and the return arc's m-th visit is visit c + m - 1.
     """
     if n < 1:
         raise InvalidParam(f"twist parameter must be >= 1, got {n}")
@@ -147,7 +163,7 @@ def ozawa_pd(n: int) -> PDCode:
     ports = [(s - 1, ("WSEN" if s != n + 1 else "SENW").index(side))
              for s, enter, leave in visits for side in (enter, leave)]
     links = dict(zip(ports[1::2], ports[2::2] + ports[:1]))  # exit -> entry
-    return _closed_pd(links | {b: a for a, b in links.items()}, c)
+    return _trace_code(links | {b: a for a, b in links.items()}, c)
 
 
 def ozawa_twist(n: int) -> GaussCode:
@@ -160,4 +176,9 @@ def ozawa_twist(n: int) -> GaussCode:
     arc meets only the clasp as a first-visit underpass, in both
     directions, so d(D) = d(-D) = 1 and e(D) = 2.
     """
-    return from_gauss(pd_to_gauss(ozawa_pd(n)))
+    return _first_under(_ozawa(n))
+
+
+def ozawa_pd(n: int) -> PDCode:
+    """PD code of ``ozawa_twist(n)``, its edges numbered along the trace."""
+    return gauss_to_pd(_ozawa(n))

@@ -11,6 +11,7 @@ from warpdeg.bracket import (
     DELTA,
     BracketPolynomial,
     Laurent,
+    _bareiss,
     _contraction_order,
     _divide_by_delta,
     _laurent_mul,
@@ -140,6 +141,12 @@ def test_polynomial_value_object():
     assert str(BracketPolynomial.from_dict({})) == "0"
     assert str(BracketPolynomial.from_dict({-4: 1, 0: 2, 8: -1})) == \
         "A^-4 + 2 - A^8"
+
+
+def test_a_coefficient_other_than_one_prints_before_its_power(table):
+    (five_two,) = table["5_2"].minimal_diagrams
+    assert str(kauffman_bracket(five_two)) == \
+        "-A^-24 + A^-20 - A^-16 + 2*A^-12 - A^-8 + A^-4"
 
 
 def test_polynomial_product():
@@ -388,6 +395,11 @@ def test_determinant_matches_the_bracket_on_classical_random_codes():
     assert (classical, integral_virtual) == (714, 748)
 
 
+def test_a_singular_matrix_has_determinant_zero():
+    # never reached on a knot, whose determinant is odd
+    assert _bareiss([[1, 2], [2, 4]]) == 0
+
+
 def test_determinant_needs_every_sign():
     with pytest.raises(UnknownSigns):
         determinant(from_gauss(dt_to_gauss(parse_dt("4 6 2"))))
@@ -401,10 +413,13 @@ def test_table_and_family_diagrams_are_classical(table):
     diagrams = [d for entry in table
                 for d in entry.minimal_diagrams + entry.extra_diagrams]
     assert len(diagrams) == 46
-    diagrams += [twist_minimal(n) for n in range(1, 12)]
-    diagrams += [ozawa_twist(n) for n in range(1, 8)]
-    diagrams += [rational_pq(p, q) for p in range(1, 7) for q in range(1, 7)
+    # the family builders read their codes off a planar port graph and run
+    # no planarity check of their own: every public case, 74 in all
+    diagrams += [twist_minimal(n) for n in range(1, 14)]
+    diagrams += [ozawa_twist(n) for n in range(1, 14)]
+    diagrams += [rational_pq(p, q) for p in range(1, 9) for q in range(1, 9)
                  if p * q % 2 == 0]  # pq odd closes to a link
+    assert len(diagrams) == 46 + 74
     for d in diagrams:
         for variant in (d, reverse(d), mirror(d), rotate(d, 3)):
             assert is_classical(variant), serialize(variant)

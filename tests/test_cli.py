@@ -771,12 +771,6 @@ def test_convert_between_notations(capsys):
     assert out.strip() == serialize(dt_to_gauss(parse_dt(want_dt)))
 
 
-def test_convert_to_pd_is_not_supported(capsys):
-    code, _, err = run(capsys, "convert", TREFOIL, "--to", "pd")
-    assert code == 2
-    assert "planar embedding" in err
-
-
 # ---------------------------------------------------------------------------
 # options: each subcommand accepts exactly the ones it reads
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ import itertools
 
 import pytest
 
-from warpdeg.bracket import determinant, kauffman_bracket
+from warpdeg.bracket import (determinant, gauss_to_pd, is_classical,
+                             kauffman_bracket)
 from warpdeg.cli import main
-from warpdeg.codes import parse_pd, pd_to_gauss, serialize
-from warpdeg.errors import InvalidParam, NotAKnot
+from warpdeg.codes import parse_gauss, parse_pd, pd_to_gauss, serialize
+from warpdeg.diagram import rotate
+from warpdeg.errors import (InvalidParam, NotAKnot, NotClassical,
+                            StructureError, UnknownSigns)
 from warpdeg.families import (
-    _continued_fraction_pd,
+    _continued_fraction,
     ozawa_pd,
     ozawa_twist,
     rational_pd,
@@ -21,8 +24,19 @@ from warpdeg.families import (
     twist_minimal,
     twist_pd,
 )
+from warpdeg.oracle import random_codes
 from warpdeg.table import is_alternating_diagram
 from warpdeg.warping import summary
+
+TREFOIL = "O1+U2+O3+U1+O2+U3+"
+
+# every public family case: (Gauss builder, PD builder, parameters) for
+# twist and ozawa 1..13 and each knot rational_pq(p, q) with p, q <= 8
+FAMILY_CASES = [(twist_minimal, twist_pd, (n,)) for n in range(1, 14)]
+FAMILY_CASES += [(ozawa_twist, ozawa_pd, (n,)) for n in range(1, 14)]
+FAMILY_CASES += [(rational_pq, rational_pd, (p, q))
+                 for p, q in itertools.product(range(1, 9), repeat=2)
+                 if p * q % 2 == 0]  # pq odd closes to a link
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +113,11 @@ def test_continued_fraction_closure_realizes_its_numerator():
             num, den = a * num + den, num
         if num % 2 == 0:
             with pytest.raises(NotAKnot) as info:
-                _continued_fraction_pd(v)
+                _continued_fraction(v)
             lines.append(f"{v} NotAKnot: {info.value}")
             continue
-        pd = _continued_fraction_pd(v)
-        lines.append(f"{v} {serialize(pd)}")
-        diagram = pd_to_gauss(pd)
+        diagram = _continued_fraction(v)
+        lines.append(f"{v} {serialize(gauss_to_pd(diagram))}")
         assert diagram.crossings == sum(v), v
         assert is_alternating_diagram(diagram), v
         assert determinant(diagram) == num, v
@@ -170,3 +183,71 @@ def test_family_pd_text_is_pinned():
     assert lines[26] == "rational 1 1 NotAKnot: closure has more than one component"
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "6c84bee7d2a8e49d949b5bf5c534f9a9819903b9f1ec75f9ed921250cb62665a"
+
+
+def test_family_pd_text_reads_back_as_the_gauss_builders_code():
+    assert len(FAMILY_CASES) == 74
+    # PD text is written from the trace's own anchor, and pd_to_gauss
+    # starts at the first under-visit, where the Gauss builders start
+    for build, build_pd, params in FAMILY_CASES:
+        assert pd_to_gauss(build_pd(*params)) == build(*params), params
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-to-PD writer
+# ---------------------------------------------------------------------------
+
+def first_under(code):
+    """Where ``pd_to_gauss`` of the writer's PD code starts its trace."""
+    return rotate(code, code.overs.index(False))
+
+
+def test_the_writer_numbers_each_edge_by_the_visit_it_enters():
+    # edge v + 1 enters visit v; crossing 2 is under at visit 1 and over
+    # at visit 4, positive: (in 1, out 4, out 1, in 4)
+    assert serialize(gauss_to_pd(parse_gauss(TREFOIL))) == \
+        "X(2,6,3,5) X(4,2,5,1) X(6,4,1,3)"
+    # the mirror swaps the roles and negates every sign
+    assert serialize(gauss_to_pd(parse_gauss("O1-U2-O3-U1-O2-U3-"))) == \
+        "X(2,5,3,6) X(4,1,5,2) X(6,3,1,4)"
+
+
+def test_the_writer_round_trips_table_diagrams(table):
+    diagrams = [d for entry in table
+                for d in entry.minimal_diagrams + entry.extra_diagrams
+                if d.crossings]
+    assert len(diagrams) == 45
+    for d in diagrams:
+        assert pd_to_gauss(gauss_to_pd(d)) == first_under(d), serialize(d)
+
+
+def test_the_writer_round_trips_classical_random_codes():
+    classical = [code for code in random_codes(20000, 9, 5)
+                 if is_classical(code)]
+    assert len(classical) == 5059
+    for code in classical:
+        assert pd_to_gauss(gauss_to_pd(code)) == first_under(code), \
+            serialize(code)
+
+
+def test_convert_to_pd_reparses_to_the_same_code(capsys):
+    assert main(["convert", TREFOIL, "--to", "pd"]) == 0
+    out = capsys.readouterr().out
+    assert out == "X(2,6,3,5) X(4,2,5,1) X(6,4,1,3)\n"
+    assert serialize(pd_to_gauss(parse_pd(out))) == serialize(parse_gauss(TREFOIL))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("O1U2O3U1O2U3", UnknownSigns, "PD output needs a sign at every crossing"),
+    ("O1+O2+U1+U2+", NotClassical,
+     "not a classical knot diagram: its faces do not make a sphere"),
+    ("", StructureError, "the zero-crossing diagram has no PD code"),
+], ids=("unsigned", "virtual", "empty"))
+def test_the_writer_refuses_what_pd_text_cannot_hold(capsys, text, error,
+                                                     message):
+    with pytest.raises(error, match=f"^{message}$"):
+        gauss_to_pd(parse_gauss(text))
+    assert main(["convert", text, "--format", "gauss", "--to", "pd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -27,7 +27,8 @@ PUBLIC_NAMES = {
     "OracleResult", "PDCode", "StructureError", "UnknownCrossing",
     "UnknownSigns", "VerificationReport", "WarpingError", "WarpingSummary",
     "canonical", "change_crossing", "detect_notation", "determinant",
-    "dt_to_gauss", "e_hat_bounds", "from_gauss", "gauss_to_dt", "is_classical",
+    "dt_to_gauss", "e_hat_bounds", "from_gauss", "gauss_to_dt", "gauss_to_pd",
+    "is_classical",
     "is_monotone", "kauffman_bracket", "knot_e", "knot_md", "load_table",
     "min_changes_to_monotone", "mirror", "ozawa_twist", "parse_dt",
     "parse_gauss", "parse_pd", "pd_to_gauss", "profile", "profile_bruteforce",

@@ -44,8 +44,8 @@ from warpdeg.bracket import (
     is_classical,
     kauffman_bracket,
 )
-from warpdeg.codes import GaussCode, parse_gauss, pd_to_gauss, serialize
-from warpdeg.families import _continued_fraction_pd, ozawa_twist
+from warpdeg.codes import GaussCode, parse_gauss, serialize
+from warpdeg.families import _continued_fraction, ozawa_twist
 from warpdeg.table import (_TABLE_FORMAT, _TABLE_VERSION, is_alternating_diagram,
                            load_table, verify_paper)
 from warpdeg.warping import summary
@@ -357,7 +357,7 @@ def build_entries() -> list[dict]:
         if isinstance(source, str):
             diagram = parse_gauss(source)
         else:
-            diagram = pd_to_gauss(_continued_fraction_pd(source))
+            diagram = _continued_fraction(source)
             if diagram.crossings != sum(source):
                 fail(f"{name}: twist vector {source} lost a crossing")
             if len(source) == 2 and source[0] == 2:
