@@ -10,8 +10,7 @@ knots, from any of the three common diagram notations.
 Importing the package loads none of its submodules.  Each exported name
 is looked up in its home module on first use (PEP 562), so a program
 that needs only the parser and the warping engine never loads the knot
-table, the bracket or the oracle.  ``from warpdeg import summary`` and
-``warpdeg.summary`` work as before.
+table, the bracket or the oracle.
 """
 
 import importlib
@@ -20,12 +19,12 @@ import importlib
 _EXPORTS = {
     "bracket": (
         "BracketPolynomial", "determinant", "gauss_to_pd", "is_classical",
-        "kauffman_bracket",
+        "kauffman_bracket", "pd_to_gauss",
     ),
     "codes": (
         "DTCode", "GaussCode", "PDCode", "canonical",
         "detect_notation", "dt_to_gauss", "gauss_to_dt", "parse_dt",
-        "parse_gauss", "parse_pd", "pd_to_gauss", "serialize",
+        "parse_gauss", "parse_pd", "serialize",
     ),
     "diagram": ("change_crossing", "from_gauss", "mirror", "reverse", "rotate"),
     "errors": (

@@ -1,4 +1,4 @@
-"""Kauffman bracket of a signed Gauss sequence, by crossing contraction.
+"""Kauffman bracket by crossing contraction; planarity, PD codes, determinant.
 
 The bracket needs no planar embedding beyond what a signed Gauss code
 carries.  Cut the curve at every visit: 2c arcs remain.  Arc i runs from
@@ -33,9 +33,10 @@ a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
 
 ``is_classical`` decides planarity in O(c): the F faces that ``_faces``
 traces, with c vertices and 2c edges, make a sphere exactly when
-F = c + 2 (Kauffman, "Virtual knot theory", 1999).  ``gauss_to_pd``
-writes a classical code as PD text, each crossing in the corner order
-that the faces turn by.
+F = c + 2 (Kauffman, "Virtual knot theory", 1999).  PD's corner order
+lives here alone: ``gauss_to_pd`` writes it, the order the faces turn by,
+and ``_trace_code`` reads a Gauss code off a curve's port trace, for
+``pd_to_gauss`` and for every family diagram.
 
 ``determinant`` does not go through the bracket.  On a classical
 diagram it is |det| of the coloring matrix with one row and one column
@@ -45,13 +46,13 @@ Comp. 1968): O(c^3), with no cap.
 
 from __future__ import annotations
 
-from .codes import PLUS, GaussCode, PDCode, _partners, _Value
+from .codes import MINUS, PLUS, GaussCode, PDCode, _build_gauss, _partners, _Value
 from .errors import (CapExceeded, InternalInconsistency, InvalidParam,
                      NotClassical, StructureError, UnknownSigns)
 
 __all__ = [
     "BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "is_classical",
-    "determinant", "gauss_to_pd",
+    "determinant", "gauss_to_pd", "pd_to_gauss",
 ]
 
 BRACKET_CAP = 14
@@ -263,6 +264,69 @@ def gauss_to_pd(diagram: GaussCode) -> PDCode:
     # end 2v - 1 comes into visit v on edge v + 1; end 2v leaves it on v + 2
     return PDCode(tuple(sorted(tuple((end // 2 + 1) % n + 1 for end in ends)
                                for ends in _corners(diagram))))
+
+
+Port = tuple[int, int]  # (crossing id, slot), slots 0..3 counterclockwise
+
+
+def _trace(links: dict[Port, Port], start: Port) -> list[Port]:
+    """The ports a curve enters, from ``start`` until it comes back there.
+
+    The curve leaves a crossing by the slot opposite its entry and follows
+    ``links``, which pairs the two ports of each edge.  That step is a
+    bijection on ports and no entered port is an exit, so a trace holds at
+    most 2c ports, exactly 2c when it is the whole diagram.
+    """
+    ports = [start]
+    while (here := links[ports[-1][0], ports[-1][1] ^ 2]) != start:
+        ports.append(here)
+    return ports
+
+
+def _trace_code(trace: list[Port], c: int) -> GaussCode:
+    """The Gauss code of a whole trace through crossings 0..c - 1, in PD's slots.
+
+    Visit v enters the trace's port v: its label is the crossing id + 1, and
+    it is over at an odd slot.  A crossing is positive when its over-strand
+    leaves one slot counterclockwise from where its under-strand enters.
+    """
+    # under enters even s, over enters odd u and leaves by u ^ 2; that is
+    # s + 1 (mod 4) exactly when s ^ u == 3, else s ^ u == 1
+    turn = [0] * c
+    for cid, slot in trace:
+        turn[cid] ^= slot
+    return _build_gauss([(cid + 1, slot % 2 == 1, PLUS if turn[cid] == 3 else MINUS)
+                         for cid, slot in trace], len(trace))
+
+
+def pd_to_gauss(pd: PDCode) -> GaussCode:
+    """Trace the curve of a PD code and emit the signed Gauss code.
+
+    The under-strand of each crossing runs from the first to the third
+    entry of its quadruple; following those directions around the diagram
+    determines the over-strand directions and hence every crossing sign.
+    Raises StructureError if the curve from the first quadruple enters
+    some crossing by its outgoing under-strand or misses some crossing,
+    and NotClassical, a StructureError, if the curve's faces do not make
+    a sphere: PD names a planar diagram.
+    """
+    # sorted by edge label, each edge's two ports are neighbours
+    ports = [port for _, port in sorted(
+        (edge, (ci, slot)) for ci, quad in enumerate(pd.quads)
+        for slot, edge in enumerate(quad))]
+    links = dict(zip(ports[::2], ports[1::2])) | dict(zip(ports[1::2], ports[::2]))
+    trace = _trace(links, (0, 0)) if pd.quads else []
+    for ci, slot in trace:
+        if slot == 2:
+            raise StructureError(
+                f"edge {pd.quads[ci][2]} runs against the under-strand orientation"
+            )
+    if len(trace) != 2 * pd.crossings:
+        raise StructureError("PD code describes more than one component")
+    code = _trace_code(trace, pd.crossings)
+    if not is_classical(code):
+        raise NotClassical("PD code is not planar: its faces do not make a sphere")
+    return code
 
 
 def determinant(diagram: GaussCode) -> int:

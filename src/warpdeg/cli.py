@@ -43,7 +43,6 @@ from .codes import (
     parse_dt,
     parse_gauss,
     parse_pd,
-    pd_to_gauss,
     read_text,
     serialize,
 )
@@ -140,6 +139,7 @@ def _parse_code(text: str, notation: str | None) -> GaussCode:
         return parse_gauss(text)
     if kind == "dt":
         return dt_to_gauss(parse_dt(text))
+    from .bracket import pd_to_gauss  # here, off the batch cold start
     return pd_to_gauss(parse_pd(text))
 
 

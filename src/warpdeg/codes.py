@@ -1,4 +1,4 @@
-"""Parsers, serializers and converters for knot diagram notations.
+"""Notation text and value types of knot diagrams, and Gauss-DT conversion.
 
 Three notations are supported:
 
@@ -18,7 +18,7 @@ Three notations are supported:
 * PD codes: one quadruple ``X(a,b,c,d)`` per crossing listing the edge
   labels counterclockwise from the incoming under-strand.  Edge labels are
   1..2c, each appearing exactly twice.  A JSON-style ``[[a,b,c,d],...]``
-  spelling is also accepted.
+  spelling is also accepted; ``bracket`` reads and writes PD codes.
 
 Values are plain immutable data.  Gauss codes are normalized on
 construction: labels are renumbered 1..c in order of first appearance and
@@ -35,8 +35,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress
 
-from .errors import (CodeSyntaxError, DataError, NotClassical, StructureError,
-                     UnknownCrossing)
+from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
 from .values import _Value  # the other modules import it from here
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "canonical",
     "dt_to_gauss",
     "gauss_to_dt",
-    "pd_to_gauss",
     "detect_notation",
 ]
 
@@ -495,59 +493,6 @@ def parse_pd(text: str) -> PDCode:
     if not quads:
         raise StructureError("empty PD code")
     return PDCode(tuple(sorted(quads)))
-
-
-def _trace(links: dict[tuple[int, int], tuple[int, int]],
-           start: tuple[int, int]) -> list[tuple[int, int]]:
-    """The ports a curve enters, from ``start`` until it comes back there.
-
-    A port is (crossing, slot), slots 0..3 counterclockwise; the curve
-    leaves by the slot opposite its entry and follows ``links``, which
-    pairs the two ports of each edge.  That step is a bijection on ports
-    and no entered port is an exit, so a trace holds at most 2c ports,
-    exactly 2c when it is the whole diagram.
-    """
-    ports = [start]
-    here = links[start[0], start[1] ^ 2]
-    while here != start:
-        ports.append(here)
-        here = links[here[0], here[1] ^ 2]
-    return ports
-
-
-def pd_to_gauss(pd: PDCode) -> GaussCode:
-    """Trace the curve of a PD code and emit the signed Gauss code.
-
-    The under-strand of each crossing runs from the first to the third
-    entry of its quadruple; following those directions around the diagram
-    determines the over-strand directions and hence every crossing sign.
-    Raises StructureError if the curve from the first quadruple enters
-    some crossing by its outgoing under-strand or misses some crossing,
-    and NotClassical, a StructureError, if the curve's faces do not make
-    a sphere: PD names a planar diagram.
-    """
-    from .bracket import is_classical  # here, off the Gauss cold start
-
-    ends = defaultdict(list)
-    for ci, quad in enumerate(pd.quads):
-        for slot, edge in enumerate(quad):
-            ends[edge].append((ci, slot))
-    links = {a: b for a, b in ends.values()} | {b: a for a, b in ends.values()}
-    trace = _trace(links, (0, 0)) if pd.quads else []
-    for ci, slot in trace:
-        if slot == 2:
-            raise StructureError(
-                f"edge {pd.quads[ci][2]} runs against the under-strand orientation"
-            )
-    if len(trace) != 2 * pd.crossings:
-        raise StructureError("PD code describes more than one component")
-    # the sign shows at the overpass; _build_gauss spreads it to both visits
-    sign = (UNSIGNED, MINUS, None, PLUS)  # by the slot the curve enters
-    code = _build_gauss([(ci + 1, slot != 0, sign[slot]) for ci, slot in trace],
-                        len(trace))
-    if not is_classical(code):
-        raise NotClassical("PD code is not planar: its faces do not make a sphere")
-    return code
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Generators for the diagram families used throughout the package.
 
-Every diagram is built once as a planar port graph: a crossing has
-ports 0..3 counterclockwise, 0 and 2 on its overpass.  ``_trace_code``
-reads its signed Gauss code off ``codes._trace``, the curve walk of
-``pd_to_gauss``, from port (0, 0).  The Gauss builders re-anchor it at
-its first under-visit; the PD builders write it with ``gauss_to_pd``,
-numbering the edges from port (0, 0).  In a rational tangle the ports
-are SW, SE, NE, NW.  Twist regions are grown one crossing at a time: a
-right twist hooks a new crossing onto the NE/SE corners of the tangle,
-a bottom twist onto SW/SE, and the closure joins NW to NE and SW to SE.
+Every diagram is built once as a planar port graph in PD's slot
+convention: a crossing has ports 0..3 counterclockwise, 1 and 3 on its
+overpass.  ``bracket._trace_code`` reads its signed Gauss code off the
+curve trace from port (0, 1), as ``pd_to_gauss`` reads PD input.  The
+Gauss builders re-anchor it at its first under-visit; ``generate --format
+pd`` writes it with ``gauss_to_pd``, numbering the edges from that port.
+In a rational tangle the ports are NW, SW, SE, NE.  Twist regions are
+grown one crossing at a time: a right twist hooks a new crossing onto
+the NE/SE corners of the tangle, a bottom twist onto SW/SE, and the
+closure joins NW to NE and SW to SE.
 
 The two-parameter family ``rational_pq(p, q)``: p bottom twists applied
 to the vertical (infinity) tangle followed by q right twists realize the
@@ -25,42 +26,26 @@ except at a single clasp crossing.
 
 from __future__ import annotations
 
-from .bracket import gauss_to_pd
-from .codes import MINUS, PLUS, GaussCode, PDCode, _rotated, _trace
+from .bracket import Port, _trace, _trace_code
+from .codes import GaussCode, _rotated
 from .errors import InvalidParam, NotAKnot
 
-__all__ = ["twist_minimal", "rational_pq", "ozawa_twist",
-           "twist_pd", "rational_pd", "ozawa_pd"]
+__all__ = ["twist_minimal", "rational_pq", "ozawa_twist"]
 
 # Where a twist hooks its new crossing on: per tangle corner, the slot
 # that takes the corner's strand and the slot that becomes the corner.
 # Every new crossing has the SW-NE diagonal over, which makes every
 # rational diagram built here alternating.
-_RIGHT = (("ne", 3, 2), ("se", 0, 1))
-_BOTTOM = (("sw", 3, 0), ("se", 2, 1))
-
-Port = tuple[int, int]  # (crossing id, slot)
+_RIGHT = (("ne", 0, 3), ("se", 1, 2))
+_BOTTOM = (("sw", 0, 1), ("se", 3, 2))
 
 
-def _trace_code(links: dict[Port, Port], c: int) -> GaussCode:
-    """Gauss code of a closed port graph whose slots 0 and 2 are the overpass.
-
-    Visit v enters the trace's port v: its label is the crossing id + 1,
-    and it is over at an even slot.  A crossing is positive when its
-    over-strand leaves one slot counterclockwise from where its
-    under-strand enters.  Raises NotAKnot on more than one component.
-    """
-    trace = _trace(links, (0, 0))
+def _closed(links: dict[Port, Port], c: int) -> GaussCode:
+    """Trace code of a closed port graph; NotAKnot on more than one component."""
+    trace = _trace(links, (0, 1))
     if len(trace) != 2 * c:
         raise NotAKnot("closure has more than one component")
-    # under enters odd slot s, over enters even u and leaves by u + 2; that
-    # is s + 1 (mod 4) exactly when s ^ u == 1, else s ^ u == 3
-    turn = [0] * c
-    for cid, slot in trace:
-        turn[cid] ^= slot
-    return GaussCode([cid + 1 for cid, _ in trace],
-                     [slot % 2 == 0 for _, slot in trace],
-                     [PLUS if turn[cid] == 1 else MINUS for cid, _ in trace])
+    return _trace_code(trace, c)
 
 
 def _first_under(code: GaussCode) -> GaussCode:
@@ -100,7 +85,7 @@ def _continued_fraction(entries: list[int]) -> GaussCode:
     for a, b in (("nw", "ne"), ("sw", "se")):
         end_a, end_b = links.pop(a), links.pop(b)
         links[end_a], links[end_b] = end_b, end_a
-    return _trace_code(links, c)
+    return _closed(links, c)
 
 
 def _rational(p: int, q: int) -> GaussCode:
@@ -130,16 +115,6 @@ def twist_minimal(n: int) -> GaussCode:
     return _first_under(_twist(n))
 
 
-def rational_pd(p: int, q: int) -> PDCode:
-    """PD code of ``rational_pq(p, q)``, its edges numbered along the trace."""
-    return gauss_to_pd(_rational(p, q))
-
-
-def twist_pd(n: int) -> PDCode:
-    """PD code of ``twist_minimal(n)``, its edges numbered along the trace."""
-    return gauss_to_pd(_twist(n))
-
-
 def _ozawa(n: int) -> GaussCode:
     """Trace code of the (2n+1)-crossing both-ways-almost-descending diagram.
 
@@ -158,12 +133,12 @@ def _ozawa(n: int) -> GaussCode:
     visits = [(s, "W", "E") for s in range(1, c + 1)]
     visits += [(m, "S", "N") if m % 2 else (c + 1 - m, "N", "S")
                for m in range(1, c + 1)]
-    # slots counterclockwise from W, so that W-E is the overpass; at the
-    # clasp the return arc is over, so its slots turn a quarter, from S
-    ports = [(s - 1, ("WSEN" if s != n + 1 else "SENW").index(side))
+    # slots counterclockwise from N, so that W-E is the overpass; at the
+    # clasp the return arc is over, so its slots turn a quarter, from W
+    ports = [(s - 1, ("NWSE" if s != n + 1 else "WSEN").index(side))
              for s, enter, leave in visits for side in (enter, leave)]
     links = dict(zip(ports[1::2], ports[2::2] + ports[:1]))  # exit -> entry
-    return _trace_code(links | {b: a for a, b in links.items()}, c)
+    return _closed(links | {b: a for a, b in links.items()}, c)
 
 
 def ozawa_twist(n: int) -> GaussCode:
@@ -177,8 +152,3 @@ def ozawa_twist(n: int) -> GaussCode:
     directions, so d(D) = d(-D) = 1 and e(D) = 2.
     """
     return _first_under(_ozawa(n))
-
-
-def ozawa_pd(n: int) -> PDCode:
-    """PD code of ``ozawa_twist(n)``, its edges numbered along the trace."""
-    return gauss_to_pd(_ozawa(n))

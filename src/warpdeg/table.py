@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from .codes import GaussCode, _Value, parse_gauss, read_text
 from .diagram import from_gauss
@@ -134,6 +135,13 @@ _FIELDS = {
     ), "an object of integers or nulls"),
 }
 _OPTIONAL = ("twist", "extra", "expected")
+# entry field -> (type test, what it wants), for the fields validate_entry compares
+_NUMBER = (lambda v: v is None or type(v) is int, "an integer")
+_DIAGRAMS = (lambda v: isinstance(v, tuple)
+             and all(isinstance(d, GaussCode) for d in v), "a tuple of Gauss codes")
+_ENTRY_FIELDS = {"crossings": _INT, "twist": _NUMBER, "minimal_diagrams": _DIAGRAMS,
+                 "extra_diagrams": _DIAGRAMS,
+                 **{f"expected.{key}": _NUMBER for key in ExpectedValues._fields}}
 
 
 def _entry_from_json(obj) -> KnotEntry:
@@ -165,7 +173,11 @@ def _entry_from_json(obj) -> KnotEntry:
 
 def validate_entry(entry: KnotEntry) -> list[str]:
     """Structural problems of one entry; empty list when well-formed."""
-    problems = []
+    problems = [f"{key} must be {want}, got {value!r}"
+                for key, (test, want) in _ENTRY_FIELDS.items()
+                if not test(value := attrgetter(key)(entry))]
+    if problems:  # the checks below compare these fields
+        return problems
     if not entry.name:
         problems.append("empty name")
     if entry.crossings < 0:
@@ -296,6 +308,10 @@ class _EntryStats(_Value):
 
 
 def _stats(entry: KnotEntry) -> _EntryStats:
+    """The stats of an entry, or DataError with its ``validate_entry`` problems."""
+    problems = validate_entry(entry)
+    if problems:
+        raise DataError("; ".join(problems))
     diagrams = entry.minimal_diagrams + entry.extra_diagrams
     return _EntryStats(entry, tuple(map(summary, diagrams)))
 
@@ -530,14 +546,12 @@ def verify_paper(table: KnotTable | Iterable[KnotEntry]) -> VerificationReport:
     rows: list[CheckRow] = []
     live: list[_EntryStats] = []
     for entry in table:
-        problems = validate_entry(entry)
-        if not problems:
-            try:
-                live.append(_stats(entry))
-            except Exception as exc:  # a diagram-level failure is a data error
-                problems = [str(exc)]
-        rows.append(CheckRow("entry-valid", entry.name, not problems,
-                             "; ".join(problems)))
+        try:
+            live.append(_stats(entry))
+        except Exception as exc:  # a malformed entry, or a diagram that fails
+            rows.append(CheckRow("entry-valid", entry.name, False, str(exc)))
+        else:
+            rows.append(CheckRow("entry-valid", entry.name, True))
     for check in CHECKS:
         for st in live:
             if callable(check):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import random
 import re
 import sys
@@ -14,6 +16,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
+import warpdeg
 from warpdeg import codes as codes_module
 from warpdeg.codes import (
     _build_gauss,
@@ -31,9 +34,9 @@ from warpdeg.codes import (
     parse_dt,
     parse_gauss,
     parse_pd,
-    pd_to_gauss,
     serialize,
 )
+from warpdeg.bracket import pd_to_gauss
 from warpdeg.diagram import reverse
 from warpdeg.errors import CodeSyntaxError, NotClassical, StructureError
 from warpdeg.warping import (
@@ -203,13 +206,18 @@ def test_reverse_and_canonical_renumber_through_no_dict_of_all_labels():
 
 
 def test_type_hints_resolve():
-    # a hint naming a type the module does not import fails only here
-    for name in [*codes_module.__all__, "read_text"]:
-        value = getattr(codes_module, name)
-        if callable(value):
-            typing.get_type_hints(value)
-            if isinstance(value, type):
-                typing.get_type_hints(value.__init__)
+    # a hint naming a type the module does not import fails only here, and
+    # code moved between modules is checked in its new home
+    for info in pkgutil.iter_modules(warpdeg.__path__):
+        module = importlib.import_module(f"warpdeg.{info.name}")
+        names = [*getattr(module, "__all__", ())]
+        names += ["read_text"] if module is codes_module else []
+        for name in names:
+            value = getattr(module, name)
+            if callable(value):
+                typing.get_type_hints(value)
+                if isinstance(value, type):
+                    typing.get_type_hints(value.__init__)
 
 
 def test_parsing_frees_its_scratch_before_building_the_columns():

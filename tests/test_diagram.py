@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from warpdeg import codes, oracle
+from warpdeg import bracket, codes, oracle
 from warpdeg.codes import (
     UNSIGNED,
     GaussCode,
@@ -14,7 +14,6 @@ from warpdeg.codes import (
     parse_dt,
     parse_gauss,
     parse_pd,
-    pd_to_gauss,
 )
 from warpdeg.diagram import (
     change_crossing,
@@ -24,7 +23,7 @@ from warpdeg.diagram import (
     rotate,
 )
 from warpdeg.errors import UnknownCrossing
-from warpdeg.bracket import kauffman_bracket
+from warpdeg.bracket import kauffman_bracket, pd_to_gauss
 from warpdeg.families import ozawa_twist, rational_pq, twist_minimal
 from warpdeg.oracle import random_codes
 from warpdeg.warping import profile
@@ -207,6 +206,7 @@ def test_only_codes_from_outside_data_are_validated(monkeypatch):
         return _build_gauss(raw, *limit)
 
     monkeypatch.setattr(codes, "_build_gauss", spy)
+    monkeypatch.setattr(bracket, "_build_gauss", spy)
     monkeypatch.setattr(oracle, "_build_gauss", spy)
     d = from_gauss(parse_gauss(FIGURE8))
     dt_to_gauss(parse_dt("4 6 2"))

@@ -9,20 +9,20 @@ import itertools
 import pytest
 
 from warpdeg.bracket import (determinant, gauss_to_pd, is_classical,
-                             kauffman_bracket)
+                             kauffman_bracket, pd_to_gauss)
 from warpdeg.cli import main
-from warpdeg.codes import parse_gauss, parse_pd, pd_to_gauss, serialize
+from warpdeg.codes import parse_gauss, parse_pd, serialize
 from warpdeg.diagram import rotate
 from warpdeg.errors import (InvalidParam, NotAKnot, NotClassical,
                             StructureError, UnknownSigns)
 from warpdeg.families import (
     _continued_fraction,
-    ozawa_pd,
+    _ozawa,
+    _rational,
+    _twist,
     ozawa_twist,
-    rational_pd,
     rational_pq,
     twist_minimal,
-    twist_pd,
 )
 from warpdeg.oracle import random_codes
 from warpdeg.table import is_alternating_diagram
@@ -30,11 +30,11 @@ from warpdeg.warping import summary
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 
-# every public family case: (Gauss builder, PD builder, parameters) for
-# twist and ozawa 1..13 and each knot rational_pq(p, q) with p, q <= 8
-FAMILY_CASES = [(twist_minimal, twist_pd, (n,)) for n in range(1, 14)]
-FAMILY_CASES += [(ozawa_twist, ozawa_pd, (n,)) for n in range(1, 14)]
-FAMILY_CASES += [(rational_pq, rational_pd, (p, q))
+# every public family case: (Gauss builder, trace code builder, parameters)
+# for twist and ozawa 1..13 and each knot rational_pq(p, q) with p, q <= 8
+FAMILY_CASES = [(twist_minimal, _twist, (n,)) for n in range(1, 14)]
+FAMILY_CASES += [(ozawa_twist, _ozawa, (n,)) for n in range(1, 14)]
+FAMILY_CASES += [(rational_pq, _rational, (p, q))
                  for p, q in itertools.product(range(1, 9), repeat=2)
                  if p * q % 2 == 0]  # pq odd closes to a link
 
@@ -172,11 +172,14 @@ def test_generate_pd_matches_the_gauss_builders(capsys):
 def test_family_pd_text_is_pinned():
     # SHA-256 of every family's PD text, and of the message of each
     # two-component closure, as first built by per-family curve walks
-    lines = [f"twist {n} {serialize(twist_pd(n))}" for n in range(1, 14)]
-    lines += [f"ozawa {n} {serialize(ozawa_pd(n))}" for n in range(1, 14)]
+    def pd_text(build, *params):
+        return serialize(gauss_to_pd(build(*params)))
+
+    lines = [f"twist {n} {pd_text(_twist, n)}" for n in range(1, 14)]
+    lines += [f"ozawa {n} {pd_text(_ozawa, n)}" for n in range(1, 14)]
     for p, q in itertools.product(range(1, 9), repeat=2):
         try:
-            lines.append(f"rational {p} {q} {serialize(rational_pd(p, q))}")
+            lines.append(f"rational {p} {q} {pd_text(_rational, p, q)}")
         except NotAKnot as exc:
             lines.append(f"rational {p} {q} NotAKnot: {exc}")
     assert lines[0] == "twist 1 X(2,6,3,5) X(4,2,5,1) X(6,4,1,3)"
@@ -189,8 +192,9 @@ def test_family_pd_text_reads_back_as_the_gauss_builders_code():
     assert len(FAMILY_CASES) == 74
     # PD text is written from the trace's own anchor, and pd_to_gauss
     # starts at the first under-visit, where the Gauss builders start
-    for build, build_pd, params in FAMILY_CASES:
-        assert pd_to_gauss(build_pd(*params)) == build(*params), params
+    for build, trace_code, params in FAMILY_CASES:
+        assert pd_to_gauss(gauss_to_pd(trace_code(*params))) == build(*params), \
+            params
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,26 @@ def test_validate_entry_names_each_structural_problem(table, changes, problems):
     assert validate_entry(with_fields(table["3_1"], **changes)) == problems
 
 
+@pytest.mark.parametrize("changes, problem", [
+    ({"crossings": "3"}, "crossings must be an integer, got '3'"),
+    ({"twist": "1"}, "twist must be an integer, got '1'"),
+    ({"expected": ExpectedValues(e="2")}, "expected.e must be an integer, got '2'"),
+    ({"minimal_diagrams": ("O1+U2+O3+U1+O2+U3+",)},
+     "minimal_diagrams must be a tuple of Gauss codes, got ('O1+U2+O3+U1+O2+U3+',)"),
+    ({"minimal_diagrams": ()}, "no minimal diagrams"),
+], ids=["crossings", "twist", "expected", "diagram-text", "no-minimal"])
+def test_an_entry_built_in_code_is_checked_before_it_is_computed(
+        table, changes, problem):
+    # verify_paper reports a bad entry as data; the helpers raise DataError
+    entry = with_fields(table["3_1"], **changes)
+    assert validate_entry(entry) == [problem]
+    assert verify_paper([entry]).rows == \
+        (CheckRow("entry-valid", "3_1", False, problem),)
+    for helper in (knot_e, knot_md, e_hat_bounds):
+        with pytest.raises(DataError, match=re.escape(problem)):
+            helper(entry)
+
+
 def test_a_diagram_that_fails_to_summarize_fails_its_entry_valid_row(
         monkeypatch, table):
     from warpdeg import table as table_module
