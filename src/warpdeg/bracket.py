@@ -3,21 +3,15 @@
 The bracket needs no planar embedding beyond what a signed Gauss code
 carries.  Cut the curve at every visit: 2c arcs remain.  Arc i runs from
 visit i to visit i + 1; end 2i is its tail, end 2i + 1 its head, so the
-ends at visit p are 2p - 1 (in) and 2p (out), modulo 4c.  A smoothing of
-a crossing reconnects the four arc ends that meet there in one of two ways:
-
-* oriented: each incoming arc continues into the outgoing arc of the
-  other strand (the Seifert smoothing);
-* disoriented: the two incoming ends join each other, as do the two
-  outgoing ends.
-
-Which of the two is the A-smoothing is decided by the crossing sign:
-rotating the overpass counterclockwise onto the underpass sweeps the
-A-regions, and chasing that rule through both chiralities shows the
-A-smoothing is the oriented one exactly at positive crossings.  The
-bracket is the sum of ``A^(#A - #B) * delta^(loops - 1)`` over all
-``2^c`` states with ``delta = -A^2 - A^(-2)``, and multiplying by
-``(-A^3)^(-writhe)`` makes it invariant under all Reidemeister moves.
+ends at visit p are 2p - 1 (in) and 2p (out), modulo 4c.  ``_corners``
+lists each crossing's four ends counterclockwise from the under-strand
+in, and so holds its sign.  Rotating the overpass counterclockwise
+sweeps the A-regions, between corners 1 and 2 and between 3 and 0, so
+at every crossing the A-smoothing joins corner 0 to 1 and 2 to 3, the
+B-smoothing 0 to 3 and 1 to 2.  The bracket is the sum of
+``A^(#A - #B) * delta^(loops - 1)`` over all ``2^c`` states with
+``delta = -A^2 - A^(-2)``, and multiplying by ``(-A^3)^(-writhe)``
+makes it invariant under all Reidemeister moves.
 
 The sum is not enumerated.  Crossings are smoothed one at a time, in a
 greedy order that keeps the open arc ends (the frontier) few, and states
@@ -34,9 +28,9 @@ a wide frontier still costs up to ``2^c``.  Requires every crossing sign.
 ``is_classical`` decides planarity in O(c): the F faces that ``_faces``
 traces, with c vertices and 2c edges, make a sphere exactly when
 F = c + 2 (Kauffman, "Virtual knot theory", 1999).  PD's corner order
-lives here alone: ``gauss_to_pd`` writes it, the order the faces turn by,
-and ``_trace_code`` reads a Gauss code off a curve's port trace, for
-``pd_to_gauss`` and for every family diagram.
+lives here alone: one corner list serves the bracket, the faces and
+``gauss_to_pd``, and ``_trace_code`` reads a Gauss code off a curve's
+port trace, for ``pd_to_gauss`` and for every family diagram.
 
 ``determinant`` does not go through the bracket.  On a classical
 diagram it is |det| of the coloring matrix with one row and one column
@@ -104,30 +98,29 @@ class BracketPolynomial(_Value):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _contraction_order(
-    labels: tuple[int, ...], crossings: list[tuple[int, int]]
-) -> list[int]:
-    """Greedy order: next, the crossing most joined to those already done."""
-    n = len(labels)
-    neighbours = [[labels[(v + d) % n] - 1 for v in pq for d in (-1, 1)]
-                  for pq in crossings]
-    score: list[float] = [0] * len(crossings)  # neighbours already done
+def _contraction_order(corners: list[tuple[int, int, int, int]]) -> list[int]:
+    """Greedy order: next, the crossing with most arcs to those already done."""
+    owner = [0] * (4 * len(corners))  # the crossing at each arc end
+    for i, ends in enumerate(corners):
+        for end in ends:
+            owner[end] = i
+    score: list[float] = [0] * len(corners)  # neighbours already done
     order = []
-    for _ in crossings:
+    for _ in corners:
         nxt = max(range(len(score)), key=score.__getitem__)  # first maximum
         score[nxt] = float("-inf")  # never picked again
-        for j in neighbours[nxt]:
-            score[j] += 1
+        for end in corners[nxt]:
+            score[owner[end ^ 1]] += 1  # the crossing at the arc's far end
         order.append(nxt)
     return order
 
 
-# _FACTORS[shift][loops]: A^shift * delta^loops as (exponent, coefficient)s
-_FACTORS = {
-    shift: tuple(tuple((e + shift, k) for e, k in power.items())
-                 for power in ({0: 1}, DELTA, _laurent_mul(DELTA, DELTA)))
+# [loops]: A^shift * delta^loops as (exponent, coefficient)s; A's shift is +1
+_A_FACTORS, _B_FACTORS = (
+    tuple(tuple((e + shift, k) for e, k in power.items())
+          for power in ({0: 1}, DELTA, _laurent_mul(DELTA, DELTA)))
     for shift in (1, -1)
-}
+)
 
 
 def _divide_by_delta(p: Laurent) -> Laurent:
@@ -159,23 +152,15 @@ def kauffman_bracket(
     if not diagram.has_all_signs():
         raise UnknownSigns("the bracket needs a sign at every crossing")
 
-    labels = diagram.labels
-    n = 2 * c
-    # crossings[k] is label k + 1: first visits come in label order
-    crossings = [(p, q) for p, q in enumerate(_partners(labels)) if p < q]
-    signs = [diagram.signs[p] for p, _ in crossings]
-    writhe = sum(signs)
+    corners = _corners(diagram)
+    writhe = sum(diagram.signs) // 2  # each sign sits on both visits
 
     # a state maps each open arc end to the end it is joined to
     states: dict[tuple, Laurent] = {(): {0: 1}}
-    for idx in _contraction_order(labels, crossings):
-        p, q = crossings[idx]
-        in_p, in_q = 2 * ((p - 1) % n) + 1, 2 * ((q - 1) % n) + 1
-        oriented = ((in_p, 2 * q), (in_q, 2 * p))
-        disoriented = ((in_p, in_q), (2 * p, 2 * q))
-        # A (shift +1) is the oriented smoothing exactly at positive crossings
-        smoothings = ((_FACTORS[signs[idx]], oriented),
-                      (_FACTORS[-signs[idx]], disoriented))
+    for idx in _contraction_order(corners):
+        w, x, y, z = corners[idx]
+        smoothings = ((_A_FACTORS, ((w, x), (y, z))),
+                      (_B_FACTORS, ((w, z), (x, y))))
         merged: dict[tuple, Laurent] = {}
         for state, poly in states.items():
             for factors, joins in smoothings:
@@ -206,29 +191,35 @@ def kauffman_bracket(
 def _corners(diagram: GaussCode) -> list[tuple[int, int, int, int]]:
     """Each crossing's four arc ends, counterclockwise from the under-strand in.
 
+    Tuple i is label i + 1, and each arc end 0..4c - 1 lies in one tuple.
     The signs embed the code in a closed surface (its Carter surface): at
-    under-visit p and over-visit q a positive crossing has the ends
-    under in, over out, under out, over in (2p - 1, 2q, 2p, 2q - 1), and
-    a negative one the mirror order.  Every sign must be known.
+    under-visit u and over-visit o a positive crossing has the ends under
+    in, over out, under out, over in ((2u - 1, 2o, 2u, 2o - 1) mod 4c),
+    and a negative one the mirror order.  Every sign must be known.
     """
-    overs, signs = diagram.overs, diagram.signs
-    return [(2 * p - 1, 2 * q, 2 * p, 2 * q - 1) if signs[p] == PLUS
-            else (2 * p - 1, 2 * q - 1, 2 * p, 2 * q)
-            for p, q in enumerate(_partners(diagram.labels)) if not overs[p]]
+    m = 2 * len(diagram.labels)  # arc ends
+    corners = []
+    for p, q in enumerate(_partners(diagram.labels)):
+        if p < q:  # first visits come in label order
+            u, o = (q, p) if diagram.overs[p] else (p, q)
+            u_in, o_in = (2 * u - 1) % m, (2 * o - 1) % m
+            corners.append((u_in, 2 * o, 2 * u, o_in) if diagram.signs[p] == PLUS
+                           else (u_in, o_in, 2 * u, 2 * o))
+    return corners
 
 
 def _faces(diagram: GaussCode) -> list[int]:
     """The face of each arc end, named by the least end on that face.
 
     A face is an orbit of "cross the arc, then turn to the next end
-    counterclockwise"; the four ends at a crossing lie on its four
-    corners, one each.
+    counterclockwise"; ``_corners`` puts each end on one corner of one
+    crossing, so the turn is a permutation of the ends.
     """
     m = 2 * len(diagram.labels)  # arc ends
     turn = [0] * m
     for ends in _corners(diagram):
         for k in range(4):
-            turn[ends[k] % m] = ends[(k + 1) % 4] % m
+            turn[ends[k]] = ends[(k + 1) % 4]
     face = [-1] * m
     for start in range(m):
         end = start
@@ -249,10 +240,9 @@ def is_classical(diagram: GaussCode) -> bool:
 def gauss_to_pd(diagram: GaussCode) -> PDCode:
     """The PD code of a classical diagram: edge v + 1 is the arc into visit v.
 
-    Each crossing lists its ``_corners``: at under-visit p and over-visit
-    q, (in p, out q, out p, in q) when positive and (in p, in q, out p,
-    out q) when negative.  Raises UnknownSigns, NotClassical, and
-    StructureError on the zero-crossing code, which PD text cannot write.
+    Each crossing lists its ``_corners``.  Raises UnknownSigns,
+    NotClassical, and StructureError on the zero-crossing code, which PD
+    text cannot write.
     """
     if not diagram.has_all_signs():
         raise UnknownSigns("PD output needs a sign at every crossing")

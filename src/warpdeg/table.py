@@ -135,12 +135,14 @@ _FIELDS = {
     ), "an object of integers or nulls"),
 }
 _OPTIONAL = ("twist", "extra", "expected")
-# entry field -> (type test, what it wants), for the fields validate_entry compares
+# entry field -> (type test, what it wants), in the order validate_entry checks them
 _NUMBER = (lambda v: v is None or type(v) is int, "an integer")
 _DIAGRAMS = (lambda v: isinstance(v, tuple)
              and all(isinstance(d, GaussCode) for d in v), "a tuple of Gauss codes")
-_ENTRY_FIELDS = {"crossings": _INT, "twist": _NUMBER, "minimal_diagrams": _DIAGRAMS,
-                 "extra_diagrams": _DIAGRAMS,
+_ENTRY_FIELDS = {"name": _FIELDS["name"], "crossings": _INT, "prime": _FLAG,
+                 "alternating": _FLAG, "twist": _NUMBER, "minimal_diagrams": _DIAGRAMS,
+                 "minimal_complete": _FLAG, "extra_diagrams": _DIAGRAMS,
+                 "expected": (lambda v: isinstance(v, ExpectedValues), "an ExpectedValues"),
                  **{f"expected.{key}": _NUMBER for key in ExpectedValues._fields}}
 
 
@@ -173,9 +175,11 @@ def _entry_from_json(obj) -> KnotEntry:
 
 def validate_entry(entry: KnotEntry) -> list[str]:
     """Structural problems of one entry; empty list when well-formed."""
+    has_expected = isinstance(entry.expected, ExpectedValues)
     problems = [f"{key} must be {want}, got {value!r}"
                 for key, (test, want) in _ENTRY_FIELDS.items()
-                if not test(value := attrgetter(key)(entry))]
+                if (has_expected or "." not in key)  # expected.<field> needs it
+                and not test(value := attrgetter(key)(entry))]
     if problems:  # the checks below compare these fields
         return problems
     if not entry.name:

@@ -13,6 +13,7 @@ from warpdeg.bracket import (
     Laurent,
     _bareiss,
     _contraction_order,
+    _corners,
     _divide_by_delta,
     _laurent_mul,
     determinant,
@@ -301,16 +302,20 @@ def _assert_same_order(d: GaussCode) -> None:
     for pos, label in enumerate(d.labels):
         positions[label].append(pos)
     crossings = positions[1:]
-    assert _contraction_order(d.labels, crossings) == \
+    assert _contraction_order(_corners(d)) == \
         reference_contraction_order(d.labels, crossings)
 
 
-def test_contraction_order_matches_the_reference_on_table_and_families(table):
+def _table_and_family_diagrams(table) -> list[GaussCode]:
     diagrams = [d for entry in table
                 for d in entry.minimal_diagrams + entry.extra_diagrams]
     diagrams += [twist_minimal(n) for n in range(1, 13)]
     diagrams += [ozawa_twist(n) for n in range(1, 7)]
-    for d in diagrams:
+    return diagrams
+
+
+def test_contraction_order_matches_the_reference_on_table_and_families(table):
+    for d in _table_and_family_diagrams(table):
         _assert_same_order(d)
 
 
@@ -318,6 +323,27 @@ def test_contraction_order_matches_the_reference_on_table_and_families(table):
 def test_contraction_order_matches_the_reference_on_random_codes(seed):
     for code in random_codes(300, 12, seed):
         _assert_same_order(from_gauss(code))
+
+
+def _assert_each_end_on_one_corner(d: GaussCode) -> None:
+    corners = _corners(d)
+    ends = sorted(end for quad in corners for end in quad)
+    assert ends == list(range(4 * d.crossings)), serialize(d)
+    # tuple i is label i + 1: its two out ends 2v leave the visits v of that label
+    for label, quad in enumerate(corners, 1):
+        assert {d.labels[end // 2] for end in quad if end % 2 == 0} == {label}
+
+
+def test_each_arc_end_lies_on_one_corner_on_table_and_families(table):
+    for d in _table_and_family_diagrams(table):
+        _assert_each_end_on_one_corner(d)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_arc_end_lies_on_one_corner_on_random_codes(seed):
+    # mostly virtual codes: the corner list needs no planar diagram
+    for code in random_codes(300, 12, seed):
+        _assert_each_end_on_one_corner(from_gauss(code))
 
 
 def test_large_twist_families_stay_fast():

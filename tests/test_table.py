@@ -303,14 +303,22 @@ def test_validate_entry_names_each_structural_problem(table, changes, problems):
     ({"minimal_diagrams": ("O1+U2+O3+U1+O2+U3+",)},
      "minimal_diagrams must be a tuple of Gauss codes, got ('O1+U2+O3+U1+O2+U3+',)"),
     ({"minimal_diagrams": ()}, "no minimal diagrams"),
-], ids=["crossings", "twist", "expected", "diagram-text", "no-minimal"])
+    ({"name": 3}, "name must be a string, got 3"),
+    ({"prime": 1}, "prime must be true or false, got 1"),
+    ({"alternating": "yes"}, "alternating must be true or false, got 'yes'"),
+    ({"minimal_complete": None}, "minimal_complete must be true or false, got None"),
+    ({"expected": None}, "expected must be an ExpectedValues, got None"),
+    ({"expected": {"e": 2}}, "expected must be an ExpectedValues, got {'e': 2}"),
+], ids=["crossings", "twist", "expected", "diagram-text", "no-minimal", "name",
+        "prime", "alternating", "minimal-complete", "expected-none",
+        "expected-dict"])
 def test_an_entry_built_in_code_is_checked_before_it_is_computed(
         table, changes, problem):
     # verify_paper reports a bad entry as data; the helpers raise DataError
     entry = with_fields(table["3_1"], **changes)
     assert validate_entry(entry) == [problem]
     assert verify_paper([entry]).rows == \
-        (CheckRow("entry-valid", "3_1", False, problem),)
+        (CheckRow("entry-valid", entry.name, False, problem),)
     for helper in (knot_e, knot_md, e_hat_bounds):
         with pytest.raises(DataError, match=re.escape(problem)):
             helper(entry)
