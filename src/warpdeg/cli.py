@@ -31,9 +31,8 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
-from collections.abc import Iterator
-from itertools import repeat
 
 from .codes import (
     GaussCode,
@@ -43,11 +42,10 @@ from .codes import (
     parse_dt,
     parse_gauss,
     parse_pd,
-    read_text,
     serialize,
 )
 from .diagram import from_gauss
-from .errors import CapExceeded, DataError, WarpingError
+from .errors import CapExceeded, WarpingError, read_lines
 from .warping import summary, warping_degree
 
 __all__ = ["main"]
@@ -86,51 +84,9 @@ def _record(obj: dict) -> str:
 
 
 def _read_input(value: str) -> str:
-    """The argument itself, or the contents of the file it names."""
+    """The argument itself, or the lines of the file it names, joined."""
     # False too for a name the OS refuses, e.g. one too long: then a code
-    return read_text(value) if os.path.isfile(value) else value
-
-
-def _lines(path: str) -> Iterator[str]:
-    """The lines of a UTF-8 file as ``text.splitlines()`` cuts its text.
-
-    The file is read once, in blocks cut after their last ``\\n`` (a line
-    longer than a block gathers all of its blocks), so a pipe serves as well
-    as a file and memory holds a block, not the file.  A leading byte-order
-    mark is dropped.  No UTF-8 sequence holds the byte ``\\n``, so each cut
-    decodes alone, and a decode fault is raised when the reading reaches
-    it, after the lines before it.  A cut's bytes are dropped once decoded,
-    and each line is popped from the cut's list as it is handed out, so
-    that neither keeps a line alive after its caller has dropped it.
-    """
-    end = 0  # the file offset past the bytes decoded
-    try:
-        with open(path, "rb") as file:
-            parts = []  # the bytes read since the last b"\n"
-            while True:
-                block = file.read1(8192)  # 64 KiB ran no faster, held more
-                cut = block.rfind(b"\n") + 1
-                if block and not cut:
-                    parts.append(block)
-                    continue
-                parts.append(block[:cut])
-                chunk, parts = b"".join(parts), [block[cut:]]
-                if not end and chunk.startswith(b"\xef\xbb\xbf"):  # first cut
-                    chunk, end = chunk[3:], 3
-                end += len(chunk)
-                try:
-                    lines = chunk.decode("utf-8").splitlines()
-                except UnicodeDecodeError as exc:  # the whole lines before it
-                    whole = chunk[:chunk.rfind(b"\n", 0, exc.start) + 1]
-                    yield from whole.decode("utf-8").splitlines()
-                    raise
-                del chunk
-                lines.reverse()  # popped from the end, in C, in file order
-                yield from map(list.pop, repeat(lines, len(lines)))
-                if not block:
-                    return
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-        raise DataError.reading(path, exc, end) from None
+    return "\n".join(read_lines(value)) if os.path.isfile(value) else value
 
 
 def _parse_code(text: str, notation: str | None) -> GaussCode:
@@ -276,7 +232,7 @@ def _cmd_batch(args) -> int:
     # its last use, and the lines are counted here because ``enumerate``
     # keeps its last (number, line) pair alive, for reuse, until the next.
     failures = number = 0
-    for body in _lines(args.file):
+    for body in read_lines(args.file):
         number += 1
         body = body.split("#", 1)[0].strip()
         if not body:
@@ -401,6 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="target notation")
     p.set_defaults(func=_cmd_convert)
 
+    for name in ("analyze", "oracle", "convert"):  # argparse's private matcher:
+        # a code may start with "-" and a digit (-4,-6,-2), as no option does
+        sub.choices[name]._negative_number_matcher = re.compile(r"^-\d")
     return parser
 
 

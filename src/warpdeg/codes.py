@@ -29,13 +29,12 @@ anchored-but-unlabelled diagram exactly when their serializations match.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress
 
-from .errors import CodeSyntaxError, DataError, StructureError, UnknownCrossing
+from .errors import CodeSyntaxError, StructureError, UnknownCrossing
 from .values import _Value  # the other modules import it from here
 
 __all__ = [
@@ -526,21 +525,3 @@ def detect_notation(text: str) -> str:
     if re.fullmatch(r"[-+\d\s,]+", body):
         return "dt"
     raise CodeSyntaxError(f"cannot detect notation of {body[:30]!r}")
-
-
-def read_text(path: str | os.PathLike[str], get_data=None) -> str:
-    """The UTF-8 text of a file; an unreadable file is a DataError.
-
-    A leading byte-order mark is dropped; line ends are kept as they are.
-    ``get_data``, given the path as a string, reads its bytes instead.
-    """
-    data = b""
-    try:
-        if get_data is not None:
-            data = get_data(str(path))
-        else:
-            with open(path, "rb") as file:
-                data = file.read()
-        return data.decode("utf-8-sig")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-        raise DataError.reading(path, exc, len(data)) from None

@@ -33,9 +33,9 @@ import os
 from collections.abc import Iterable, Iterator
 from operator import attrgetter
 
-from .codes import GaussCode, _Value, parse_gauss, read_text
+from .codes import GaussCode, _Value, parse_gauss
 from .diagram import from_gauss
-from .errors import DataError
+from .errors import DataError, read_lines
 from .warping import WarpingSummary, summary
 
 __all__ = [
@@ -224,7 +224,7 @@ def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
     # the package's loader reads the bundled table from a zip archive too
     get_data = __loader__.get_data if path is None else None
     lines = [
-        line for line in read_text(location, get_data).splitlines()
+        line for line in read_lines(location, get_data)
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not lines:

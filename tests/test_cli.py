@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
 import hashlib
 import io
@@ -24,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from warpdeg import cli
 from warpdeg.cli import main
 from warpdeg.codes import gauss_to_dt, parse_gauss, serialize
+from warpdeg.errors import read_lines
 from warpdeg.families import twist_minimal
 from warpdeg.warping import summary
 
@@ -190,6 +192,42 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, argv):
         outcomes.append(run(capsys, *(a.format(file=path) for a in argv)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][2] == ""
+
+
+@pytest.mark.parametrize("end", ["\u2028", "\x85", "\v"],
+                         ids=["U+2028", "NEL", "VT"])
+def test_a_code_file_is_cut_into_the_lines_that_batch_numbers(capsys, tmp_path,
+                                                              end):
+    # the comment ends where batch's line 1 ends, so line 2's code is read
+    path = tmp_path / "codes.txt"
+    path.write_bytes(f"# a trefoil{end}{TREFOIL}\n".encode())
+    assert run(capsys, "batch", str(path)) == (
+        0, "line 2: d(D)=1 d(-D)=1 e=2 spn=1\nbatch: 0 failed line(s)\n", "")
+    assert run(capsys, "analyze", str(path), "--quiet") == (
+        0, "d(D)=1 d(-D)=1 e=2 spn=1\n", "")
+    assert (run(capsys, "convert", str(path), "--to", "dt")
+            == run(capsys, "convert", TREFOIL, "--to", "dt"))
+    # the lines of one file make one code: a second code is not a comment
+    path.write_bytes(f"{TREFOIL} # a trefoil{end}{FIGURE8}\n".encode())
+    assert run(capsys, "analyze", str(path)) == (
+        2, "", "error: crossing 1 appears 4 time(s), expected 2\n")
+
+
+# argparse takes an argument that starts with "-" for an option unless it
+# holds a space or its private _negative_number_matcher calls it a number;
+# cli widens that matcher, so this pins what a private attribute provides
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{code}", "--quiet"),
+    ("oracle", "{code}", "--output", "records"),
+    ("convert", "{code}", "--to", "gauss"),
+], ids=lambda argv: argv[0])
+def test_a_code_may_start_with_a_minus_sign(capsys, argv):
+    dense = run(capsys, *(a.format(code="-4,-6,-2") for a in argv))
+    assert dense[0] == 0
+    assert dense == run(capsys, *(a.format(code="-4 -6 -2") for a in argv))
+    # "-" and a letter still starts an option, one that no subcommand has
+    code, out, err = run(capsys, *(a.format(code="-x") for a in argv))
+    assert (code, out) == (2, "") and err.startswith("usage:")
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +479,27 @@ def test_batch_text_on_a_seeded_corpus_is_pinned(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the batch reader
+# the file reader
 # ---------------------------------------------------------------------------
+
+def test_read_lines_is_the_only_code_that_opens_a_file():
+    # one reader keeps one rule for marks, line ends and fault messages;
+    # os.open, an attribute call, writes no file that warpdeg reads
+    inside, outside = [], []
+    for path in sorted((SRC / "warpdeg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and (path.name, function.name) == ("errors.py", "read_lines")
+                  for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("open", "get_data")):
+                where = inside if id(node) in reader else outside
+                where.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert outside == []
+    assert [call.split()[1] for call in inside] == ["open", "get_data"]
+
 
 _PIECES = ("a", "O1+", "#", "\u00e9", "\U0001f600", "\r", "\n", "\r\n", "\v",
            "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\ufeff")
@@ -467,7 +524,7 @@ def test_batch_numbers_the_lines_that_splitlines_cuts(text, head, copies):
         # the same lines, each ended by "\n" alone; a leading mark, so that
         # a U+FEFF starting the first line is kept
         plain.write_bytes(b"\xef\xbb\xbf" + "\n".join(expected).encode("utf-8"))
-        assert list(cli._lines(str(drawn))) == expected
+        assert list(read_lines(str(drawn))) == expected
         outputs = []
         for path in (drawn, plain):
             out = io.StringIO()
