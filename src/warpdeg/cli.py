@@ -84,9 +84,14 @@ def _record(obj: dict) -> str:
 
 
 def _read_input(value: str) -> str:
-    """The argument itself, or the lines of the file it names, joined."""
-    # False too for a name the OS refuses, e.g. one too long: then a code
-    return "\n".join(read_lines(value)) if os.path.isfile(value) else value
+    """The argument itself, or the lines of the file it names, joined: it
+    names one when it is a file or a directory, or holds a "/" outside
+    comments, as no code does; ``read_lines`` then names any fault."""
+    # isfile and isdir are False too for a name the OS refuses, e.g. one too long
+    if (os.path.isfile(value) or os.path.isdir(value)
+            or "/" in re.sub(r"#[^\r\n]*", "", value)):
+        return "\n".join(read_lines(value))
+    return value
 
 
 def _parse_code(text: str, notation: str | None) -> GaussCode:

@@ -409,7 +409,7 @@ class VerificationReport(_Value):
         return "\n".join(lines)
 
 
-def _classification(st: _EntryStats) -> Iterator[CheckRow]:
+def _classification(st: _EntryStats) -> tuple[bool, str]:
     """Values 0, 2 and 3 pin the knot; value 1 never occurs."""
     e, name = st.e_value, st.entry.name
     owner = next((knot for knot, value in _SMALL_E.items() if value == e), name)
@@ -420,35 +420,30 @@ def _classification(st: _EntryStats) -> Iterator[CheckRow]:
         details = f"e={e} is reserved for {owner}"
     elif _SMALL_E.get(name, e) != e:
         details = f"e={e}, want {_SMALL_E[name]}"
-    yield CheckRow("e-classification", name, not details, details)
+    return not details, details
 
 
 _SPLITS = {"7_6": [{3}, {2, 4}], "8_12": [{3, 4}, {2, 5}]}
 
 
-def _orientation_splits(st: _EntryStats) -> Iterator[CheckRow]:
+def _orientation_splits(st: _EntryStats) -> tuple[bool, str]:
     """The bundled diagram pairs of 7_6 and 8_12 split e(K) as known."""
-    want = _SPLITS.get(st.entry.name)
-    if want is not None:
-        got = [set(pair) for pair in st.d_pairs]
-        ok = (len(got) == len(want) and all(pair in got for pair in want)
-              and all(s.warping_sum == st.bound for s in st.minimal))
-        yield CheckRow("orientation-splits", st.entry.name, ok,
-                       "" if ok else f"d-pairs {sorted(map(sorted, got))}")
+    want = _SPLITS[st.entry.name]
+    got = [set(pair) for pair in st.d_pairs]
+    ok = (len(got) == len(want) and all(pair in got for pair in want)
+          and all(s.warping_sum == st.bound for s in st.minimal))
+    return ok, "" if ok else f"d-pairs {sorted(map(sorted, got))}"
 
 
-def _alternating_span(st: _EntryStats) -> Iterator[CheckRow]:
+def _alternating_span(st: _EntryStats) -> tuple[bool, str]:
     """Every alternating bundled diagram has span 1."""
     diagrams = st.entry.minimal_diagrams + st.entry.extra_diagrams
-    spans = [(d.crossings, s.span) for d, s in zip(diagrams, st.summaries)
-             if is_alternating_diagram(d)]
-    if spans:
-        bad = [c for c, span in spans if span != 1]
-        details = f"alternating diagram with span != 1 (c={bad})" if bad else ""
-        yield CheckRow("alternating-span", st.entry.name, not bad, details)
+    bad = [d.crossings for d, s in zip(diagrams, st.summaries)
+           if is_alternating_diagram(d) and s.span != 1]
+    return not bad, f"alternating diagram with span != 1 (c={bad})" if bad else ""
 
 
-def _e_hat_window(st: _EntryStats) -> Iterator[CheckRow]:
+def _e_hat_window(st: _EntryStats) -> tuple[bool, str]:
     """The e-hat bounds honor the classification and any expected value."""
     (lower, upper), e_hat = st.e_hat, st.entry.expected.e_hat
     details = ""
@@ -456,87 +451,88 @@ def _e_hat_window(st: _EntryStats) -> Iterator[CheckRow]:
         details = f"bounds crossed: [{lower}, {upper}]"
     elif e_hat is not None and not lower <= e_hat <= upper:
         details = f"expected e_hat {e_hat} outside [{lower}, {upper}]"
-    yield CheckRow("e-hat-window", st.entry.name, not details, details)
+    return not details, details
 
 
-def _e_hat_six_three(st: _EntryStats) -> Iterator[CheckRow]:
+def _e_hat_six_three(st: _EntryStats) -> tuple[bool, str]:
     """The non-minimal 6_3 diagram pins e-hat at 4; with no extra diagram
     bundled, the gap passes with a note."""
-    if st.entry.name != "6_3":
-        return
     if st.e_hat == (4, 4):
-        yield CheckRow("e-hat-six-three", "6_3", True)
-    elif st.e_hat == (4, 5) and not st.entry.extra_diagrams:
-        yield CheckRow("e-hat-six-three", "6_3", True,
-                       "gap: bounds (4, 5); no sum-4 diagram bundled")
-    else:
-        yield CheckRow("e-hat-six-three", "6_3", False, f"bounds {st.e_hat}")
+        return True, ""
+    if st.e_hat == (4, 5) and not st.entry.extra_diagrams:
+        return True, "gap: bounds (4, 5); no sum-4 diagram bundled"
+    return False, f"bounds {st.e_hat}"
 
 
-def _ordering(st: _EntryStats) -> Iterator[CheckRow]:
+def _ordering(st: _EntryStats) -> tuple[bool, str]:
     """unknotting <= ascending <= md against the computed md."""
     exp = st.entry.expected
-    if exp.ascending is None and exp.unknotting is None:
-        return
     details = ""
     for label, value in (("ascending", exp.ascending),
                          ("unknotting", exp.unknotting)):
         if value is not None and value > st.md_value:
             details = f"{label} {value} exceeds md {st.md_value}"
-    yield CheckRow("ordering", st.entry.name, not details, details)
+    return not details, details
 
 
-# Every check after entry-valid, in report order.  An element is either a
-# function that yields the rows of one entry's stats s, or a tuple of
-# rules (check, applies, holds, failure) run together on each entry in
-# turn, so that their rows interleave: where applies(s), a rule gives one
-# row that passes when holds(s) and otherwise says failure.format(s=s).
+def _rule(check, applies, holds, failure):
+    """A rule whose row passes when holds(s) and otherwise says failure.format(s=s)."""
+    return check, applies, lambda s: (
+        (True, "") if holds(s) else (False, failure.format(s=s)))
+
+
+# Every check after entry-valid, in report order.  An element is a tuple of
+# rules (check, applies, verdict) run together on each entry in turn, so
+# that their rows interleave: where applies(s), a rule gives one row whose
+# (passed, details) is verdict(s).
 CHECKS = (
     (  # computed aggregates match the reference values
-        ("expected-e", lambda s: s.entry.expected.e is not None,
-         lambda s: s.e_value == s.entry.expected.e,
-         "computed {s.e_value}, expected {s.entry.expected.e}"),
-        ("expected-md", lambda s: s.entry.expected.md is not None,
-         lambda s: s.md_value == s.entry.expected.md,
-         "computed {s.md_value}, expected {s.entry.expected.md}"),
+        _rule("expected-e", lambda s: s.entry.expected.e is not None,
+              lambda s: s.e_value == s.entry.expected.e,
+              "computed {s.e_value}, expected {s.entry.expected.e}"),
+        _rule("expected-md", lambda s: s.entry.expected.md is not None,
+              lambda s: s.md_value == s.entry.expected.md,
+              "computed {s.md_value}, expected {s.entry.expected.md}"),
     ),
     # e(K) <= c(K) - 1 for nontrivial knots
-    (("e-upper-bound", lambda s: s.entry.crossings > 0,
-      lambda s: s.e_value <= s.bound, "e={s.e_value} exceeds c-1={s.bound}"),),
+    (_rule("e-upper-bound", lambda s: s.entry.crossings > 0,
+           lambda s: s.e_value <= s.bound, "e={s.e_value} exceeds c-1={s.bound}"),),
     # equality e(K) = c(K) - 1 for prime alternating knots
-    (("e-prime-alternating",
-      lambda s: s.entry.prime and s.entry.alternating and s.entry.crossings > 0,
-      lambda s: s.e_value == s.bound, "e={s.e_value}, want {s.bound}"),),
+    (_rule("e-prime-alternating",
+           lambda s: s.entry.prime and s.entry.alternating and s.entry.crossings > 0,
+           lambda s: s.e_value == s.bound, "e={s.e_value}, want {s.bound}"),),
     # equality fails for every other knot; needs e(K), not a bound
-    (("e-only-if", lambda s: s.entry.crossings > 0 and s.true_e is not None
-      and not (s.entry.prime and s.entry.alternating),
-      lambda s: s.true_e < s.bound,
-      "e={s.true_e} reaches c-1 without prime alternating"),),
-    _classification,
+    (_rule("e-only-if", lambda s: s.entry.crossings > 0 and s.true_e is not None
+           and not (s.entry.prime and s.entry.alternating),
+           lambda s: s.true_e < s.bound,
+           "e={s.true_e} reaches c-1 without prime alternating"),),
+    (("e-classification", lambda s: True, _classification),),
     # knots with e(K) in {4, 5} have md(K) = 2
-    (("md-from-e", lambda s: s.true_e in (4, 5), lambda s: s.md_value == 2,
-      "e={s.true_e} forces md=2, computed {s.md_value}"),),
+    (_rule("md-from-e", lambda s: s.true_e in (4, 5), lambda s: s.md_value == 2,
+           "e={s.true_e} forces md=2, computed {s.md_value}"),),
     # the five-crossing knots have e = 4
-    (("five-crossing-values", lambda s: s.entry.name in ("5_1", "5_2"),
-      lambda s: s.e_value == 4, "e={s.e_value}, want 4"),),
-    _orientation_splits,
+    (_rule("five-crossing-values", lambda s: s.entry.name in ("5_1", "5_2"),
+           lambda s: s.e_value == 4, "e={s.e_value}, want 4"),),
+    (("orientation-splits", lambda s: s.entry.name in _SPLITS, _orientation_splits),),
     # the nonalternating 8_21 and the composite granny knot have e = 4
-    (("nonalternating-four", lambda s: s.entry.name in ("8_21", "granny"),
-      lambda s: s.e_value == 4, "e={s.e_value}, want 4"),),
+    (_rule("nonalternating-four", lambda s: s.entry.name in ("8_21", "granny"),
+           lambda s: s.e_value == 4, "e={s.e_value}, want 4"),),
     # a (2, n) entry has the one d-pair {floor((n+1)/2), floor(n/2)+1},
     # hence md = floor((n+1)/2), and e = n+1
-    (("twist-formula", lambda s: s.entry.twist is not None,
-      lambda s: [sorted(pair) for pair in s.d_pairs]
-      == [[(s.entry.twist + 1) // 2, s.entry.twist // 2 + 1]]
-      and s.e_value == s.entry.twist + 1,
-      "n={s.entry.twist}, d-pairs {s.d_pairs}, md={s.md_value}, e={s.e_value}"),),
-    _alternating_span,
-    _e_hat_window,
+    (_rule("twist-formula", lambda s: s.entry.twist is not None,
+           lambda s: [sorted(pair) for pair in s.d_pairs]
+           == [[(s.entry.twist + 1) // 2, s.entry.twist // 2 + 1]]
+           and s.e_value == s.entry.twist + 1,
+           "n={s.entry.twist}, d-pairs {s.d_pairs}, md={s.md_value}, e={s.e_value}"),),
+    (("alternating-span", lambda s: any(map(is_alternating_diagram,
+      s.entry.minimal_diagrams + s.entry.extra_diagrams)), _alternating_span),),
+    (("e-hat-window", lambda s: True, _e_hat_window),),
     # a twist entry with its sum-2 diagram pins the e-hat bounds
-    (("e-hat-twist", lambda s: s.entry.twist is not None,
-      lambda s: s.e_hat == (2, 2), "bounds {s.e_hat}, want (2, 2)"),),
-    _e_hat_six_three,
-    _ordering,
+    (_rule("e-hat-twist", lambda s: s.entry.twist is not None,
+           lambda s: s.e_hat == (2, 2), "bounds {s.e_hat}, want (2, 2)"),),
+    (("e-hat-six-three", lambda s: s.entry.name == "6_3", _e_hat_six_three),),
+    (("ordering", lambda s: s.entry.expected.ascending is not None
+      or s.entry.expected.unknotting is not None, _ordering),),
 )
 
 
@@ -550,20 +546,15 @@ def verify_paper(table: KnotTable | Iterable[KnotEntry]) -> VerificationReport:
     rows: list[CheckRow] = []
     live: list[_EntryStats] = []
     for entry in table:
+        scope = entry.name if isinstance(entry.name, str) else repr(entry.name)
         try:
             live.append(_stats(entry))
         except Exception as exc:  # a malformed entry, or a diagram that fails
-            rows.append(CheckRow("entry-valid", entry.name, False, str(exc)))
+            rows.append(CheckRow("entry-valid", scope, False, str(exc)))
         else:
-            rows.append(CheckRow("entry-valid", entry.name, True))
-    for check in CHECKS:
+            rows.append(CheckRow("entry-valid", scope, True))
+    for group in CHECKS:
         for st in live:
-            if callable(check):
-                rows.extend(check(st))
-                continue
-            for name, applies, holds, failure in check:
-                if applies(st):
-                    ok = holds(st)
-                    rows.append(CheckRow(name, st.entry.name, ok,
-                                         "" if ok else failure.format(s=st)))
+            rows += [CheckRow(check, st.entry.name, *verdict(st))
+                     for check, applies, verdict in group if applies(st)]
     return VerificationReport(tuple(rows))

@@ -169,6 +169,31 @@ def test_a_file_is_named_in_errors_as_it_was_typed(capsys, tmp_path,
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("./absent.txt", "No such file or directory"),
+    ("adir", "Is a directory"),
+    ("adir/", "Is a directory"),
+    ("adir/absent # w/ comment", "No such file or directory"),
+], ids=["absent", "directory", "directory-slash", "absent-in-directory"])
+@pytest.mark.parametrize("command", ["analyze", "oracle", "convert --to dt"])
+def test_an_unreadable_file_argument_is_named_as_such(capsys, tmp_path,
+                                                      monkeypatch, command,
+                                                      name, reason):
+    # a name that is a directory or holds a "/" outside comments is a
+    # file's, as it is for batch: no code holds a "/"
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    subcommand, *options = command.split()
+    assert run(capsys, subcommand, name, *options) == \
+        (2, "", f"error: cannot read {name}: {reason}\n")
+
+
+def test_a_slash_in_a_comment_leaves_an_argument_a_code(capsys):
+    code, out, err = run(capsys, "analyze", "--quiet",
+                         f"{TREFOIL} # 3_1 w/ signs")
+    assert (code, out, err) == (0, "d(D)=1 d(-D)=1 e=2 spn=1\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "{file}"), ("analyze", "{file}", "--output", "records"),
     ("batch", "{file}"), ("batch", "{file}", "--output", "records"),

@@ -277,6 +277,54 @@ def test_broken_entries_opt_out_instead_of_crashing_the_run(table):
     assert verify_paper([table["3_1"]]).passed
 
 
+def test_every_check_is_a_group_of_rules_of_one_shape():
+    from warpdeg.table import CHECKS
+
+    assert all(isinstance(group, tuple) and group
+               and all(isinstance(rule, tuple) and len(rule) == 3 for rule in group)
+               for group in CHECKS)
+    names = [check for group in CHECKS for check, _, _ in group]
+    assert len(names) == len(set(names)) == 16
+
+
+def test_a_check_is_data_alone(monkeypatch, table):
+    from warpdeg import table as table_module
+
+    before = verify_paper(table).rows
+    rule = ("made-up", lambda s: s.entry.twist is not None,
+            lambda s: (s.e_value == 3, f"e={s.e_value}"))
+    monkeypatch.setattr(table_module, "CHECKS", table_module.CHECKS + ((rule,),))
+    rows = verify_paper(table).rows
+    assert rows[:len(before)] == before
+    added = [CheckRow("made-up", entry.name, knot_e(entry)[0] == 3,
+                      f"e={knot_e(entry)[0]}")
+             for entry in table if entry.twist is not None]
+    assert list(rows[len(before):]) == added
+    assert {row.passed for row in added} == {True, False}
+
+
+@pytest.mark.parametrize("name, scope", [(None, "None"), (["x"], "['x']"), (3, "3")],
+                         ids=["none", "list", "int"])
+def test_every_verify_row_scope_is_a_string(table, name, scope):
+    (row,) = verify_paper([with_fields(table["3_1"], name=name)]).rows
+    assert (row.check, row.scope, row.passed) == ("entry-valid", scope, False)
+    assert hash(row) == hash(CheckRow(row.check, scope, False, row.details))
+
+
+def test_the_documented_check_order_is_the_report_order(table):
+    docs = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+    section = docs.read_text(encoding="utf-8").split("## Records output")[1]
+    listed = re.findall(r"^\d+\. `([a-z-]+)`", section.split("\n## ")[0], re.M)
+    rows = verify_paper(table).rows
+    assert listed == list(dict.fromkeys(row.check for row in rows))
+    # expected-e and expected-md interleave, entry by entry
+    expected = [(row.scope, row.check) for row in rows
+                if row.check in ("expected-e", "expected-md")]
+    order = [entry.name for entry in table]
+    assert expected == sorted(expected, key=lambda r: (order.index(r[0]), r[1]))
+    assert expected != sorted(expected, key=lambda r: r[1])
+
+
 def with_fields(entry: KnotEntry, **changes) -> KnotEntry:
     return KnotEntry(**{**dict(zip(entry._fields, entry._values())), **changes})
 
@@ -317,8 +365,9 @@ def test_an_entry_built_in_code_is_checked_before_it_is_computed(
     # verify_paper reports a bad entry as data; the helpers raise DataError
     entry = with_fields(table["3_1"], **changes)
     assert validate_entry(entry) == [problem]
+    scope = "3" if "name" in changes else "3_1"  # a name that is not a string: its repr
     assert verify_paper([entry]).rows == \
-        (CheckRow("entry-valid", entry.name, False, problem),)
+        (CheckRow("entry-valid", scope, False, problem),)
     for helper in (knot_e, knot_md, e_hat_bounds):
         with pytest.raises(DataError, match=re.escape(problem)):
             helper(entry)
