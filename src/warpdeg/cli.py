@@ -36,6 +36,7 @@ import sys
 
 from .codes import (
     GaussCode,
+    _strip_comments,
     detect_notation,
     dt_to_gauss,
     gauss_to_dt,
@@ -52,6 +53,9 @@ __all__ = ["main"]
 
 _ENV_TABLE = "WARPDEG_TABLE"
 _ORACLE_CAP = 16  # oracle.ORACLE_CAP, which only the oracle command imports
+# each character that str.splitlines breaks at, to the escape repr shows for it
+_LINE_BREAKS = {ord(c): repr(c)[1:-1]
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def _emit(line: str) -> None:
@@ -89,7 +93,7 @@ def _read_input(value: str) -> str:
     comments, as no code does; ``read_lines`` then names any fault."""
     # isfile and isdir are False too for a name the OS refuses, e.g. one too long
     if (os.path.isfile(value) or os.path.isdir(value)
-            or "/" in re.sub(r"#[^\r\n]*", "", value)):
+            or "/" in _strip_comments(value)):
         return "\n".join(read_lines(value))
     return value
 
@@ -223,12 +227,8 @@ def _oracle_random(args) -> int:
 def _cmd_generate(args) -> int:
     from . import families
 
-    # the family's trace code: PD text numbers its edges from the trace's
-    # anchor, Gauss and DT text start where the Gauss builders do
-    code = getattr(families, f"_{args.family}")(
-        *(getattr(args, name) for name in args.params))
-    _write(code if args.format == "pd" else families._first_under(code),
-           args.format)
+    build = getattr(families, args.builder)
+    _write(build(*(getattr(args, name) for name in args.params)), args.format)
     return 0
 
 
@@ -239,7 +239,7 @@ def _cmd_batch(args) -> int:
     failures = number = 0
     for body in read_lines(args.file):
         number += 1
-        body = body.split("#", 1)[0].strip()
+        body = _strip_comments(body).strip()
         if not body:
             continue
         try:
@@ -334,14 +334,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a family diagram")
     kinds = p.add_subparsers(dest="family", required=True)
-    for family, params in (("twist", "n"), ("rational", "pq"), ("ozawa", "n")):
+    for family, builder, params in (("twist", "twist_minimal", "n"),
+                                    ("rational", "rational_pq", "pq"),
+                                    ("ozawa", "ozawa_twist", "n")):
         k = kinds.add_parser(family)
         for name in params:
             k.add_argument(f"--{name}", type=int, required=True,
                            help="half-twist count")
         k.add_argument("--format", choices=("gauss", "dt", "pd"),
                        default="gauss", help="output notation; default gauss")
-        k.set_defaults(func=_cmd_generate, params=params)
+        k.set_defaults(func=_cmd_generate, builder=builder, params=params)
 
     p = sub.add_parser("batch", parents=[inputs, outputs],
                        help="analyze every code in a file")
@@ -393,7 +395,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except WarpingError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a name in the message may hold a line break; the error stays one line
+        sys.stderr.write(f"error: {str(exc).translate(_LINE_BREAKS)}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
     except BrokenPipeError:
         # the reader went away: later writes, and the flush at exit, go nowhere

@@ -186,9 +186,11 @@ _CHUNK = 1 << 15  # characters of Gauss text tokenized by one split
 
 
 def _strip_comments(text: str) -> str:
-    if "#" not in text and "\r" not in text and "\n" not in text:
+    """``text`` with each ``#`` comment cut off at the end of its line, where
+    ``str.splitlines`` ends it, and its lines joined by spaces."""
+    lines = text.splitlines()  # [text] itself when it holds no line break
+    if "#" not in text and lines == [text]:
         return text  # a batch line's body, cut from its comment already
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return " ".join(line.split("#", 1)[0] for line in lines)
 
 

@@ -2,10 +2,10 @@
 
 Every diagram is built once as a planar port graph in PD's slot
 convention: a crossing has ports 0..3 counterclockwise, 1 and 3 on its
-overpass.  ``bracket._trace_code`` reads its signed Gauss code off the
-curve trace from port (0, 1), as ``pd_to_gauss`` reads PD input.  The
-Gauss builders re-anchor it at its first under-visit; ``generate --format
-pd`` writes it with ``gauss_to_pd``, numbering the edges from that port.
+overpass.  Each builder returns the signed Gauss code that
+``bracket._trace_code`` reads off the curve trace from port (0, 1), as
+``pd_to_gauss`` reads PD input.  That port, on an overpass, is the
+diagram's one anchor: ``generate`` writes the code from it in every notation.
 In a rational tangle the ports are NW, SW, SE, NE.  Twist regions are
 grown one crossing at a time: a right twist hooks a new crossing onto
 the NE/SE corners of the tangle, a bottom twist onto SW/SE, and the
@@ -27,7 +27,7 @@ except at a single clasp crossing.
 from __future__ import annotations
 
 from .bracket import Port, _trace, _trace_code
-from .codes import GaussCode, _rotated
+from .codes import GaussCode
 from .errors import InvalidParam, NotAKnot
 
 __all__ = ["twist_minimal", "rational_pq", "ozawa_twist"]
@@ -46,11 +46,6 @@ def _closed(links: dict[Port, Port], c: int) -> GaussCode:
     if len(trace) != 2 * c:
         raise NotAKnot("closure has more than one component")
     return _trace_code(trace, c)
-
-
-def _first_under(code: GaussCode) -> GaussCode:
-    """``code`` re-anchored at its first under-visit."""
-    return _rotated(code, code.overs.index(False))
 
 
 def _continued_fraction(entries: list[int]) -> GaussCode:
@@ -88,18 +83,6 @@ def _continued_fraction(entries: list[int]) -> GaussCode:
     return _closed(links, c)
 
 
-def _rational(p: int, q: int) -> GaussCode:
-    if p < 1 or q < 1:
-        raise InvalidParam(f"twist counts must be >= 1, got ({p}, {q})")
-    return _continued_fraction([p, q])
-
-
-def _twist(n: int) -> GaussCode:
-    if n < 1:
-        raise InvalidParam(f"twist parameter must be >= 1, got {n}")
-    return _continued_fraction([2, n])
-
-
 def rational_pq(p: int, q: int) -> GaussCode:
     """The standard alternating two-bridge diagram of the fraction (pq+1)/p.
 
@@ -107,16 +90,27 @@ def rational_pq(p: int, q: int) -> GaussCode:
     Raises NotAKnot when the closure has two components, which happens
     exactly when pq is odd (the fraction numerator pq+1 is even).
     """
-    return _first_under(_rational(p, q))
+    if p < 1 or q < 1:
+        raise InvalidParam(f"twist counts must be >= 1, got ({p}, {q})")
+    return _continued_fraction([p, q])
 
 
 def twist_minimal(n: int) -> GaussCode:
     """Minimal (n+2)-crossing twist knot diagram: a clasp plus n twists."""
-    return _first_under(_twist(n))
+    if n < 1:
+        raise InvalidParam(f"twist parameter must be >= 1, got {n}")
+    return _continued_fraction([2, n])
 
 
-def _ozawa(n: int) -> GaussCode:
-    """Trace code of the (2n+1)-crossing both-ways-almost-descending diagram.
+def ozawa_twist(n: int) -> GaussCode:
+    """A twist knot diagram with warping degree 1 for both orientations.
+
+    Same knot as ``twist_minimal(n)`` but drawn with 2n+1 crossings so
+    that a single crossing change makes the diagram monotone no matter
+    which orientation is chosen: one arc passes over everything except
+    one clasp crossing in the middle.  Walking from either end of that
+    arc meets only the clasp as a first-visit underpass, in both
+    directions, so d(D) = d(-D) = 1 and e(D) = 2.
 
     Layout: a horizontal arc passes over stations 1..2n+1 from west to
     east; the return arc comes back under it, visiting the stations in
@@ -139,16 +133,3 @@ def _ozawa(n: int) -> GaussCode:
              for s, enter, leave in visits for side in (enter, leave)]
     links = dict(zip(ports[1::2], ports[2::2] + ports[:1]))  # exit -> entry
     return _closed(links | {b: a for a, b in links.items()}, c)
-
-
-def ozawa_twist(n: int) -> GaussCode:
-    """A twist knot diagram with warping degree 1 for both orientations.
-
-    Same knot as ``twist_minimal(n)`` but drawn with 2n+1 crossings so
-    that a single crossing change makes the diagram monotone no matter
-    which orientation is chosen: one arc passes over everything except
-    one clasp crossing in the middle.  Walking from either end of that
-    arc meets only the clasp as a first-visit underpass, in both
-    directions, so d(D) = d(-D) = 1 and e(D) = 2.
-    """
-    return _first_under(_ozawa(n))

@@ -194,6 +194,55 @@ def test_a_slash_in_a_comment_leaves_an_argument_a_code(capsys):
     assert (code, out, err) == (0, "d(D)=1 d(-D)=1 e=2 spn=1\n", "")
 
 
+# every character at which str.splitlines ends a line
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_the_line_breaks_are_those_of_splitlines():
+    assert {c for c in map(chr, range(0x3000))
+            if len(f"a{c}b".splitlines()) == 2} == set(LINE_BREAKS)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+@pytest.mark.parametrize("command", ["batch", "verify --table"])
+def test_a_name_with_a_line_break_is_named_on_one_line(capsys, tmp_path,
+                                                       monkeypatch, command,
+                                                       brk):
+    monkeypatch.chdir(tmp_path)
+    name = f"a{brk}b/c"
+    assert run(capsys, *command.split(), name) == (2, "", (
+        f"error: cannot read a{ascii(brk)[1:-1]}b/c: No such file or directory\n"))
+
+
+def test_a_table_entry_name_with_a_line_break_is_named_on_one_line(
+        capsys, tmp_path):
+    record = {"name": "a\nb", "crossings": 3, "prime": True,
+              "alternating": True, "minimal": ["O1+U2+"],
+              "minimal_complete": True}
+    path = tmp_path / "bad.tbl"
+    path.write_text('{"format": "knots-table", "version": 1}\n'
+                    + json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: a\\nb: bad diagram code 'O1+U2+'")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+@pytest.mark.parametrize("text", [
+    f"# a comment{{brk}}{TREFOIL}",  # analyzed: the comment ends first
+    f"{TREFOIL} # x{{brk}}{FIGURE8}",  # refused: crossing 1 four times
+], ids=["code-after", "two-codes"])
+def test_an_argument_and_a_code_file_end_a_comment_alike(capsys, tmp_path,
+                                                         text, brk):
+    text = text.format(brk=brk)
+    path = tmp_path / "code.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    by_argument = run(capsys, "analyze", "--quiet", text)
+    assert by_argument == run(capsys, "analyze", "--quiet", str(path))
+    assert by_argument[0] == (0 if text.startswith("#") else 2)
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "{file}"), ("analyze", "{file}", "--output", "records"),
     ("batch", "{file}"), ("batch", "{file}", "--output", "records"),
@@ -970,6 +1019,8 @@ TOKENS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(sorted(ACCEPTED)) | st.text(max_size=6),
        tokens=st.lists(TOKENS, max_size=6), data=st.binary(max_size=40))
+@example(command="batch", tokens=["a\nb/c"], data=b"")
+@example(command="verify", tokens=["--table", "x\ny"], data=b"")
 def test_main_keeps_the_cli_contract_on_any_arguments(command, tokens, data):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -979,9 +1030,11 @@ def test_main_keeps_the_cli_contract_on_any_arguments(command, tokens, data):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2)
-    if code == 2:
-        assert sum("error:" in line
-                   for line in err.getvalue().splitlines()) == 1
+    if code == 2:  # argparse's usage error, or one line of our own
+        text = err.getvalue()
+        assert text.startswith("usage:") or (
+            text.startswith("error: ") and len(text.splitlines()) == 1
+            and text.endswith("\n")), text
 
 
 # ---------------------------------------------------------------------------
@@ -1043,6 +1096,27 @@ def test_a_stdout_closed_by_its_reader_is_exit_2_without_a_traceback():
     assert proc.wait() == 2
     assert "Traceback" not in err
     assert err.splitlines() == ["error: standard output was closed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "twist", "--n", "100000000"),
+    ("oracle", "--random", "1", "--max-crossings", "100000000",
+     "--oracle-cap", "100000000"),
+], ids=["generate", "oracle-random"])
+def test_running_out_of_memory_is_exit_2_without_a_traceback(argv):
+    resource = pytest.importorskip("resource")
+    limit = 200 * 2 ** 20  # bytes of address space, in the child alone
+
+    def limited():  # runs in the child before it starts Python; a failure
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))  # stops it
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "warpdeg.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limited, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: out of memory\n")
 
 
 # ---------------------------------------------------------------------------

@@ -356,12 +356,16 @@ def test_gauss_parse_matches_the_per_word_reference(text):
     assert _outcome(parse_gauss, text) == _outcome(reference_parse_gauss, text)
 
 
-@given(st.text(alphabet="OU0123456789+-, #\r\n", max_size=40))
+# every character at which str.splitlines ends a line
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(alphabet="OU0123456789+-, #" + _LINE_BREAKS, max_size=40))
 def test_strip_comments_is_the_full_pass_and_keeps_clean_text(text):
-    lines = re.split(r"\r\n|\r|\n", text)
+    lines = text.splitlines()
     stripped = codes_module._strip_comments(text)
     assert stripped == " ".join(line.split("#", 1)[0] for line in lines)
-    if not {"#", "\r", "\n"} & set(text):
+    if not {"#", *_LINE_BREAKS} & set(text):
         assert stripped is text
 
 

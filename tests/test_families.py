@@ -11,15 +11,13 @@ import pytest
 from warpdeg.bracket import (determinant, gauss_to_pd, is_classical,
                              kauffman_bracket, pd_to_gauss)
 from warpdeg.cli import main
-from warpdeg.codes import parse_gauss, parse_pd, serialize
+from warpdeg.codes import (UNSIGNED, GaussCode, canonical, dt_to_gauss,
+                           gauss_to_dt, parse_gauss, parse_pd, serialize)
 from warpdeg.diagram import rotate
 from warpdeg.errors import (InvalidParam, NotAKnot, NotClassical,
                             StructureError, UnknownSigns)
 from warpdeg.families import (
     _continued_fraction,
-    _ozawa,
-    _rational,
-    _twist,
     ozawa_twist,
     rational_pq,
     twist_minimal,
@@ -30,11 +28,11 @@ from warpdeg.warping import summary
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 
-# every public family case: (Gauss builder, trace code builder, parameters)
-# for twist and ozawa 1..13 and each knot rational_pq(p, q) with p, q <= 8
-FAMILY_CASES = [(twist_minimal, _twist, (n,)) for n in range(1, 14)]
-FAMILY_CASES += [(ozawa_twist, _ozawa, (n,)) for n in range(1, 14)]
-FAMILY_CASES += [(rational_pq, _rational, (p, q))
+# every public family case: (builder, parameters) for twist and ozawa
+# 1..13 and each knot rational_pq(p, q) with p, q <= 8
+FAMILY_CASES = [(twist_minimal, (n,)) for n in range(1, 14)]
+FAMILY_CASES += [(ozawa_twist, (n,)) for n in range(1, 14)]
+FAMILY_CASES += [(rational_pq, (p, q))
                  for p, q in itertools.product(range(1, 9), repeat=2)
                  if p * q % 2 == 0]  # pq odd closes to a link
 
@@ -154,6 +152,38 @@ def test_ozawa_rejects_nonpositive_parameters():
 
 
 # ---------------------------------------------------------------------------
+# the one anchor
+# ---------------------------------------------------------------------------
+
+def test_every_family_diagram_starts_at_an_overpass():
+    for build, params in FAMILY_CASES:
+        assert build(*params).overs[0], (build.__name__, params)
+
+
+def test_alternating_family_diagrams_have_all_positive_dt_codes():
+    alternating = [(build, params) for build, params in FAMILY_CASES
+                   if build is not ozawa_twist]
+    assert len(alternating) == 61
+    for build, params in alternating:
+        assert all(e > 0 for e in gauss_to_dt(build(*params)).evens), params
+
+
+def test_family_dt_codes_read_back_as_the_unsigned_diagram():
+    for build, params in FAMILY_CASES:
+        code = build(*params)
+        unsigned = GaussCode(code.labels, code.overs,
+                             (UNSIGNED,) * len(code.labels))
+        assert canonical(dt_to_gauss(gauss_to_dt(code))) == \
+            canonical(unsigned), params
+
+
+def test_generate_dt_starts_the_twist_family_at_an_overpass(capsys):
+    for n, want in ((1, "4 6 2\n"), (2, "4 6 8 2\n")):
+        assert main(["generate", "twist", "--n", str(n), "--format", "dt"]) == 0
+        assert capsys.readouterr().out == want
+
+
+# ---------------------------------------------------------------------------
 # planar (PD) output
 # ---------------------------------------------------------------------------
 
@@ -175,11 +205,11 @@ def test_family_pd_text_is_pinned():
     def pd_text(build, *params):
         return serialize(gauss_to_pd(build(*params)))
 
-    lines = [f"twist {n} {pd_text(_twist, n)}" for n in range(1, 14)]
-    lines += [f"ozawa {n} {pd_text(_ozawa, n)}" for n in range(1, 14)]
+    lines = [f"twist {n} {pd_text(twist_minimal, n)}" for n in range(1, 14)]
+    lines += [f"ozawa {n} {pd_text(ozawa_twist, n)}" for n in range(1, 14)]
     for p, q in itertools.product(range(1, 9), repeat=2):
         try:
-            lines.append(f"rational {p} {q} {pd_text(_rational, p, q)}")
+            lines.append(f"rational {p} {q} {pd_text(rational_pq, p, q)}")
         except NotAKnot as exc:
             lines.append(f"rational {p} {q} NotAKnot: {exc}")
     assert lines[0] == "twist 1 X(2,6,3,5) X(4,2,5,1) X(6,4,1,3)"
@@ -190,11 +220,11 @@ def test_family_pd_text_is_pinned():
 
 def test_family_pd_text_reads_back_as_the_gauss_builders_code():
     assert len(FAMILY_CASES) == 74
-    # PD text is written from the trace's own anchor, and pd_to_gauss
-    # starts at the first under-visit, where the Gauss builders start
-    for build, trace_code, params in FAMILY_CASES:
-        assert pd_to_gauss(gauss_to_pd(trace_code(*params))) == build(*params), \
-            params
+    # PD text is written from the builder's own anchor, and pd_to_gauss
+    # starts at the first under-visit
+    for build, params in FAMILY_CASES:
+        code = build(*params)
+        assert pd_to_gauss(gauss_to_pd(code)) == first_under(code), params
 
 
 # ---------------------------------------------------------------------------
