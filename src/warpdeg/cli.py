@@ -8,10 +8,12 @@ transcoding).
 
 Each subcommand accepts only the options it reads; any other option is
 a usage error.  Exit codes: 0 success, 1 failed checks (verify failures,
-oracle disagreement, failed batch lines), 2 usage or input errors.  A
-standard output closed by its reader (``warpdeg verify | head -1``) is an
-error too: the rest of the output is dropped, one ``error:`` line goes to
-stderr, and the exit code is 2, with no traceback.
+oracle disagreement, failed batch lines), 2 usage or input errors.  An
+input error is one ``error:`` line on stderr: a line break in a name it
+quotes is written as ``repr`` escapes it.  Running out of memory is an
+error too (``error: out of memory``), and so is a standard output closed
+by its reader (``warpdeg verify | head -1``), whose rest is then dropped.
+Neither shows a traceback.
 ``analyze``, ``oracle``, ``batch`` and ``verify`` take ``--output
 records``: every result is then one JSON line with sorted keys, so
 identical invocations produce byte-identical output.
@@ -54,8 +56,7 @@ __all__ = ["main"]
 _ENV_TABLE = "WARPDEG_TABLE"
 _ORACLE_CAP = 16  # oracle.ORACLE_CAP, which only the oracle command imports
 # each character that str.splitlines breaks at, to the escape repr shows for it
-_LINE_BREAKS = {ord(c): repr(c)[1:-1]
-                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def _emit(line: str) -> None:
@@ -395,8 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except WarpingError as exc:
-        # a name in the message may hold a line break; the error stays one line
-        sys.stderr.write(f"error: {str(exc).translate(_LINE_BREAKS)}\n")
+        sys.stderr.write(f"error: {str(exc).translate(_BREAKS)}\n")
         return 2
     except MemoryError:
         sys.stderr.write("error: out of memory\n")

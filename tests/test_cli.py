@@ -29,7 +29,7 @@ from warpdeg.errors import read_lines
 from warpdeg.families import twist_minimal
 from warpdeg.warping import summary
 
-from test_codes import _seeded_text
+from test_codes import LINE_BREAKS, _seeded_text
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIGURE8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
@@ -192,15 +192,6 @@ def test_a_slash_in_a_comment_leaves_an_argument_a_code(capsys):
     code, out, err = run(capsys, "analyze", "--quiet",
                          f"{TREFOIL} # 3_1 w/ signs")
     assert (code, out, err) == (0, "d(D)=1 d(-D)=1 e=2 spn=1\n", "")
-
-
-# every character at which str.splitlines ends a line
-LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def test_the_line_breaks_are_those_of_splitlines():
-    assert {c for c in map(chr, range(0x3000))
-            if len(f"a{c}b".splitlines()) == 2} == set(LINE_BREAKS)
 
 
 @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
