@@ -38,6 +38,7 @@ import sys
 
 from .codes import (
     GaussCode,
+    _LINE_BREAKS,
     _strip_comments,
     detect_notation,
     dt_to_gauss,
@@ -56,7 +57,7 @@ __all__ = ["main"]
 _ENV_TABLE = "WARPDEG_TABLE"
 _ORACLE_CAP = 16  # oracle.ORACLE_CAP, which only the oracle command imports
 # each character that str.splitlines breaks at, to the escape repr shows for it
-_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+_BREAKS = {ord(c): repr(c)[1:-1] for c in _LINE_BREAKS}
 
 
 def _emit(line: str) -> None:
@@ -90,11 +91,10 @@ def _record(obj: dict) -> str:
 
 def _read_input(value: str) -> str:
     """The argument itself, or the lines of the file it names, joined: it
-    names one when it is a file or a directory, or holds a "/" outside
+    names one when it exists, whatever its kind, or holds a "/" outside
     comments, as no code does; ``read_lines`` then names any fault."""
-    # isfile and isdir are False too for a name the OS refuses, e.g. one too long
-    if (os.path.isfile(value) or os.path.isdir(value)
-            or "/" in _strip_comments(value)):
+    # exists is False too for a name the OS refuses, e.g. one too long
+    if os.path.exists(value) or "/" in _strip_comments(value):
         return "\n".join(read_lines(value))
     return value
 

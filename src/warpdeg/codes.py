@@ -183,19 +183,15 @@ _INT_WORD = re.compile(r"[+-]?\d+\Z")
 _ROLE = re.compile(r"[OoUu]")
 _IS_OVER = {"O": True, "o": True, "U": False, "u": False}
 _CHUNK = 1 << 15  # characters of Gauss text tokenized by one split
+# each character at which str.splitlines ends a line
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(f"#[^{_LINE_BREAKS}]*")  # a "#" and the rest of its line
 
 
 def _strip_comments(text: str) -> str:
-    """``text`` with each ``#`` comment cut off at the end of its line, where
-    ``str.splitlines`` ends it, and its lines joined by spaces."""
-    lines = text.splitlines()  # [text] itself when it holds no line break
-    if "#" not in text and lines == [text]:
-        return text  # a batch line's body, cut from its comment already
-    return " ".join(line.split("#", 1)[0] for line in lines)
-
-
-def _split_words(text: str) -> list[str]:
-    return [w for w in re.split(r"[\s,]+", _strip_comments(text)) if w]
+    """``text`` without its ``#`` comments, its line breaks kept; the text
+    itself when it holds no ``#``."""
+    return _COMMENT.sub("", text) if "#" in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +421,8 @@ def parse_dt(text: str) -> DTCode:
     entries, so an odd magnitude is a syntax error; being a permutation
     of 2..2c is a structural requirement on top of that.
     """
-    words = _split_words(text)
     evens: list[int] = []
-    for word in words:
+    for word in filter(None, re.split(r"[\s,]+", _strip_comments(text))):
         if _INT_WORD.match(word) is None:
             raise CodeSyntaxError(f"bad DT entry {word!r}")
         value = int(word)

@@ -12,6 +12,7 @@ import os
 import random
 import shlex
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from warpdeg import cli
+from warpdeg import cli, codes
 from warpdeg.cli import main
 from warpdeg.codes import gauss_to_dt, parse_gauss, serialize
 from warpdeg.errors import read_lines
@@ -174,18 +175,22 @@ def test_a_file_is_named_in_errors_as_it_was_typed(capsys, tmp_path,
     ("adir", "Is a directory"),
     ("adir/", "Is a directory"),
     ("adir/absent # w/ comment", "No such file or directory"),
-], ids=["absent", "directory", "directory-slash", "absent-in-directory"])
+    ("sock", "No such device or address"),
+], ids=["absent", "directory", "directory-slash", "absent-in-directory",
+        "socket"])
 @pytest.mark.parametrize("command", ["analyze", "oracle", "convert --to dt"])
 def test_an_unreadable_file_argument_is_named_as_such(capsys, tmp_path,
                                                       monkeypatch, command,
                                                       name, reason):
-    # a name that is a directory or holds a "/" outside comments is a
-    # file's, as it is for batch: no code holds a "/"
+    # a name that exists, whatever its kind, or holds a "/" outside
+    # comments is a file's, as it is for batch: no code holds a "/"
     (tmp_path / "adir").mkdir()
     monkeypatch.chdir(tmp_path)
-    subcommand, *options = command.split()
-    assert run(capsys, subcommand, name, *options) == \
-        (2, "", f"error: cannot read {name}: {reason}\n")
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind("sock")  # relative: a socket path may be 108 bytes at most
+        subcommand, *options = command.split()
+        assert run(capsys, subcommand, name, *options) == \
+            (2, "", f"error: cannot read {name}: {reason}\n")
 
 
 def test_a_slash_in_a_comment_leaves_an_argument_a_code(capsys):
@@ -276,6 +281,27 @@ def test_a_code_file_is_cut_into_the_lines_that_batch_numbers(capsys, tmp_path,
     path.write_bytes(f"{TREFOIL} # a trefoil{end}{FIGURE8}\n".encode())
     assert run(capsys, "analyze", str(path)) == (
         2, "", "error: crossing 1 appears 4 time(s), expected 2\n")
+
+
+def test_batch_cuts_each_comment_once_and_nothing_else(capsys, tmp_path,
+                                                     monkeypatch):
+    # batch's own cut leaves no "#" for the detector and parsers to cut again
+    lines = ["# codes", "#", TREFOIL, f"{TREFOIL} # a trefoil", "4 6 2",
+             "4 6 2#dt", "", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) # pd", FIGURE8,
+             "O1+U2+ # refused"]
+    path = tmp_path / "codes.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    comment, cut = codes._COMMENT, []
+
+    class Counting:
+        def sub(self, repl, text):
+            cut.append(text)
+            return comment.sub(repl, text)
+
+    monkeypatch.setattr(codes, "_COMMENT", Counting())
+    assert main(["batch", str(path)]) == 1
+    assert "line 10: ERROR" in capsys.readouterr().out
+    assert cut == [line for line in lines if "#" in line]
 
 
 # argparse takes an argument that starts with "-" for an option unless it
@@ -1012,6 +1038,8 @@ TOKENS = st.one_of(
        tokens=st.lists(TOKENS, max_size=6), data=st.binary(max_size=40))
 @example(command="batch", tokens=["a\nb/c"], data=b"")
 @example(command="verify", tokens=["--table", "x\ny"], data=b"")
+@example(command="analyze", tokens=["foo\nbar"], data=b"")
+@example(command="analyze", tokens=["X(1,4,2,5) foo\u2028bar"], data=b"")
 def test_main_keeps_the_cli_contract_on_any_arguments(command, tokens, data):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

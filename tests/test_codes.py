@@ -20,7 +20,6 @@ import warpdeg
 from warpdeg import codes as codes_module
 from warpdeg.codes import (
     _build_gauss,
-    _split_words,
     DTCode,
     GaussCode,
     MINUS,
@@ -279,7 +278,8 @@ _GAUSS_WORD = re.compile(r"[OoUu]\d+[+-]?")
 def reference_parse_gauss(text: str) -> GaussCode:
     """Gauss parsing word by word, one regex match per token."""
     raw = []
-    for word in _split_words(text):
+    body = " ".join(line.split("#", 1)[0] for line in text.splitlines())
+    for word in filter(None, re.split(r"[\s,]+", body)):
         # words may pack several tokens: O1+U2+O3+...
         pos = 0
         while pos < len(word):
@@ -342,7 +342,8 @@ _gauss_tokens = st.builds(
     st.sampled_from(["", "+", "-"]),
 )
 _gauss_noise = st.sampled_from([
-    " ", ",", "\t", "\n", "\r\n", "\r", "\u00a0", "  ,\n",
+    " ", ",", "\t", "\n", "\r\n", "\r", "\v", "\x85", "\u2028", "\x1c",
+    "\u00a0", "  ,\n",
     "# note\n", "#O1 x\n", "#",
     "+", "-", "x", "Q", "é", "²", "٣", "7", "O", "U",
 ])
@@ -356,17 +357,24 @@ def test_gauss_parse_matches_the_per_word_reference(text):
     assert _outcome(parse_gauss, text) == _outcome(reference_parse_gauss, text)
 
 
-# every character at which str.splitlines ends a line (none is above U+2029)
-LINE_BREAKS = "".join(c for c in map(chr, range(0x2030))
+# every character at which str.splitlines ends a line
+LINE_BREAKS = "".join(c for c in map(chr, range(0x110000))
                       if len(f"a{c}b".splitlines()) == 2)
+
+
+def test_the_parsers_line_breaks_are_those_of_splitlines():
+    assert set(codes_module._LINE_BREAKS) == set(LINE_BREAKS)
 
 
 @given(st.text(alphabet="OU0123456789+-, #" + LINE_BREAKS, max_size=40))
 def test_strip_comments_is_the_full_pass_and_keeps_clean_text(text):
-    lines = text.splitlines()
     stripped = codes_module._strip_comments(text)
-    assert stripped == " ".join(line.split("#", 1)[0] for line in lines)
-    if not {"#", *LINE_BREAKS} & set(text):
+    expected = ""
+    for line in text.splitlines(keepends=True):
+        body = line.splitlines()[0]  # the line without its line end
+        expected += body.split("#", 1)[0] + line[len(body):]
+    assert stripped == expected
+    if "#" not in text:
         assert stripped is text
 
 
@@ -1051,6 +1059,24 @@ def test_detect_notation(text, kind):
 def test_detect_notation_rejects_unknown_text(bad):
     with pytest.raises(CodeSyntaxError):
         detect_notation(bad)
+
+
+# the excerpt quotes the text as written, without its comments
+@pytest.mark.parametrize("parse, text, message", [
+    (detect_notation, "foo\nbar", "cannot detect notation of 'foo\\nbar'"),
+    (detect_notation, "foo # a note", "cannot detect notation of 'foo'"),
+    (detect_notation, "foo # a note\u2028bar",
+     "cannot detect notation of 'foo \\u2028bar'"),
+    (parse_pd, "X(1,4,2,5) foo\r\nbar", "unrecognized PD text near 'foo\\r\\nbar'"),
+    (parse_pd, "X(1,4,2,5) foo # a note", "unrecognized PD text near 'foo'"),
+    (parse_pd, "X(1,4,2,5) foo # a note\x85bar",
+     "unrecognized PD text near 'foo \\x85bar'"),
+], ids=["detect-break", "detect-comment", "detect-both", "pd-break",
+        "pd-comment", "pd-both"])
+def test_an_excerpt_keeps_line_breaks_and_drops_comments(parse, text, message):
+    with pytest.raises(CodeSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_crossing_counts():
