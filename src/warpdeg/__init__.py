@@ -15,7 +15,7 @@ table, the bracket or the oracle.
 
 import importlib
 
-# home module -> the names exported from it
+# the one list of public names: home module -> the names exported from it
 _EXPORTS = {
     "bracket": (
         "BracketPolynomial", "determinant", "gauss_to_pd", "is_classical",
@@ -38,8 +38,9 @@ _EXPORTS = {
         "random_codes",
     ),
     "table": (
-        "KnotEntry", "KnotTable", "VerificationReport", "e_hat_bounds",
-        "knot_e", "knot_md", "load_table", "verify_paper",
+        "CheckRow", "ExpectedValues", "KnotEntry", "KnotTable",
+        "VerificationReport", "e_hat_bounds", "knot_e", "knot_md",
+        "load_table", "verify_paper",
     ),
     "warping": (
         "WarpingSummary", "is_monotone", "profile", "summary",

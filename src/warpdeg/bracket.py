@@ -44,11 +44,6 @@ from .codes import MINUS, PLUS, GaussCode, PDCode, _build_gauss, _partners, _Val
 from .errors import (CapExceeded, InternalInconsistency, InvalidParam,
                      NotClassical, StructureError, UnknownSigns)
 
-__all__ = [
-    "BRACKET_CAP", "BracketPolynomial", "kauffman_bracket", "is_classical",
-    "determinant", "gauss_to_pd", "pd_to_gauss",
-]
-
 BRACKET_CAP = 14
 _NOT_PLANAR = "not a classical knot diagram: its faces do not make a sphere"
 

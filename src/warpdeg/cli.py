@@ -52,8 +52,6 @@ from .diagram import from_gauss
 from .errors import CapExceeded, WarpingError, read_lines
 from .warping import summary, warping_degree
 
-__all__ = ["main"]
-
 _ENV_TABLE = "WARPDEG_TABLE"
 _ORACLE_CAP = 16  # oracle.ORACLE_CAP, which only the oracle command imports
 # each character that str.splitlines breaks at, to the escape repr shows for it

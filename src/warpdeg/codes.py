@@ -30,29 +30,13 @@ anchored-but-unlabelled diagram exactly when their serializations match.
 from __future__ import annotations
 
 import re
+import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress
 
 from .errors import CodeSyntaxError, StructureError, UnknownCrossing
 from .values import _Value  # the other modules import it from here
-
-__all__ = [
-    "PLUS",
-    "MINUS",
-    "UNSIGNED",
-    "GaussCode",
-    "DTCode",
-    "PDCode",
-    "parse_gauss",
-    "parse_dt",
-    "parse_pd",
-    "serialize",
-    "canonical",
-    "dt_to_gauss",
-    "gauss_to_dt",
-    "detect_notation",
-]
 
 PLUS = 1
 MINUS = -1
@@ -194,6 +178,13 @@ def _strip_comments(text: str) -> str:
     return _COMMENT.sub("", text) if "#" in text else text
 
 
+def _overlong(what: str, text: str) -> CodeSyntaxError:
+    """The error for the first run of digits in ``text`` too long for int()."""
+    limit = sys.get_int_max_str_digits()
+    run = re.search(rf"\d{{{limit + 1}}}", text)[0]
+    return CodeSyntaxError(f"{what} {run[:30]!r} is longer than {limit} digits")
+
+
 # ---------------------------------------------------------------------------
 # Gauss codes
 # ---------------------------------------------------------------------------
@@ -314,7 +305,11 @@ def parse_gauss(text: str) -> GaussCode:
     body = _strip_comments(text)
     # chained, the visits reach _build_gauss with no generator step each;
     # a crossing's two tokens take 4 characters or more
-    return _build_gauss(chain.from_iterable(_gauss_chunks(body)), len(body) // 4)
+    try:
+        return _build_gauss(chain.from_iterable(_gauss_chunks(body)),
+                            len(body) // 4)
+    except ValueError as exc:  # from int(), on a label past its digit limit
+        raise _overlong("Gauss label", body) from exc
 
 
 def _relabel(labels: Sequence[int]) -> tuple[int, ...]:
@@ -425,7 +420,10 @@ def parse_dt(text: str) -> DTCode:
     for word in filter(None, re.split(r"[\s,]+", _strip_comments(text))):
         if _INT_WORD.match(word) is None:
             raise CodeSyntaxError(f"bad DT entry {word!r}")
-        value = int(word)
+        try:
+            value = int(word)
+        except ValueError as exc:
+            raise _overlong("DT entry", word) from exc
         if value == 0 or value % 2 != 0:
             raise CodeSyntaxError(f"DT entry {value} is not a nonzero even number")
         evens.append(value)
@@ -479,10 +477,11 @@ def parse_pd(text: str) -> PDCode:
     """Parse PD notation.  Raises CodeSyntaxError / StructureError."""
     cleaned = _strip_comments(text)
     pattern = _PD_QUAD if re.search(r"[Xx]\s*\(", cleaned) else _PD_BRACKET
-    quads = [
-        (int(a), int(b), int(c), int(d))
-        for a, b, c, d in pattern.findall(cleaned)
-    ]
+    found = pattern.findall(cleaned)
+    try:
+        quads = [(int(a), int(b), int(c), int(d)) for a, b, c, d in found]
+    except ValueError as exc:
+        raise _overlong("PD entry", " ".join(chain(*found))) from exc
     leftover = pattern.sub(" ", cleaned)
     if re.sub(r"[\s,\[\]]+", "", leftover):
         raise CodeSyntaxError(f"unrecognized PD text near {leftover.strip()!r}")

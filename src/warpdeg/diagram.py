@@ -20,8 +20,6 @@ from __future__ import annotations
 from .codes import GaussCode, _relabel, _rotated
 from .errors import UnknownCrossing
 
-__all__ = ["from_gauss", "reverse", "mirror", "rotate", "change_crossing"]
-
 
 def from_gauss(code: GaussCode) -> GaussCode:
     """Adopt a Gauss code as a diagram: the code itself, already normalized."""

@@ -12,21 +12,6 @@ from collections.abc import Iterator
 from io import BytesIO
 from itertools import repeat
 
-__all__ = [
-    "WarpingError",
-    "CodeSyntaxError",
-    "StructureError",
-    "NotClassical",
-    "UnknownCrossing",
-    "InvalidParam",
-    "NotAKnot",
-    "BudgetExceeded",
-    "CapExceeded",
-    "UnknownSigns",
-    "InternalInconsistency",
-    "DataError",
-]
-
 
 class WarpingError(Exception):
     """Base class for all errors raised by this package."""

@@ -30,8 +30,6 @@ from .bracket import Port, _trace, _trace_code
 from .codes import GaussCode
 from .errors import InvalidParam, NotAKnot
 
-__all__ = ["twist_minimal", "rational_pq", "ozawa_twist"]
-
 # Where a twist hooks its new crossing on: per tangle corner, the slot
 # that takes the corner's strand and the slot that becomes the corner.
 # Every new crossing has the SW-NE diagonal over, which makes every

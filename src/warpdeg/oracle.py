@@ -28,14 +28,6 @@ from math import comb
 from .codes import GaussCode, MINUS, PLUS, _Value, _build_gauss
 from .errors import BudgetExceeded, CapExceeded, InvalidParam
 
-__all__ = [
-    "ORACLE_CAP",
-    "OracleResult",
-    "profile_bruteforce",
-    "min_changes_to_monotone",
-    "random_codes",
-]
-
 ORACLE_CAP = 16
 
 

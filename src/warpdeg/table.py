@@ -38,20 +38,6 @@ from .diagram import from_gauss
 from .errors import DataError, read_lines
 from .warping import WarpingSummary, summary
 
-__all__ = [
-    "ExpectedValues",
-    "KnotEntry",
-    "KnotTable",
-    "CheckRow",
-    "VerificationReport",
-    "load_table",
-    "knot_e",
-    "knot_md",
-    "e_hat_bounds",
-    "is_alternating_diagram",
-    "verify_paper",
-]
-
 _TABLE_FORMAT = "knots-table"
 _TABLE_VERSION = 1
 
@@ -231,7 +217,7 @@ def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
         raise DataError(f"{location}: missing table header")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or int()'s digit limit
         raise DataError(f"{location}: bad header line: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _TABLE_FORMAT:
         raise DataError(f"{location}: not a {_TABLE_FORMAT} file")
@@ -247,7 +233,7 @@ def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
     for line in lines[1:]:
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataError(f"{location}: bad record line: {exc}") from exc
         try:
             entry = _entry_from_json(obj)

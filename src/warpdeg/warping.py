@@ -42,15 +42,6 @@ from .codes import GaussCode, _Value
 from .diagram import reverse
 from .errors import InternalInconsistency
 
-__all__ = [
-    "WarpingSummary",
-    "profile",
-    "warping_degree",
-    "is_monotone",
-    "warping_polynomial",
-    "summary",
-]
-
 
 class WarpingSummary(_Value):
     """All warping quantities of one diagram, cross-checked.

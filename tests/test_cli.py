@@ -480,6 +480,36 @@ def test_batch_reports_good_and_bad_lines(capsys, tmp_path):
     assert records[2]["e"] == 3
 
 
+LONG = "1" * 5000  # past the 4,300 digits that int() converts by default
+
+
+@pytest.mark.parametrize("text", [f"O{LONG}U{LONG}", f"2 {LONG}",
+                                  f"X(1,{LONG},1,{LONG})", "{table}"],
+                         ids=["gauss", "dt", "pd", "table"])
+def test_an_over_long_integer_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "knots.tbl"
+    path.write_text(f'{{"format": "knots-table", "version": {LONG}}}\n',
+                    encoding="utf-8")
+    argv = (("verify", "--table", str(path)) if text == "{table}"
+            else ("analyze", text))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_batch_reports_an_over_long_label_and_reads_on(capsys, tmp_path):
+    path = tmp_path / "codes.txt"
+    path.write_text(f"{TREFOIL}\nO{LONG}U{LONG}\n{FIGURE8}\n", encoding="utf-8")
+    code, out, err = run(capsys, "batch", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "line 1: d(D)=1 d(-D)=1 e=2 spn=1",
+        f"line 2: ERROR Gauss label {LONG[:30]!r} is longer than 4300 digits",
+        "line 3: d(D)=1 d(-D)=2 e=3 spn=1",
+        "batch: 1 failed line(s)",
+    ]
+
+
 def test_batch_of_a_missing_file_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "absent.txt"
     code, out, err = run(capsys, "batch", str(path))
@@ -1040,6 +1070,8 @@ TOKENS = st.one_of(
 @example(command="verify", tokens=["--table", "x\ny"], data=b"")
 @example(command="analyze", tokens=["foo\nbar"], data=b"")
 @example(command="analyze", tokens=["X(1,4,2,5) foo\u2028bar"], data=b"")
+@example(command="analyze", tokens=["O" + "1" * 5000 + "U" + "1" * 5000],
+         data=b"")
 def test_main_keeps_the_cli_contract_on_any_arguments(command, tokens, data):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

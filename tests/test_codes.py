@@ -136,6 +136,30 @@ def test_gauss_rejects_contradictory_signs():
         parse_gauss("O1+U1-")
 
 
+# 5,000 digits: past the 4,300 that int() converts by default
+LONG = "1234" + "0" * 4996
+
+
+@pytest.mark.parametrize("parse, text, what", [
+    (parse_gauss, f"O1+U1+ O{LONG}U{LONG}", "Gauss label"),
+    (parse_gauss, f"O{LONG} U{LONG} # O{LONG[::-1]}", "Gauss label"),
+    (parse_dt, f"4 6 2 {LONG}", "DT entry"),
+    (parse_dt, f"-{LONG}", "DT entry"),
+    (parse_pd, f"X(1,2,3,4) X({LONG},1,2,3)", "PD entry"),
+    (parse_pd, f"[[1,{LONG},2,3]]", "PD entry"),
+], ids=["gauss", "gauss-comment", "dt", "dt-signed", "pd", "pd-bracket"])
+def test_an_over_long_integer_is_a_syntax_error_that_names_it(parse, text,
+                                                              what):
+    with pytest.raises(CodeSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == f"{what} {LONG[:30]!r} is longer than 4300 digits"
+
+
+def test_a_label_at_the_digit_limit_still_parses():
+    label = "9" * 4300
+    assert parse_gauss(f"O{label}U{label}") == parse_gauss("O1U1")
+
+
 def test_gauss_single_kink_is_valid():
     code = parse_gauss("O1U1")
     assert code.crossings == 1
@@ -206,17 +230,18 @@ def test_reverse_and_canonical_renumber_through_no_dict_of_all_labels():
 
 def test_type_hints_resolve():
     # a hint naming a type the module does not import fails only here, and
-    # code moved between modules is checked in its new home
+    # code moved between modules is checked in its new home: every function
+    # and class a module defines, public or not
+    checked = 0
     for info in pkgutil.iter_modules(warpdeg.__path__):
         module = importlib.import_module(f"warpdeg.{info.name}")
-        names = [*getattr(module, "__all__", ())]
-        names += ["read_lines"] if info.name == "errors" else []
-        for name in names:
-            value = getattr(module, name)
-            if callable(value):
+        for value in vars(module).values():
+            if callable(value) and value.__module__ == module.__name__:
                 typing.get_type_hints(value)
                 if isinstance(value, type):
                     typing.get_type_hints(value.__init__)
+                checked += 1
+    assert checked > 100
 
 
 def test_parsing_frees_its_scratch_before_building_the_columns():

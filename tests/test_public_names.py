@@ -7,6 +7,7 @@ home module defines.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -21,9 +22,9 @@ import warpdeg
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC_NAMES = {
-    "BracketPolynomial", "BudgetExceeded", "CapExceeded", "CodeSyntaxError",
-    "DTCode", "DataError", "GaussCode", "InternalInconsistency",
-    "InvalidParam", "KnotEntry", "KnotTable", "NotAKnot", "NotClassical",
+    "BracketPolynomial", "BudgetExceeded", "CapExceeded", "CheckRow",
+    "CodeSyntaxError", "DTCode", "DataError", "ExpectedValues", "GaussCode",
+    "InternalInconsistency", "InvalidParam", "KnotEntry", "KnotTable", "NotAKnot", "NotClassical",
     "OracleResult", "PDCode", "StructureError", "UnknownCrossing",
     "UnknownSigns", "VerificationReport", "WarpingError", "WarpingSummary",
     "canonical", "change_crossing", "detect_notation", "determinant",
@@ -44,6 +45,18 @@ def test_the_package_exports_exactly_the_pinned_names():
         value = getattr(warpdeg, name)
         home = importlib.import_module(value.__module__)
         assert getattr(home, name) is value, name
+
+
+def test_the_package_holds_the_only_list_of_public_names():
+    # a second list in a module would drift from the package's; a module's
+    # other names are internal
+    assigned = []
+    for path in sorted((SRC / "warpdeg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assigned += [path.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == "__all__"
+                     and isinstance(node.ctx, ast.Store)]
+    assert assigned == ["__init__.py"]
 
 
 def test_dir_lists_every_pinned_name_and_no_other():

@@ -563,6 +563,19 @@ def test_loader_rejects_broken_records(tmp_path):
         ))
 
 
+def test_loader_names_a_number_past_the_digit_limit(tmp_path):
+    # json.loads raises int()'s ValueError, not a JSONDecodeError, for it
+    long = "1" * 5000
+    header = f'{{"format": "knots-table", "version": {long}}}'
+    record = TREFOIL_RECORD.replace('"crossings": 3', f'"crossings": {long}')
+    for lines, where in (([header], "header"), ([HEADER, record], "record")):
+        path = write_table(tmp_path, *lines)
+        with pytest.raises(DataError) as info:
+            load_table(path)
+        assert str(info.value).startswith(f"{path}: bad {where} line: Exceeds "
+                                          "the limit (4300 digits)")
+
+
 def test_loader_rejects_duplicates_and_invalid_entries(tmp_path):
     with pytest.raises(DataError, match="duplicate entry"):
         load_table(write_table(tmp_path, HEADER, TREFOIL_RECORD,
