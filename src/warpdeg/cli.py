@@ -22,16 +22,11 @@ A module that only some commands run is imported where it is used: the
 knot table by ``verify``, the families by ``generate``, the oracle by
 ``oracle``, ``json`` by record output.  A ``batch`` or ``analyze`` run
 then starts with the parser and the warping engine alone.
-
-The cyclic garbage collector is paused only while a command runs, then
-restored: warpdeg's values form no reference cycles, and on a large batch
-its passes took about a quarter of the run and freed nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import re
 import sys
@@ -385,14 +380,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_args(parser, args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
+    except SystemExit as exc:  # from argparse: usage errors, --help
+        return int(exc.code or 0)
     except WarpingError as exc:
         sys.stderr.write(f"error: {str(exc).translate(_BREAKS)}\n")
         return 2
@@ -406,9 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         sys.stderr.write("error: standard output was closed\n")
         return 2
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress
 
-from .errors import CodeSyntaxError, StructureError, UnknownCrossing
+from .errors import CodeSyntaxError, StructureError, UnknownCrossing, _cut
 from .values import _Value  # the other modules import it from here
 
 PLUS = 1
@@ -182,7 +182,7 @@ def _overlong(what: str, text: str) -> CodeSyntaxError:
     """The error for the first run of digits in ``text`` too long for int()."""
     limit = sys.get_int_max_str_digits()
     run = re.search(rf"\d{{{limit + 1}}}", text)[0]
-    return CodeSyntaxError(f"{what} {run[:30]!r} is longer than {limit} digits")
+    return CodeSyntaxError(f"{what} {_cut(run)!r} is longer than {limit} digits")
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +247,14 @@ def _build_gauss(raw: Iterable[tuple[int, bool, int]],
             name = dict(zip(index, range(len(index))))
         for k in range(1, len(count)):
             if count[k] != 2:
-                raise StructureError(
-                    f"crossing {name[k]} appears {count[k]} time(s), expected 2"
-                )
-            if k in same:
-                way = "over" if first[k] else "under"
-                raise StructureError(f"crossing {name[k]} is {way} at both visits")
-            if k in clash:
-                raise StructureError(f"crossing {name[k]} has contradictory signs")
+                fault = f"appears {count[k]} time(s), expected 2"
+            elif k in same:
+                fault = f"is {'over' if first[k] else 'under'} at both visits"
+            elif k in clash:
+                fault = "has contradictory signs"
+            else:
+                continue
+            raise StructureError(f"crossing {_cut(name[k])} {fault}")
     # free the scratch before the columns are built, and each list as soon
     # as its tuple exists, so no more than one column is held twice over
     del index, count, first, same, clash
@@ -290,7 +290,7 @@ def _gauss_chunks(body: str) -> Iterator[Iterator[tuple[int, bool, int]]]:
             pos = (start + len("".join(parts[:4 * i]))
                    + _SEPARATORS.match(gaps[i]).end())
             word = _WORD.match(body, pos).group()
-            raise CodeSyntaxError(f"bad Gauss token at {word!r}")
+            raise CodeSyntaxError(f"bad Gauss token at {_cut(word)!r}")
         yield zip(map(int, parts[2::4]), map(_IS_OVER.__getitem__, parts[1::4]),
                   map(_SIGN_OF.__getitem__, parts[3::4]))
         start = cut
@@ -419,13 +419,14 @@ def parse_dt(text: str) -> DTCode:
     evens: list[int] = []
     for word in filter(None, re.split(r"[\s,]+", _strip_comments(text))):
         if _INT_WORD.match(word) is None:
-            raise CodeSyntaxError(f"bad DT entry {word!r}")
+            raise CodeSyntaxError(f"bad DT entry {_cut(word)!r}")
         try:
             value = int(word)
         except ValueError as exc:
             raise _overlong("DT entry", word) from exc
         if value == 0 or value % 2 != 0:
-            raise CodeSyntaxError(f"DT entry {value} is not a nonzero even number")
+            raise CodeSyntaxError(
+                f"DT entry {_cut(value)} is not a nonzero even number")
         evens.append(value)
     return DTCode(tuple(evens))
 
@@ -484,7 +485,7 @@ def parse_pd(text: str) -> PDCode:
         raise _overlong("PD entry", " ".join(chain(*found))) from exc
     leftover = pattern.sub(" ", cleaned)
     if re.sub(r"[\s,\[\]]+", "", leftover):
-        raise CodeSyntaxError(f"unrecognized PD text near {leftover.strip()!r}")
+        raise CodeSyntaxError(f"unrecognized PD text near {_cut(leftover.strip())!r}")
     if not quads:
         raise StructureError("empty PD code")
     return PDCode(tuple(sorted(quads)))
@@ -520,4 +521,4 @@ def detect_notation(text: str) -> str:
         return "pd"
     if re.fullmatch(r"[-+\d\s,]+", body):
         return "dt"
-    raise CodeSyntaxError(f"cannot detect notation of {body[:30]!r}")
+    raise CodeSyntaxError(f"cannot detect notation of {_cut(body)!r}")

@@ -62,6 +62,11 @@ class DataError(WarpingError):
     inconsistent."""
 
 
+def _cut(value) -> str:
+    """The first 30 characters of ``str(value)``: all that a message quotes."""
+    return str(value)[:30]
+
+
 def read_lines(path, get_data=None) -> Iterator[str]:
     """The lines of a UTF-8 file as ``text.splitlines()`` cuts its text.
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from operator import attrgetter
 
-from .codes import GaussCode, _Value, parse_gauss
+from .codes import GaussCode, _Value, _overlong, parse_gauss
 from .diagram import from_gauss
-from .errors import DataError, read_lines
+from .errors import DataError, _cut, read_lines
 from .warping import WarpingSummary, summary
 
 _TABLE_FORMAT = "knots-table"
@@ -103,7 +104,8 @@ def _parse_diagrams(name: str, codes: Iterable[str]) -> tuple[GaussCode, ...]:
         try:
             diagrams.append(from_gauss(parse_gauss(code)))
         except Exception as exc:
-            raise DataError(f"{name}: bad diagram code {code!r}: {exc}") from exc
+            raise DataError(f"{_cut(name)}: bad diagram code {_cut(code)!r}: "
+                            f"{exc}") from exc
     return tuple(diagrams)
 
 
@@ -134,18 +136,18 @@ _ENTRY_FIELDS = {"name": _FIELDS["name"], "crossings": _INT, "prime": _FLAG,
 
 def _entry_from_json(obj) -> KnotEntry:
     if not isinstance(obj, dict):
-        raise DataError(f"malformed table record: not an object: {obj!r}")
+        raise DataError(f"malformed table record: not an object: {_cut(repr(obj))}")
     for key, (test, want) in _FIELDS.items():
         if key not in obj and key not in _OPTIONAL:
-            raise DataError(f"malformed table record: no {key!r}: {obj!r}")
+            raise DataError(f"malformed table record: no {key!r}: {_cut(repr(obj))}")
         if key in obj and not test(obj[key]):
-            raise DataError(f"table entry {obj['name']!r}: {key} must be "
-                            f"{want}, got {obj[key]!r}")
+            raise DataError(f"table entry {_cut(repr(obj['name']))}: {key} must "
+                            f"be {want}, got {_cut(repr(obj[key]))}")
     name, exp = obj["name"], obj.get("expected", {})
     unknown = [key for key in obj if key not in _FIELDS]
     unknown += [f"expected.{key}" for key in exp if key not in ExpectedValues._fields]
     if unknown:
-        raise DataError(f"table entry {name!r}: unknown key {unknown[0]!r}")
+        raise DataError(f"table entry {_cut(name)!r}: unknown key {_cut(unknown[0])!r}")
     return KnotEntry(
         name=name,
         crossings=obj["crossings"],
@@ -202,6 +204,20 @@ def default_table_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "knots.tbl")
 
 
+def _json(location, what: str, number: int, line: str):
+    """The JSON value of file line ``number``, or a DataError naming that line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:  # one value a line: its lineno is 1
+        fault = f"{exc.msg} at column {exc.colno}"
+    except ValueError:  # int()'s digit limit: the ints' texts name the number
+        ints = []
+        with suppress(ValueError):  # a syntax fault past the number
+            json.loads(line, parse_int=ints.append)
+        fault = _overlong("number", " ".join(ints))
+    raise DataError(f"{location}: bad {what} line {number}: {fault}")
+
+
 def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
     """Load a table file, validating the header and every entry."""
     if path == "":
@@ -209,41 +225,33 @@ def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
     location = default_table_path() if path is None else path  # as given
     # the package's loader reads the bundled table from a zip archive too
     get_data = __loader__.get_data if path is None else None
-    lines = [
-        line for line in read_lines(location, get_data)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = [(n, line) for n, line in enumerate(read_lines(location, get_data), 1)
+             if line.lstrip()[:1] not in ("", "#")]  # not blank, not a comment
     if not lines:
         raise DataError(f"{location}: missing table header")
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:  # a JSONDecodeError, or int()'s digit limit
-        raise DataError(f"{location}: bad header line: {exc}") from exc
+    header = _json(location, "header", *lines[0])
     if not isinstance(header, dict) or header.get("format") != _TABLE_FORMAT:
         raise DataError(f"{location}: not a {_TABLE_FORMAT} file")
     version = header.get("version")
     if type(version) is not int or version != _TABLE_VERSION:  # not true, not 1.0
-        raise DataError(f"{location}: unsupported version {version!r}")
+        raise DataError(f"{location}: unsupported version {_cut(repr(version))}")
     unknown = [key for key in header if key not in ("format", "version")]
     if unknown:
-        raise DataError(f"{location}: table header: unknown key {unknown[0]!r}")
+        raise DataError(f"{location}: table header: unknown key {_cut(unknown[0])!r}")
 
     entries = []
     names = set()
-    for line in lines[1:]:
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            raise DataError(f"{location}: bad record line: {exc}") from exc
+    for number, line in lines[1:]:
+        obj = _json(location, "record", number, line)
         try:
             entry = _entry_from_json(obj)
         except DataError as exc:
             raise DataError(f"{location}: {exc}") from exc
         problems = validate_entry(entry)
         if problems:
-            raise DataError(f"{location}: {entry.name}: " + "; ".join(problems))
+            raise DataError(f"{location}: {_cut(entry.name)}: " + "; ".join(problems))
         if entry.name in names:
-            raise DataError(f"{location}: duplicate entry {entry.name!r}")
+            raise DataError(f"{location}: duplicate entry {_cut(entry.name)!r}")
         names.add(entry.name)
         entries.append(entry)
     return KnotTable(tuple(entries))

@@ -310,7 +310,7 @@ def reference_parse_gauss(text: str) -> GaussCode:
         while pos < len(word):
             match = _GAUSS_WORD.match(word, pos)
             if match is None:
-                raise CodeSyntaxError(f"bad Gauss token at {word[pos:]!r}")
+                raise CodeSyntaxError(f"bad Gauss token at {word[pos:pos + 30]!r}")
             tok = match.group(0)
             over = tok[0] in "Oo"
             if tok[-1] in "+-":

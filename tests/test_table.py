@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from warpdeg.bracket import BracketPolynomial
+from warpdeg.cli import main
 from warpdeg.codes import parse_gauss
 from warpdeg.errors import DataError, InternalInconsistency
 from warpdeg.table import (
@@ -535,9 +536,8 @@ def test_loader_rejects_a_header_that_is_not_json(tmp_path):
     path = write_table(tmp_path, "{broken")
     with pytest.raises(DataError) as info:
         load_table(path)
-    assert str(info.value) == (f"{path}: bad header line: Expecting property "
-                               "name enclosed in double quotes: line 1 column 2 "
-                               "(char 1)")
+    assert str(info.value) == (f"{path}: bad header line 1: Expecting property "
+                               "name enclosed in double quotes at column 2")
 
 
 def test_loader_rejects_unsupported_versions(tmp_path):
@@ -572,8 +572,37 @@ def test_loader_names_a_number_past_the_digit_limit(tmp_path):
         path = write_table(tmp_path, *lines)
         with pytest.raises(DataError) as info:
             load_table(path)
-        assert str(info.value).startswith(f"{path}: bad {where} line: Exceeds "
-                                          "the limit (4300 digits)")
+        assert str(info.value) == (f"{path}: bad {where} line {len(lines)}: "
+                                   f"number '{long[:30]}' is longer than 4300 "
+                                   "digits")
+
+
+LONG = "1" * 5000  # past int()'s default limit of 4,300 digits
+BROKEN_RECORD = TREFOIL_RECORD.replace('"crossings": 3,', '"crossings": 3')
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([HEADER, "# a comment", "", BROKEN_RECORD],
+     "bad record line 4: Expecting ',' delimiter at column 32"),
+    # the number json.loads refused, not a longer run of digits in a string
+    ([HEADER, "", TREFOIL_RECORD.replace('"3_1"', f'"{LONG}"').replace(
+        '"crossings": 3', f'"crossings": 2{LONG}')],
+     f"bad record line 3: number '2{LONG[:29]}' is longer than 4300 digits"),
+    # a syntax fault past the number does not hide it
+    ([f'{{"format": "knots-table", "version": {LONG} "x"}}'],
+     f"bad header line 1: number '{LONG[:30]}' is longer than 4300 digits"),
+    ([HEADER, TREFOIL_RECORD.replace("O1+U2+O3+U1+O2+U3+", "O1+U2+" + "Z" * 9994)],
+     f"3_1: bad diagram code {'O1+U2+' + 'Z' * 24!r}: bad Gauss token at "
+     f"{'Z' * 30!r}"),
+], ids=["record-json", "record-number", "number-then-syntax", "diagram-code"])
+def test_verify_names_a_table_fault_on_one_short_line(
+        capsys, tmp_path, monkeypatch, lines, message):
+    monkeypatch.chdir(tmp_path)
+    write_table(tmp_path, *lines)
+    code = main(["verify", "--table", "table.tbl"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: table.tbl: {message}\n")
+    assert len(err.encode()) < 200
 
 
 def test_loader_rejects_duplicates_and_invalid_entries(tmp_path):
