@@ -4,7 +4,7 @@ The bracket needs no planar embedding beyond what a signed Gauss code
 carries.  Cut the curve at every visit: 2c arcs remain.  Arc i runs from
 visit i to visit i + 1; end 2i is its tail, end 2i + 1 its head, so the
 ends at visit p are 2p - 1 (in) and 2p (out), modulo 4c.  ``_corners``
-lists each crossing's four ends counterclockwise from the under-strand
+gives each crossing's four ends counterclockwise from the under-strand
 in, and so holds its sign.  Rotating the overpass counterclockwise
 sweeps the A-regions, between corners 1 and 2 and between 3 and 0, so
 at every crossing the A-smoothing joins corner 0 to 1 and 2 to 3, the
@@ -39,6 +39,8 @@ Comp. 1968): O(c^3), with no cap.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .codes import MINUS, PLUS, GaussCode, PDCode, _build_gauss, _partners, _Value
 from .errors import (CapExceeded, InternalInconsistency, InvalidParam,
@@ -147,7 +149,7 @@ def kauffman_bracket(
     if not diagram.has_all_signs():
         raise UnknownSigns("the bracket needs a sign at every crossing")
 
-    corners = _corners(diagram)
+    corners = list(_corners(diagram))
     writhe = sum(diagram.signs) // 2  # each sign sits on both visits
 
     # a state maps each open arc end to the end it is joined to
@@ -183,24 +185,23 @@ def kauffman_bracket(
     )
 
 
-def _corners(diagram: GaussCode) -> list[tuple[int, int, int, int]]:
+def _corners(diagram: GaussCode) -> Iterator[tuple[int, int, int, int]]:
     """Each crossing's four arc ends, counterclockwise from the under-strand in.
 
     Tuple i is label i + 1, and each arc end 0..4c - 1 lies in one tuple.
+    They come one at a time: c live tuples cost a collector pass per 700.
     The signs embed the code in a closed surface (its Carter surface): at
     under-visit u and over-visit o a positive crossing has the ends under
     in, over out, under out, over in ((2u - 1, 2o, 2u, 2o - 1) mod 4c),
     and a negative one the mirror order.  Every sign must be known.
     """
     m = 2 * len(diagram.labels)  # arc ends
-    corners = []
     for p, q in enumerate(_partners(diagram.labels)):
         if p < q:  # first visits come in label order
             u, o = (q, p) if diagram.overs[p] else (p, q)
             u_in, o_in = (2 * u - 1) % m, (2 * o - 1) % m
-            corners.append((u_in, 2 * o, 2 * u, o_in) if diagram.signs[p] == PLUS
-                           else (u_in, o_in, 2 * u, 2 * o))
-    return corners
+            yield ((u_in, 2 * o, 2 * u, o_in) if diagram.signs[p] == PLUS
+                   else (u_in, o_in, 2 * u, 2 * o))
 
 
 def _faces(diagram: GaussCode) -> list[int]:

@@ -35,7 +35,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress
 
-from .errors import CodeSyntaxError, StructureError, UnknownCrossing, _cut
+from .errors import CodeSyntaxError, StructureError, UnknownCrossing, _cut, _quote
 from .values import _Value  # the other modules import it from here
 
 PLUS = 1
@@ -182,7 +182,7 @@ def _overlong(what: str, text: str) -> CodeSyntaxError:
     """The error for the first run of digits in ``text`` too long for int()."""
     limit = sys.get_int_max_str_digits()
     run = re.search(rf"\d{{{limit + 1}}}", text)[0]
-    return CodeSyntaxError(f"{what} {_cut(run)!r} is longer than {limit} digits")
+    return CodeSyntaxError(f"{what} {_quote(run)} is longer than {limit} digits")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def _gauss_chunks(body: str) -> Iterator[Iterator[tuple[int, bool, int]]]:
             pos = (start + len("".join(parts[:4 * i]))
                    + _SEPARATORS.match(gaps[i]).end())
             word = _WORD.match(body, pos).group()
-            raise CodeSyntaxError(f"bad Gauss token at {_cut(word)!r}")
+            raise CodeSyntaxError(f"bad Gauss token at {_quote(word)}")
         yield zip(map(int, parts[2::4]), map(_IS_OVER.__getitem__, parts[1::4]),
                   map(_SIGN_OF.__getitem__, parts[3::4]))
         start = cut
@@ -419,7 +419,7 @@ def parse_dt(text: str) -> DTCode:
     evens: list[int] = []
     for word in filter(None, re.split(r"[\s,]+", _strip_comments(text))):
         if _INT_WORD.match(word) is None:
-            raise CodeSyntaxError(f"bad DT entry {_cut(word)!r}")
+            raise CodeSyntaxError(f"bad DT entry {_quote(word)}")
         try:
             value = int(word)
         except ValueError as exc:
@@ -485,7 +485,7 @@ def parse_pd(text: str) -> PDCode:
         raise _overlong("PD entry", " ".join(chain(*found))) from exc
     leftover = pattern.sub(" ", cleaned)
     if re.sub(r"[\s,\[\]]+", "", leftover):
-        raise CodeSyntaxError(f"unrecognized PD text near {_cut(leftover.strip())!r}")
+        raise CodeSyntaxError(f"unrecognized PD text near {_quote(leftover.strip())}")
     if not quads:
         raise StructureError("empty PD code")
     return PDCode(tuple(sorted(quads)))
@@ -521,4 +521,4 @@ def detect_notation(text: str) -> str:
         return "pd"
     if re.fullmatch(r"[-+\d\s,]+", body):
         return "dt"
-    raise CodeSyntaxError(f"cannot detect notation of {_cut(body)!r}")
+    raise CodeSyntaxError(f"cannot detect notation of {_quote(body)}")

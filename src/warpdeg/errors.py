@@ -63,8 +63,13 @@ class DataError(WarpingError):
 
 
 def _cut(value) -> str:
-    """The first 30 characters of ``str(value)``: all that a message quotes."""
+    """The first 30 characters of ``str(value)``: all that a message shows."""
     return str(value)[:30]
+
+
+def _quote(value) -> str:
+    """A message's quote of ``value``: a cut string's repr, or another's cut repr."""
+    return repr(_cut(value)) if isinstance(value, str) else _cut(repr(value))
 
 
 def read_lines(path, get_data=None) -> Iterator[str]:

@@ -36,7 +36,7 @@ from operator import attrgetter
 
 from .codes import GaussCode, _Value, _overlong, parse_gauss
 from .diagram import from_gauss
-from .errors import DataError, _cut, read_lines
+from .errors import DataError, _cut, _quote, read_lines
 from .warping import WarpingSummary, summary
 
 _TABLE_FORMAT = "knots-table"
@@ -104,7 +104,7 @@ def _parse_diagrams(name: str, codes: Iterable[str]) -> tuple[GaussCode, ...]:
         try:
             diagrams.append(from_gauss(parse_gauss(code)))
         except Exception as exc:
-            raise DataError(f"{_cut(name)}: bad diagram code {_cut(code)!r}: "
+            raise DataError(f"{_cut(name)}: bad diagram code {_quote(code)}: "
                             f"{exc}") from exc
     return tuple(diagrams)
 
@@ -136,18 +136,18 @@ _ENTRY_FIELDS = {"name": _FIELDS["name"], "crossings": _INT, "prime": _FLAG,
 
 def _entry_from_json(obj) -> KnotEntry:
     if not isinstance(obj, dict):
-        raise DataError(f"malformed table record: not an object: {_cut(repr(obj))}")
+        raise DataError(f"malformed table record: not an object: {_quote(obj)}")
     for key, (test, want) in _FIELDS.items():
         if key not in obj and key not in _OPTIONAL:
-            raise DataError(f"malformed table record: no {key!r}: {_cut(repr(obj))}")
+            raise DataError(f"malformed table record: no {key!r}: {_quote(obj)}")
         if key in obj and not test(obj[key]):
-            raise DataError(f"table entry {_cut(repr(obj['name']))}: {key} must "
-                            f"be {want}, got {_cut(repr(obj[key]))}")
+            raise DataError(f"table entry {_quote(obj['name'])}: {key} must "
+                            f"be {want}, got {_quote(obj[key])}")
     name, exp = obj["name"], obj.get("expected", {})
     unknown = [key for key in obj if key not in _FIELDS]
     unknown += [f"expected.{key}" for key in exp if key not in ExpectedValues._fields]
     if unknown:
-        raise DataError(f"table entry {_cut(name)!r}: unknown key {_cut(unknown[0])!r}")
+        raise DataError(f"table entry {_quote(name)}: unknown key {_quote(unknown[0])}")
     return KnotEntry(
         name=name,
         crossings=obj["crossings"],
@@ -164,7 +164,7 @@ def _entry_from_json(obj) -> KnotEntry:
 def validate_entry(entry: KnotEntry) -> list[str]:
     """Structural problems of one entry; empty list when well-formed."""
     has_expected = isinstance(entry.expected, ExpectedValues)
-    problems = [f"{key} must be {want}, got {value!r}"
+    problems = [f"{key} must be {want}, got {_quote(value)}"
                 for key, (test, want) in _ENTRY_FIELDS.items()
                 if (has_expected or "." not in key)  # expected.<field> needs it
                 and not test(value := attrgetter(key)(entry))]
@@ -180,7 +180,7 @@ def validate_entry(entry: KnotEntry) -> list[str]:
         if diagram.crossings != entry.crossings:
             problems.append(
                 f"minimal diagram has {diagram.crossings} crossings, "
-                f"entry says {entry.crossings}"
+                f"entry says {_cut(entry.crossings)}"
             )
     if entry.twist is not None:
         if entry.twist < 1:
@@ -234,10 +234,10 @@ def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
         raise DataError(f"{location}: not a {_TABLE_FORMAT} file")
     version = header.get("version")
     if type(version) is not int or version != _TABLE_VERSION:  # not true, not 1.0
-        raise DataError(f"{location}: unsupported version {_cut(repr(version))}")
+        raise DataError(f"{location}: unsupported version {_quote(version)}")
     unknown = [key for key in header if key not in ("format", "version")]
     if unknown:
-        raise DataError(f"{location}: table header: unknown key {_cut(unknown[0])!r}")
+        raise DataError(f"{location}: table header: unknown key {_quote(unknown[0])}")
 
     entries = []
     names = set()
@@ -251,7 +251,7 @@ def load_table(path: str | os.PathLike[str] | None = None) -> KnotTable:
         if problems:
             raise DataError(f"{location}: {_cut(entry.name)}: " + "; ".join(problems))
         if entry.name in names:
-            raise DataError(f"{location}: duplicate entry {_cut(entry.name)!r}")
+            raise DataError(f"{location}: duplicate entry {_quote(entry.name)}")
         names.add(entry.name)
         entries.append(entry)
     return KnotTable(tuple(entries))

@@ -23,8 +23,12 @@ Derived quantities, all orientation-sensitive unless stated otherwise:
 Since a visit's partner has the opposite strand role, walking the whole
 circle balances out: ``d_a(D) + d_a(-D) = c`` at every shared base point,
 which gives the identities ``e(D) = c - spn(D)`` and
-``d(-D) = c - max(profile)``.  ``summary`` checks the second against an
-independent traversal of the reversed diagram, raising
+``d(-D) = c - max(profile)``.  ``summary`` still recomputes the reverse
+degree by an independent traversal of the reversed diagram, but streams
+it: the degrees of ``-D`` are walked for their minimum and never stored.
+Only then does it build the forward profile, once, and take the minimum,
+the maximum and the polynomial from it, so at most one profile is held
+at a time.  ``d(-D) = c - max(profile)`` is checked, raising
 InternalInconsistency if the engine ever disagrees with itself; the span
 identity holds exactly when that one does.
 """

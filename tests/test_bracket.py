@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -302,7 +303,7 @@ def _assert_same_order(d: GaussCode) -> None:
     for pos, label in enumerate(d.labels):
         positions[label].append(pos)
     crossings = positions[1:]
-    assert _contraction_order(_corners(d)) == \
+    assert _contraction_order(list(_corners(d))) == \
         reference_contraction_order(d.labels, crossings)
 
 
@@ -326,7 +327,7 @@ def test_contraction_order_matches_the_reference_on_random_codes(seed):
 
 
 def _assert_each_end_on_one_corner(d: GaussCode) -> None:
-    corners = _corners(d)
+    corners = list(_corners(d))
     ends = sorted(end for quad in corners for end in quad)
     assert ends == list(range(4 * d.crossings)), serialize(d)
     # tuple i is label i + 1: its two out ends 2v leave the visits v of that label
@@ -474,6 +475,24 @@ def test_the_virtual_trefoil_has_a_bracket_that_the_moves_keep(text):
 def test_classical_codes_among_random_codes_are_pinned():
     codes = random_codes(2000, 10, 3)
     assert sum(is_classical(code) for code in codes) == 468
+
+
+def test_planarity_runs_no_collector_pass():
+    # with its corners held as a list of c tuples, each tracked by the cyclic
+    # collector until a pass untracked it, this call ran 14 passes
+    d = twist_minimal(10_000)
+    passes = []
+
+    def counted(phase, info):
+        passes.append(phase)
+
+    gc.collect()
+    gc.callbacks.append(counted)
+    try:
+        assert is_classical(d)
+    finally:
+        gc.callbacks.remove(counted)
+    assert passes == []
 
 
 def test_planarity_needs_every_sign():

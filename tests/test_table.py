@@ -594,7 +594,15 @@ BROKEN_RECORD = TREFOIL_RECORD.replace('"crossings": 3,', '"crossings": 3')
     ([HEADER, TREFOIL_RECORD.replace("O1+U2+O3+U1+O2+U3+", "O1+U2+" + "Z" * 9994)],
      f"3_1: bad diagram code {'O1+U2+' + 'Z' * 24!r}: bad Gauss token at "
      f"{'Z' * 30!r}"),
-], ids=["record-json", "record-number", "number-then-syntax", "diagram-code"])
+    # a number within the digit limit, named by a check of the entry
+    ([HEADER, TREFOIL_RECORD.replace('"crossings": 3', f'"crossings": {LONG[:4000]}')],
+     f"3_1: minimal diagram has 3 crossings, entry says {LONG[:30]}; twist "
+     "parameter inconsistent with crossing number"),
+    # a value of the wrong type is quoted whole up to 30 characters, closed
+    ([HEADER, TREFOIL_RECORD.replace('"crossings": 3', f'"crossings": "{LONG}"')],
+     f"table entry '3_1': crossings must be an integer, got '{LONG[:30]}'"),
+], ids=["record-json", "record-number", "number-then-syntax", "diagram-code",
+        "entry-crossings", "wrong-type"])
 def test_verify_names_a_table_fault_on_one_short_line(
         capsys, tmp_path, monkeypatch, lines, message):
     monkeypatch.chdir(tmp_path)
